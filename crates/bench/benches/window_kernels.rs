@@ -1,6 +1,7 @@
-//! Microbench for the Φ_C hot-path kernels: incremental sliding-window
-//! aggregation vs naive frame recomputation, and run-aware merge sort vs a
-//! from-scratch full sort.
+//! Microbench for the Φ_C hot-path kernels: typed sliding-window
+//! aggregation vs naive frame recomputation (by frame width, and in ns/row
+//! for the three frame shapes the compiled rules use), and run-aware merge
+//! sort vs a from-scratch full sort.
 //!
 //! Counters are deterministic, so this bench *asserts* the two acceptance
 //! bars instead of just printing numbers: incremental accumulator ops must
@@ -11,7 +12,7 @@
 //! `--smoke` shrinks the dataset for CI; `--out <path>` writes the numbers
 //! as JSON (default `BENCH_window_kernels.json`).
 
-use dc_bench::window_kernels::{kernel_ablation, sort_ablation};
+use dc_bench::window_kernels::{kernel_ablation, shape_ablation, sort_ablation};
 use dc_json::Json;
 
 fn main() {
@@ -46,6 +47,15 @@ fn main() {
         growth <= 1.2,
         "incremental accumulator ops grew {growth:.3}x from width 16 to 256 (bar: 1.2x)"
     );
+
+    let shapes = shape_ablation(rows);
+    println!("rule shapes: {rows} rows in partitions of 32, ns per input row");
+    for s in &shapes {
+        println!(
+            "  {:<14} {} expr(s): typed {:>8.1} ns/row | naive {:>8.1} ns/row | {:>9} ops",
+            s.shape, s.exprs, s.typed_ns_per_row, s.naive_ns_per_row, s.typed_ops
+        );
+    }
 
     let sa = sort_ablation(per_run, runs);
     println!(
@@ -88,6 +98,22 @@ fn main() {
             ),
         )
         .set("incremental_growth", Json::Num(growth))
+        .set(
+            "rule_shapes",
+            Json::Arr(
+                shapes
+                    .iter()
+                    .map(|s| {
+                        Json::obj()
+                            .set("shape", s.shape)
+                            .set("exprs", s.exprs)
+                            .set("typed_ops", s.typed_ops)
+                            .set("typed_ns_per_row", Json::Num(s.typed_ns_per_row))
+                            .set("naive_ns_per_row", Json::Num(s.naive_ns_per_row))
+                    })
+                    .collect(),
+            ),
+        )
         .set(
             "sort",
             Json::obj()

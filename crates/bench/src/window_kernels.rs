@@ -1,6 +1,6 @@
 //! Kernel-level ablation for the Φ_C hot path: naive per-row frame
-//! recomputation vs the incremental sliding kernels, and run-aware merge
-//! sort vs a from-scratch full sort.
+//! recomputation on scalar `Value`s vs the typed sliding kernels, and
+//! run-aware merge sort vs a from-scratch full sort.
 //!
 //! Unlike the figure experiments this does not go through SQL — it drives
 //! [`WindowEval`] and [`sort_batch_runs`] directly so the two sides differ
@@ -8,6 +8,7 @@
 //! bench binary gates on them and reports wall-clock as colour.
 
 use dc_relational::batch::{schema_ref, Batch};
+use dc_relational::column::Column;
 use dc_relational::expr::Expr;
 use dc_relational::schema::{Field, Schema};
 use dc_relational::sort::{sort_batch_runs, SortKey};
@@ -19,7 +20,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct KernelPoint {
     pub width: usize,
-    /// Accumulator ops of the incremental path (frame positions entering or
+    /// Accumulator ops of the typed path (frame positions entering or
     /// leaving aggregate state) — frame-width independent by design.
     pub incremental_ops: u64,
     /// Frame rows visited by the naive path — grows linearly with width.
@@ -36,9 +37,9 @@ pub struct KernelAblation {
 }
 
 impl KernelAblation {
-    /// Counter growth of the incremental path from the narrowest to the
-    /// widest measured frame. The acceptance bar is ≤ 1.2×; the naive
-    /// path's equivalent ratio tracks the width ratio itself.
+    /// Counter growth of the typed path from the narrowest to the widest
+    /// measured frame. The acceptance bar is ≤ 1.2×; the naive path's
+    /// equivalent ratio tracks the width ratio itself.
     pub fn incremental_growth(&self) -> f64 {
         let first = self.points.first().map_or(1, |p| p.incremental_ops);
         let last = self.points.last().map_or(1, |p| p.incremental_ops);
@@ -46,21 +47,45 @@ impl KernelAblation {
     }
 }
 
+/// Reads-shaped data sorted by (epc, rtime): `partitions` equal EPC runs,
+/// read times 0–59 s apart, a location that changes every few reads.
 fn reads_like_batch(rows: usize, partitions: usize) -> Batch {
     let schema = schema_ref(Schema::new(vec![
         Field::new("epc", DataType::Int),
+        Field::new("rtime", DataType::Int),
+        Field::new("loc", DataType::Str),
         Field::new("v", DataType::Int),
     ]));
     let per = rows.div_ceil(partitions.max(1));
     // Deterministic pseudo-random values (no RNG dependency): a fixed
     // multiplicative hash of the row index.
+    let mut rtime = 0i64;
     let data: Vec<Vec<Value>> = (0..rows)
         .map(|i| {
             let h = (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
-            vec![Value::Int((i / per) as i64), Value::Int((h % 1000) as i64)]
+            rtime = if i % per == 0 {
+                0
+            } else {
+                rtime + (h % 60) as i64
+            };
+            vec![
+                Value::Int((i / per) as i64),
+                Value::Int(rtime),
+                Value::str(format!("loc{}", (h >> 8) % 7)),
+                Value::Int((h % 1000) as i64),
+            ]
         })
         .collect();
     Batch::from_rows(schema, &data).expect("bench batch")
+}
+
+fn window_expr(func: WindowFuncKind, arg: &str, frame: &Frame) -> WindowExpr {
+    WindowExpr {
+        func,
+        arg: Some(Expr::col(arg)),
+        frame: frame.clone(),
+        alias: format!("{func}_{arg}"),
+    }
 }
 
 fn bench_exprs(width: usize) -> Vec<WindowExpr> {
@@ -69,60 +94,61 @@ fn bench_exprs(width: usize) -> Vec<WindowExpr> {
         FrameBound::CurrentRow,
     );
     [
-        (WindowFuncKind::Sum, "s"),
-        (WindowFuncKind::Min, "m"),
-        (WindowFuncKind::Count, "c"),
+        WindowFuncKind::Sum,
+        WindowFuncKind::Min,
+        WindowFuncKind::Count,
     ]
-    .into_iter()
-    .map(|(func, alias)| WindowExpr {
-        func,
-        arg: Some(Expr::col("v")),
-        frame: frame.clone(),
-        alias: alias.to_string(),
-    })
-    .collect()
+    .map(|func| window_expr(func, "v", &frame))
+    .to_vec()
 }
 
-/// Evaluate every partition with `eval`, returning (total work, elapsed ms,
-/// per-expression outputs concatenated in partition order).
-fn run_eval(
-    ev: &WindowEval<'_>,
-    eval: impl Fn(&WindowEval<'_>, (usize, usize)) -> (Vec<Vec<Value>>, u64),
-) -> (u64, f64, Vec<Vec<Value>>) {
+/// Both paths over every partition of `batch`: (typed ops, typed ms, naive
+/// work, naive ms). Panics if they ever disagree on a value — the bench
+/// doubles as an end-to-end equivalence check.
+fn run_both(batch: &Batch, exprs: &[WindowExpr]) -> (u64, f64, u64, f64) {
+    let order_key = Expr::col("rtime");
+    let ev = WindowEval::prepare(batch, &[Expr::col("epc")], Some(&order_key), exprs)
+        .expect("prepare window eval");
+
     let start = Instant::now();
-    let mut work = 0u64;
-    let mut outs: Vec<Vec<Value>> = vec![Vec::new(); ev.output_types().len()];
+    let (typed, ops) = ev
+        .eval_partitions(ev.partitions(), || Ok(()))
+        .expect("typed kernels");
+    let typed_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    let start = Instant::now();
+    let mut naive_work = 0u64;
+    let mut naive: Vec<Vec<Value>> = vec![Vec::new(); exprs.len()];
     for &range in ev.partitions() {
-        let (cols, w) = eval(ev, range);
-        work += w;
-        for (acc, col) in outs.iter_mut().zip(cols) {
-            acc.extend(col);
+        let (vals, w) = ev.eval_partition_naive(range).expect("naive");
+        naive_work += w;
+        for (acc, v) in naive.iter_mut().zip(vals) {
+            acc.extend(v);
         }
     }
-    (work, start.elapsed().as_secs_f64() * 1e3, outs)
+    let naive_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    for ((col, vals), we) in typed.iter().zip(&naive).zip(exprs) {
+        let expect = Column::from_values(col.data_type(), vals).expect("naive column");
+        assert!(*col == expect, "kernel mismatch for {we}");
+    }
+    (ops, typed_ms, naive_work, naive_ms)
 }
 
-/// Measure naive vs incremental window evaluation at each frame width over
-/// one fixed dataset. Panics if the two paths ever disagree on a value —
-/// the bench doubles as an end-to-end equivalence check.
+/// Measure naive vs typed window evaluation at each frame width over one
+/// fixed dataset.
 pub fn kernel_ablation(rows: usize, partitions: usize, widths: &[usize]) -> KernelAblation {
     let batch = reads_like_batch(rows, partitions);
     let points = widths
         .iter()
         .map(|&width| {
-            let exprs = bench_exprs(width);
-            let ev = WindowEval::prepare(&batch, &[Expr::col("epc")], None, &exprs)
-                .expect("prepare window eval");
-            let (inc_ops, inc_ms, inc_out) =
-                run_eval(&ev, |ev, r| ev.eval_partition(r).expect("incremental"));
-            let (naive_work, naive_ms, naive_out) =
-                run_eval(&ev, |ev, r| ev.eval_partition_naive(r).expect("naive"));
-            assert_eq!(inc_out, naive_out, "kernel mismatch at width {width}");
+            let (incremental_ops, incremental_ms, naive_work, naive_ms) =
+                run_both(&batch, &bench_exprs(width));
             KernelPoint {
                 width,
-                incremental_ops: inc_ops,
+                incremental_ops,
                 naive_work,
-                incremental_ms: inc_ms,
+                incremental_ms,
                 naive_ms,
             }
         })
@@ -132,6 +158,68 @@ pub fn kernel_ablation(rows: usize, partitions: usize, widths: &[usize]) -> Kern
         partitions,
         points,
     }
+}
+
+/// One cleansing-rule window shape at RFID partition sizes, both ways.
+#[derive(Debug, Clone)]
+pub struct ShapePoint {
+    pub shape: &'static str,
+    pub exprs: usize,
+    pub typed_ops: u64,
+    /// Wall-clock per input row over all of the shape's expressions
+    /// (best of three runs).
+    pub typed_ns_per_row: f64,
+    pub naive_ns_per_row: f64,
+}
+
+/// The three frame shapes the compiled rules and q1/q2 put on the hot path
+/// — a two-column lag (duplicate/replacing rules), a bounded RANGE look-ahead
+/// (reader rule), a running sum — over `rows` reads in partitions of about
+/// 32 (RFIDGen: 30 reads per EPC).
+pub fn shape_ablation(rows: usize) -> Vec<ShapePoint> {
+    let batch = reads_like_batch(rows, rows.div_ceil(32));
+    let lag = Frame::rows(FrameBound::Preceding(1), FrameBound::Preceding(1));
+    let shapes: [(&'static str, Vec<WindowExpr>); 3] = [
+        (
+            "lag",
+            vec![
+                window_expr(WindowFuncKind::Max, "loc", &lag),
+                window_expr(WindowFuncKind::Max, "rtime", &lag),
+            ],
+        ),
+        (
+            "bounded_range",
+            vec![window_expr(
+                WindowFuncKind::Max,
+                "v",
+                &Frame::range(FrameBound::Following(1), FrameBound::Following(299)),
+            )],
+        ),
+        (
+            "running_sum",
+            vec![window_expr(
+                WindowFuncKind::Sum,
+                "v",
+                &Frame::rows(FrameBound::UnboundedPreceding, FrameBound::CurrentRow),
+            )],
+        ),
+    ];
+    shapes
+        .into_iter()
+        .map(|(shape, exprs)| {
+            let runs: Vec<_> = (0..3).map(|_| run_both(&batch, &exprs)).collect();
+            let best = |ms: fn(&(u64, f64, u64, f64)) -> f64| {
+                runs.iter().map(ms).fold(f64::INFINITY, f64::min) * 1e6 / rows as f64
+            };
+            ShapePoint {
+                shape,
+                exprs: exprs.len(),
+                typed_ops: runs[0].0,
+                typed_ns_per_row: best(|r| r.1),
+                naive_ns_per_row: best(|r| r.3),
+            }
+        })
+        .collect()
 }
 
 /// Run-aware sort vs full sort over the same segmented-append-shaped data.
@@ -209,6 +297,16 @@ mod tests {
         assert!(ka.incremental_growth() <= 1.2, "{ka:?}");
         // The naive side really does pay per frame row.
         assert!(ka.points[1].naive_work > 2 * ka.points[0].naive_work);
+    }
+
+    #[test]
+    fn shape_ablation_covers_the_rule_shapes() {
+        let shapes = shape_ablation(1024);
+        let names: Vec<_> = shapes.iter().map(|s| s.shape).collect();
+        assert_eq!(names, ["lag", "bounded_range", "running_sum"]);
+        // A lag over partitions of 32: every row but the first enters and
+        // every row but the last two leaves, per expression.
+        assert_eq!(shapes[0].typed_ops, 2 * 32 * (2 * 32 - 3));
     }
 
     #[test]

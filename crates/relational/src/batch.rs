@@ -162,20 +162,42 @@ impl Batch {
         }
     }
 
+    /// Keep only `survivors` — physical row indices forming a subsequence
+    /// of this batch's rows, as a filter over it produces. When every row
+    /// survived the batch is returned as it is, so what is flat stays flat
+    /// (and re-joinable without a copy) for the operators above.
+    pub fn with_survivors(self, survivors: Vec<u32>) -> Batch {
+        if survivors.len() == self.num_rows() {
+            self
+        } else {
+            self.with_selection(survivors)
+        }
+    }
+
+    /// The selection vector unless it selects every physical row in order —
+    /// such a batch is flat in all but name.
+    fn effective_selection(&self) -> Option<&[u32]> {
+        self.selection().filter(|sel| {
+            sel.len() != self.rows || sel.iter().enumerate().any(|(k, &i)| i as usize != k)
+        })
+    }
+
     /// Compact to a dense batch: gathers the selected rows once. A flat
-    /// batch returns an O(1) clone.
+    /// batch, or one whose selection keeps every row in order, returns an
+    /// O(1) clone of the columns.
     pub fn flatten(&self) -> Batch {
-        match &self.selection {
-            None => self.clone(),
+        let columns = match self.effective_selection() {
+            None => self.columns.clone(),
             Some(sel) => {
                 let indices: Vec<usize> = sel.iter().map(|&i| i as usize).collect();
-                Batch {
-                    schema: self.schema.clone(),
-                    columns: self.columns.iter().map(|c| c.take(&indices)).collect(),
-                    rows: indices.len(),
-                    selection: None,
-                }
+                self.columns.iter().map(|c| c.take(&indices)).collect()
             }
+        };
+        Batch {
+            schema: self.schema.clone(),
+            columns,
+            rows: self.num_rows(),
+            selection: None,
         }
     }
 
@@ -282,13 +304,29 @@ impl Batch {
                 )));
             }
         }
-        let flats: Vec<Batch> = parts.iter().map(Batch::flatten).collect();
+        // Flat parts concatenate column-wise (O(1) when they are adjacent
+        // windows of one payload); selected rows are gathered straight into
+        // the output, never into an intermediate flat batch.
+        let selections: Vec<Option<&[u32]>> =
+            parts.iter().map(Batch::effective_selection).collect();
+        let all_flat = selections.iter().all(Option::is_none);
+        let rows = parts.iter().map(Batch::num_rows).sum();
         let mut columns = Vec::with_capacity(first.num_columns());
         for ci in 0..first.num_columns() {
-            let cols: Vec<&Column> = flats.iter().map(|p| p.column(ci)).collect();
-            columns.push(Column::concat(&cols)?);
+            let cols: Vec<&Column> = parts.iter().map(|p| p.column(ci)).collect();
+            columns.push(if all_flat {
+                Column::concat(&cols)?
+            } else {
+                let mut b = ColumnBuilder::new(cols[0].data_type(), rows);
+                for (c, sel) in cols.iter().zip(&selections) {
+                    match sel {
+                        None => b.extend_from_column(c),
+                        Some(sel) => b.extend_selected(c, sel),
+                    }
+                }
+                b.finish()
+            });
         }
-        let rows = flats.iter().map(Batch::num_rows).sum();
         Ok(Batch {
             schema: first.schema.clone(),
             columns,
@@ -485,6 +523,48 @@ mod tests {
         assert_eq!(s.num_rows(), 2);
         assert_eq!(s.row(0), vec![Value::str("e2"), Value::Int(20)]);
         assert_eq!(s.row(1), vec![Value::str("e1"), Value::Int(10)]);
+    }
+
+    #[test]
+    fn concat_of_chunk_slices_shares_the_original_payload() {
+        let b = sample();
+        let same_payload = |a: &Batch, b: &Batch| {
+            a.columns()
+                .iter()
+                .zip(b.columns())
+                .all(|(x, y)| std::ptr::eq(x.data(), y.data()))
+        };
+        let joined = Batch::concat(&[b.slice(0, 1), b.slice(1, 2)]).unwrap();
+        assert!(same_payload(&joined, &b));
+        assert_eq!(joined.sorted_rows(), b.sorted_rows());
+        // A selection that keeps every row in order is flat in all but
+        // name: it flattens, and concatenates, without a copy.
+        let all_rows = b.with_selection(vec![0, 1, 2]);
+        assert!(same_payload(&all_rows.flatten(), &b));
+        assert!(all_rows.flatten().is_flat());
+        assert!(same_payload(&Batch::concat(&[all_rows]).unwrap(), &b));
+        // A permutation of all rows is a real selection.
+        let permuted = b.with_selection(vec![0, 2, 1]);
+        assert!(!same_payload(&permuted.flatten(), &b));
+        assert_eq!(permuted.flatten().row(1), b.row(2));
+    }
+
+    #[test]
+    fn concat_gathers_selected_parts_straight_into_the_output() {
+        let b = sample();
+        let parts = [
+            b.slice(0, 2),
+            b.with_selection(vec![2, 0]),
+            b.slice(1, 2).with_selection(vec![1]),
+        ];
+        let joined = Batch::concat(&parts).unwrap();
+        assert!(joined.is_flat());
+        let expect: Vec<Vec<Value>> = parts
+            .iter()
+            .flat_map(|p| (0..p.num_rows()).map(|i| p.row(i)))
+            .collect();
+        let got: Vec<Vec<Value>> = (0..joined.num_rows()).map(|i| joined.row(i)).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::error::{Error, Result};
 use crate::value::{DataType, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A packed bitmap, one bit per row; bit set = valid (non-null).
@@ -71,6 +72,20 @@ impl Bitmap {
         self.len += 1;
         if value {
             self.set(self.len - 1, true);
+        }
+    }
+
+    /// Append `count` bits, all `value`.
+    pub fn extend_constant(&mut self, count: usize, value: bool) {
+        for _ in 0..count {
+            self.push(value);
+        }
+    }
+
+    /// Append bits `[start, start + count)` of `other`.
+    pub fn extend_from(&mut self, other: &Bitmap, start: usize, count: usize) {
+        for i in start..start + count {
+            self.push(other.get(i));
         }
     }
 
@@ -150,6 +165,90 @@ impl ColumnData {
         }
     }
 }
+
+/// A native payload element type of [`ColumnData`]. Kernels written once
+/// over `&[T]` for `T: Native` run on every column type without going
+/// through the scalar [`Value`] enum; [`with_native!`] picks `T` from a
+/// [`DataType`].
+pub(crate) trait Native: Clone + Sized + 'static {
+    fn slice_of(data: &ColumnData) -> Option<&[Self]>;
+    fn vec_of(data: &mut ColumnData) -> Option<&mut Vec<Self>>;
+    /// What a NULL slot stores.
+    fn placeholder() -> Self;
+    /// Structural equality, as `Value::eq`: doubles compare by bit pattern.
+    fn same(&self, other: &Self) -> bool;
+    /// The order of `Value::total_cmp` within one type.
+    fn total_cmp(&self, other: &Self) -> Ordering;
+}
+
+macro_rules! impl_native {
+    ($t:ty, $variant:ident, $placeholder:expr, $same:expr, $cmp:expr) => {
+        impl Native for $t {
+            #[inline]
+            fn slice_of(data: &ColumnData) -> Option<&[Self]> {
+                match data {
+                    ColumnData::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+            #[inline]
+            fn vec_of(data: &mut ColumnData) -> Option<&mut Vec<Self>> {
+                match data {
+                    ColumnData::$variant(v) => Some(v),
+                    _ => None,
+                }
+            }
+            fn placeholder() -> Self {
+                $placeholder
+            }
+            #[inline]
+            fn same(&self, other: &Self) -> bool {
+                $same(self, other)
+            }
+            #[inline]
+            fn total_cmp(&self, other: &Self) -> Ordering {
+                $cmp(self, other)
+            }
+        }
+    };
+}
+
+impl_native!(bool, Bool, false, PartialEq::eq, Ord::cmp);
+impl_native!(i64, Int, 0, PartialEq::eq, Ord::cmp);
+impl_native!(
+    f64,
+    Double,
+    0.0,
+    |a: &f64, b: &f64| a.to_bits() == b.to_bits(),
+    f64::total_cmp
+);
+impl_native!(Arc<str>, Str, Arc::from(""), PartialEq::eq, Ord::cmp);
+
+/// Run `$body` with the type alias `$T` bound to the [`Native`] element type
+/// of `$dt` — the one place a typed kernel dispatches on the column type.
+macro_rules! with_native {
+    ($dt:expr, $T:ident => $body:expr) => {
+        match $dt {
+            $crate::value::DataType::Bool => {
+                type $T = bool;
+                $body
+            }
+            $crate::value::DataType::Int => {
+                type $T = i64;
+                $body
+            }
+            $crate::value::DataType::Double => {
+                type $T = f64;
+                $body
+            }
+            $crate::value::DataType::Str => {
+                type $T = std::sync::Arc<str>;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_native;
 
 /// A column: a shared typed payload plus an optional validity bitmap
 /// (`None` = all valid), viewed through an `(offset, len)` window.
@@ -240,41 +339,36 @@ impl Column {
         }
     }
 
+    /// The window as a native slice, or `None` when `T` is not this
+    /// column's element type. NULL slots hold a placeholder.
+    #[inline]
+    pub(crate) fn values<T: Native>(&self) -> Option<&[T]> {
+        T::slice_of(&self.data).map(|v| &v[self.offset..self.offset + self.len])
+    }
+
     /// The window as a native `&[i64]`, or `None` for non-int columns.
     /// NULL slots hold an arbitrary placeholder — check `is_null` first.
     #[inline]
     pub fn int_values(&self) -> Option<&[i64]> {
-        match self.data.as_ref() {
-            ColumnData::Int(v) => Some(&v[self.offset..self.offset + self.len]),
-            _ => None,
-        }
+        self.values()
     }
 
     /// The window as a native `&[f64]`, or `None` for non-double columns.
     #[inline]
     pub fn double_values(&self) -> Option<&[f64]> {
-        match self.data.as_ref() {
-            ColumnData::Double(v) => Some(&v[self.offset..self.offset + self.len]),
-            _ => None,
-        }
+        self.values()
     }
 
     /// The window as `&[bool]`, or `None` for non-bool columns.
     #[inline]
     pub fn bool_values(&self) -> Option<&[bool]> {
-        match self.data.as_ref() {
-            ColumnData::Bool(v) => Some(&v[self.offset..self.offset + self.len]),
-            _ => None,
-        }
+        self.values()
     }
 
     /// The window as `&[Arc<str>]`, or `None` for non-string columns.
     #[inline]
     pub fn str_values(&self) -> Option<&[Arc<str>]> {
-        match self.data.as_ref() {
-            ColumnData::Str(v) => Some(&v[self.offset..self.offset + self.len]),
-            _ => None,
-        }
+        self.values()
     }
 
     #[inline]
@@ -369,23 +463,41 @@ impl Column {
     }
 
     /// Concatenate columns of the same type.
+    ///
+    /// When the parts are consecutive windows of one shared payload — what
+    /// slicing a column into chunks and passing the chunks through untouched
+    /// produces — the result is the re-widened window, O(1) and copy-free.
+    /// Anything else is copied slice-wise into a fresh payload.
     pub fn concat(parts: &[&Column]) -> Result<Column> {
         let Some(first) = parts.first() else {
             return Err(Error::Internal("concat of zero columns".into()));
         };
         let dt = first.data_type();
+        if let Some(c) = parts.iter().find(|c| c.data_type() != dt) {
+            return Err(Error::Schema(format!(
+                "concat type mismatch: {} vs {dt}",
+                c.data_type()
+            )));
+        }
         let total: usize = parts.iter().map(|c| c.len()).sum();
+        let adjacent = parts.windows(2).all(|w| {
+            Arc::ptr_eq(&w[0].data, &w[1].data)
+                && match (&w[0].validity, &w[1].validity) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    _ => false,
+                }
+                && w[0].offset + w[0].len == w[1].offset
+        });
+        if adjacent {
+            return Ok(Column {
+                len: total,
+                ..(*first).clone()
+            });
+        }
         let mut b = ColumnBuilder::new(dt, total);
         for c in parts {
-            if c.data_type() != dt {
-                return Err(Error::Schema(format!(
-                    "concat type mismatch: {} vs {dt}",
-                    c.data_type()
-                )));
-            }
-            for i in 0..c.len() {
-                b.push(&c.value(i))?;
-            }
+            b.extend_from_column(c);
         }
         Ok(b.finish())
     }
@@ -407,20 +519,21 @@ impl PartialEq for Column {
     }
 }
 
-/// Incremental column construction.
+/// Incremental column construction. The validity bitmap is only
+/// materialized once the first NULL arrives, so all-valid columns never
+/// touch it.
 #[derive(Debug)]
 pub struct ColumnBuilder {
     data: ColumnData,
-    validity: Bitmap,
-    has_null: bool,
+    /// `None` = every row so far is valid.
+    validity: Option<Bitmap>,
 }
 
 impl ColumnBuilder {
     pub fn new(dt: DataType, capacity: usize) -> Self {
         ColumnBuilder {
             data: ColumnData::with_capacity(dt, capacity),
-            validity: Bitmap::new(0, false),
-            has_null: false,
+            validity: None,
         }
     }
 
@@ -441,7 +554,7 @@ impl ColumnBuilder {
     pub fn push(&mut self, v: &Value) -> Result<()> {
         match (&mut self.data, v) {
             (_, Value::Null) => {
-                self.push_null_slot();
+                self.push_null();
                 return Ok(());
             }
             (ColumnData::Bool(d), Value::Bool(x)) => d.push(*x),
@@ -456,34 +569,117 @@ impl ColumnBuilder {
                 )))
             }
         }
-        self.validity.push(true);
+        self.mark_valid(1);
         Ok(())
     }
 
-    pub fn push_null(&mut self) {
-        self.push_null_slot();
+    /// The payload as its native vector. Panics when `T` is not the
+    /// builder's element type — a kernel dispatch bug, not a data condition.
+    #[inline]
+    fn payload<T: Native>(&mut self) -> &mut Vec<T> {
+        T::vec_of(&mut self.data).expect("native type is the builder's element type")
     }
 
-    fn push_null_slot(&mut self) {
-        match &mut self.data {
-            ColumnData::Bool(d) => d.push(false),
-            ColumnData::Int(d) => d.push(0),
-            ColumnData::Double(d) => d.push(0.0),
-            ColumnData::Str(d) => d.push(Arc::from("")),
+    /// Append a non-NULL native value.
+    #[inline]
+    pub(crate) fn push_native<T: Native>(&mut self, v: T) {
+        self.payload().push(v);
+        self.mark_valid(1);
+    }
+
+    pub fn push_null(&mut self) {
+        self.append_nulls(1);
+    }
+
+    /// Append `count` NULLs.
+    pub fn append_nulls(&mut self, count: usize) {
+        if count == 0 {
+            return;
         }
-        self.validity.push(false);
-        self.has_null = true;
+        let before = self.data.len();
+        with_native!(self.data_type(), T => {
+            self.payload::<T>().resize(before + count, T::placeholder())
+        });
+        self.validity
+            .get_or_insert_with(|| Bitmap::new(before, true))
+            .extend_constant(count, false);
+    }
+
+    /// Append `count` more copies of the last row (value or NULL).
+    pub(crate) fn repeat_last(&mut self, count: usize) {
+        fn repeat<T: Clone>(v: &mut Vec<T>, count: usize) {
+            if let Some(last) = v.last().cloned() {
+                v.resize(v.len() + count, last);
+            }
+        }
+        let Some(last) = self.data.len().checked_sub(1) else {
+            return;
+        };
+        with_native!(self.data_type(), T => repeat(self.payload::<T>(), count));
+        if let Some(validity) = &mut self.validity {
+            validity.extend_constant(count, validity.get(last));
+        }
+    }
+
+    /// Append every row of `col`'s window — typed slice copies, no scalar
+    /// in between. Panics on a type mismatch.
+    pub(crate) fn extend_from_column(&mut self, col: &Column) {
+        self.extend_from_range(col, 0, col.len);
+    }
+
+    /// Append rows `[start, start + count)` of `col`'s window.
+    pub(crate) fn extend_from_range(&mut self, col: &Column, start: usize, count: usize) {
+        let before = self.data.len();
+        with_native!(col.data_type(), T => {
+            let src: &[T] = col.values().expect("element type picked from the column");
+            self.payload().extend_from_slice(&src[start..start + count])
+        });
+        let from = col.offset + start;
+        match &col.validity {
+            Some(src) if src.count_set_in(from, count) < count => self
+                .validity
+                .get_or_insert_with(|| Bitmap::new(before, true))
+                .extend_from(src, from, count),
+            _ => self.mark_valid(count),
+        }
+    }
+
+    /// Append `col`'s rows `rows[0], rows[1], …` (a gather). Panics on a
+    /// type mismatch.
+    pub(crate) fn extend_selected(&mut self, col: &Column, rows: &[u32]) {
+        fn gather<T: Clone>(out: &mut Vec<T>, src: &[T], rows: &[u32]) {
+            out.extend(rows.iter().map(|&r| src[r as usize].clone()));
+        }
+        let before = self.data.len();
+        with_native!(col.data_type(), T => {
+            let src: &[T] = col.values().expect("element type picked from the column");
+            gather(self.payload(), src, rows)
+        });
+        match &col.validity {
+            Some(src) if col.has_nulls() => {
+                let validity = self
+                    .validity
+                    .get_or_insert_with(|| Bitmap::new(before, true));
+                for &r in rows {
+                    validity.push(src.get(col.offset + r as usize));
+                }
+            }
+            _ => self.mark_valid(rows.len()),
+        }
+    }
+
+    #[inline]
+    fn mark_valid(&mut self, count: usize) {
+        if let Some(validity) = &mut self.validity {
+            validity.extend_constant(count, true);
+        }
     }
 
     pub fn finish(self) -> Column {
         let len = self.data.len();
         Column {
             data: Arc::new(self.data),
-            validity: if self.has_null {
-                Some(Arc::new(self.validity))
-            } else {
-                None
-            },
+            validity: self.validity.map(Arc::new),
             offset: 0,
             len,
         }
@@ -579,6 +775,124 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.value(2), Value::Int(3));
         assert_eq!(c.null_count(), 1);
+    }
+
+    fn nullable_ints(n: i64) -> Column {
+        let vals: Vec<Value> = (0..n)
+            .map(|i| {
+                if i % 4 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                }
+            })
+            .collect();
+        Column::from_values(DataType::Int, &vals).unwrap()
+    }
+
+    fn shares_buffers(a: &Column, b: &Column) -> bool {
+        Arc::ptr_eq(&a.data, &b.data)
+            && match (&a.validity, &b.validity) {
+                (None, None) => true,
+                (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+                _ => false,
+            }
+    }
+
+    #[test]
+    fn concat_of_adjacent_slices_rewidens_without_copying() {
+        let c = nullable_ints(20);
+        let parts = [c.slice(3, 4), c.slice(7, 1), c.slice(8, 9)];
+        let joined = Column::concat(&parts.iter().collect::<Vec<_>>()).unwrap();
+        assert!(
+            shares_buffers(&joined, &c),
+            "payload and validity are shared"
+        );
+        assert_eq!((joined.offset, joined.len), (3, 14));
+        assert_eq!(joined, c.slice(3, 14));
+        // The re-widened window slices and gathers like any other column.
+        assert_eq!(joined.slice(2, 5), c.slice(5, 5));
+        assert_eq!(joined.take(&[13, 0, 4]), c.take(&[16, 3, 7]));
+        assert_eq!(joined.null_count(), c.slice(3, 14).null_count());
+        // A single part is its own re-widening.
+        let single = Column::concat(&[&parts[0]]).unwrap();
+        assert!(shares_buffers(&single, &c));
+        // An all-valid payload has no bitmap to share.
+        let plain = Column::from_data(ColumnData::Int((0..10).collect()));
+        let joined = Column::concat(&[&plain.slice(0, 6), &plain.slice(6, 4)]).unwrap();
+        assert!(shares_buffers(&joined, &plain));
+        assert_eq!(joined.int_values().unwrap(), plain.int_values().unwrap());
+    }
+
+    #[test]
+    fn concat_copies_whatever_is_not_adjacent() {
+        let c = nullable_ints(20);
+        let other = nullable_ints(20);
+        let mut no_bitmap = c.slice(10, 5);
+        no_bitmap.validity = None;
+        let cases: [(&str, Vec<Column>); 5] = [
+            ("gap", vec![c.slice(0, 4), c.slice(5, 4)]),
+            ("overlap", vec![c.slice(0, 6), c.slice(4, 6)]),
+            ("out of order", vec![c.slice(8, 4), c.slice(4, 4)]),
+            ("different payloads", vec![c.slice(0, 5), other.slice(5, 5)]),
+            ("validity on one part only", vec![c.slice(5, 5), no_bitmap]),
+        ];
+        for (name, parts) in cases {
+            let joined = Column::concat(&parts.iter().collect::<Vec<_>>()).unwrap();
+            assert!(!Arc::ptr_eq(&joined.data, &c.data), "{name}: copied");
+            let expect: Vec<Value> = parts.iter().flat_map(Column::iter).collect();
+            assert_eq!(joined.iter().collect::<Vec<_>>(), expect, "{name}");
+            assert_eq!(joined.offset, 0, "{name}");
+        }
+        // Every element type goes through the same slice-wise copy.
+        let strs = Column::from_values(
+            DataType::Str,
+            &[Value::str("a"), Value::Null, Value::str("c")],
+        )
+        .unwrap();
+        let joined = Column::concat(&[&strs.slice(1, 2), &strs.slice(0, 2)]).unwrap();
+        assert_eq!(
+            joined.iter().collect::<Vec<_>>(),
+            vec![Value::Null, Value::str("c"), Value::str("a"), Value::Null]
+        );
+        assert!(Column::concat(&[&strs, &c]).is_err(), "type mismatch");
+    }
+
+    #[test]
+    fn builder_bulk_appends_track_validity_lazily() {
+        let c = nullable_ints(12);
+        let mut b = ColumnBuilder::new(DataType::Int, 0);
+        b.extend_from_range(&c, 0, 3); // rows 0..3: all valid
+        assert!(b.validity.is_none(), "no NULL seen yet");
+        b.append_nulls(2);
+        b.extend_from_range(&c, 2, 3); // rows 2..5: row 3 is NULL
+        b.extend_selected(&c, &[7, 8]);
+        b.push_native(99i64);
+        b.repeat_last(1);
+        b.push_null();
+        b.repeat_last(2);
+        let got: Vec<Value> = b.finish().iter().collect();
+        let int = Value::Int;
+        assert_eq!(
+            got,
+            vec![
+                int(0),
+                int(1),
+                int(2),
+                Value::Null,
+                Value::Null,
+                int(2),
+                Value::Null,
+                int(4),
+                Value::Null,
+                int(8),
+                int(99),
+                int(99),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ]
+        );
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl ChunkStream for FilterStream<'_> {
                 return Err(e);
             }
         };
-        let out = chunk.with_selection(outcome.selected);
+        let out = chunk.with_survivors(outcome.selected);
         let avoided = out.num_columns() as u64;
         ctx.metrics.record_chunk(self.id, avoided);
         ctx.stats.batches_processed += 1;

@@ -12,8 +12,8 @@
 //!   lowers *without* a [`sort::PhysicalSort`] in front; one is inserted
 //!   otherwise — the physical window operator itself never sorts),
 //! * partition-parallel window evaluation ([`window::PhysicalWindow`]
-//!   hash-splits the cleansing path's `PARTITION BY` (cluster-key)
-//!   partitions across a scoped thread pool when
+//!   splits the cleansing path's `PARTITION BY` (cluster-key) partitions
+//!   into consecutive runs across a scoped thread pool when
 //!   [`ExecOptions::parallelism`] > 1, with byte-identical results and
 //!   identical merged [`ExecStats`] at any parallelism).
 //!

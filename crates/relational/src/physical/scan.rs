@@ -204,7 +204,7 @@ impl ChunkStream for ScanStream<'_> {
                     return Err(e);
                 }
             };
-            chunk = chunk.with_selection(outcome.selected);
+            chunk = chunk.with_survivors(outcome.selected);
             avoided = chunk.num_columns() as u64;
         }
         ctx.metrics.record_chunk(self.id, avoided);

@@ -5,16 +5,18 @@
 //! inserted an explicit sort if the order was not shared. Evaluation splits
 //! into a read-only prepare step ([`WindowEval::prepare`] evaluates every
 //! expression against the batch up front) and pure per-partition
-//! computation, so partitions can be farmed out to a scoped thread pool:
+//! computation by typed kernels that write straight into typed output
+//! columns, so runs of partitions can be farmed out to a scoped thread pool:
 //!
-//! * whole partitions are hash-assigned to shards (FNV over the partition
-//!   key values — deterministic, independent of thread timing),
-//! * workers only read the shared [`WindowEval`] and write their own
-//!   results, each tagged with its partition index,
-//! * outputs are re-assembled in original partition order and work counters
-//!   summed per partition, so the result batch is byte-identical and the
-//!   merged [`ExecStats`](crate::exec::ExecStats) equal to the serial run
-//!   at any parallelism.
+//! * the partition list is cut into consecutive runs of about equal row
+//!   count — a function of the partition sizes only, independent of thread
+//!   timing,
+//! * workers only read the shared [`WindowEval`] and each builds the typed
+//!   column fragments of its own run,
+//! * fragments are stitched in partition order and work counters summed, so
+//!   the result batch is byte-identical and the merged
+//!   [`ExecStats`](crate::exec::ExecStats) equal to the serial run at any
+//!   parallelism. The serial run is the one-run case of the same code.
 //!
 //! Wall-clock spent here is accumulated into
 //! [`ExecContext::window_eval_nanos`] — the one quantity that *should*
@@ -22,13 +24,11 @@
 
 use super::{ExecContext, PhysicalOperator};
 use crate::batch::Batch;
-use crate::column::{Column, ColumnBuilder};
-use crate::error::{Error, Result};
+use crate::column::Column;
+use crate::error::Result;
 use crate::expr::Expr;
 use crate::schema::{Field, Schema};
-use crate::value::Value;
 use crate::window::{WindowEval, WindowExpr};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,103 +65,58 @@ impl PhysicalOperator for PhysicalWindow {
         let start = Instant::now();
 
         let ev = WindowEval::prepare(&b, &self.partition_by, self.order_key.as_ref(), &self.exprs)?;
-        let parts: Vec<(usize, usize)> = ev.partitions().to_vec();
+        let parts = ev.partitions();
         ctx.stats.partitions_executed += parts.len() as u64;
         ctx.metrics.add_partitions(parts.len() as u64);
 
+        // Cancellation/deadline checkpoint per partition: the Φ_C hot path
+        // can dominate a query's runtime, so operator-entry checks alone
+        // would not be responsive.
+        let budget = &ctx.budget;
+        let eval = |run: &[(usize, usize)]| ev.eval_partitions(run, || budget.check());
+
         let p = ctx.options.parallelism.min(parts.len()).max(1);
-        let mut work: u64 = 0;
-        let mut builders: Vec<ColumnBuilder> = ev
-            .output_types()
-            .iter()
-            .map(|&dt| ColumnBuilder::new(dt, b.num_rows()))
-            .collect();
-
-        if p <= 1 {
-            for &range in &parts {
-                // Cancellation/deadline checkpoint per partition: the Φ_C
-                // hot path can dominate a query's runtime, so operator-entry
-                // checks alone would not be responsive.
-                ctx.budget.check()?;
-                let (vals, w) = ev.eval_partition(range)?;
-                work += w;
-                push_partition(&mut builders, &vals)?;
-            }
+        let (window_cols, work) = if p <= 1 {
+            eval(parts)?
         } else {
-            // Hash-assign whole partitions to shards by their key values —
-            // a pure function of the data, not of thread scheduling.
-            let mut shards: Vec<Vec<usize>> = vec![Vec::new(); p];
-            for (pi, &(lo, _)) in parts.iter().enumerate() {
-                let shard = (partition_key_hash(ev.partition_cols(), lo) % p as u64) as usize;
-                shards[shard].push(pi);
-            }
-
-            type PartResult = (usize, Result<(Vec<Vec<Value>>, u64)>);
-            let budget = &ctx.budget;
-            let shard_results: Vec<Vec<PartResult>> = std::thread::scope(|s| {
-                let handles: Vec<_> = shards
+            let runs = split_by_rows(parts, p);
+            let results: Vec<Result<(Vec<Column>, u64)>> = std::thread::scope(|s| {
+                let handles: Vec<_> = runs
                     .iter()
-                    .map(|shard| {
-                        let ev = &ev;
-                        let parts = &parts;
-                        s.spawn(move || {
-                            shard
-                                .iter()
-                                .map(|&pi| {
-                                    // Same per-partition checkpoint as the
-                                    // serial path; the abort surfaces through
-                                    // the earliest-partition error merge below.
-                                    let r =
-                                        budget.check().and_then(|()| ev.eval_partition(parts[pi]));
-                                    (pi, r)
-                                })
-                                .collect::<Vec<_>>()
-                        })
+                    .map(|run| {
+                        let eval = &eval;
+                        s.spawn(move || eval(run))
                     })
                     .collect();
-                // Joining in shard order keeps collection deterministic.
+                // Joining in run order keeps collection deterministic.
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("window worker panicked"))
                     .collect()
             });
-
-            let mut slots: Vec<Option<(Vec<Vec<Value>>, u64)>> =
-                (0..parts.len()).map(|_| None).collect();
-            let mut first_err: Option<(usize, Error)> = None;
-            for shard in shard_results {
-                for (pi, r) in shard {
-                    match r {
-                        Ok(v) => slots[pi] = Some(v),
-                        // Serial execution would surface the error of the
-                        // earliest failing partition; mirror that.
-                        Err(e) => {
-                            if first_err.as_ref().is_none_or(|(fp, _)| pi < *fp) {
-                                first_err = Some((pi, e));
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some((_, e)) = first_err {
-                return Err(e);
-            }
-            for slot in slots {
-                let (vals, w) = slot.expect("every partition is assigned to a shard");
+            // Every run stops at its first failing partition, so the first
+            // failed run holds the error serial execution would surface.
+            let mut fragments = Vec::with_capacity(results.len());
+            let mut work: u64 = 0;
+            for r in results {
+                let (cols, w) = r?;
+                fragments.push(cols);
                 work += w;
-                push_partition(&mut builders, &vals)?;
             }
-        }
+            let cols = (0..self.exprs.len())
+                .map(|e| {
+                    let pieces: Vec<&Column> = fragments.iter().map(|f| &f[e]).collect();
+                    Column::concat(&pieces)
+                })
+                .collect::<Result<_>>()?;
+            (cols, work)
+        };
 
         ctx.stats.window_accumulator_ops += work;
         ctx.metrics.add_comparisons(work);
         let mut fields = b.schema().fields().to_vec();
         let mut cols: Vec<Column> = b.columns().to_vec();
-        for (we, c) in self
-            .exprs
-            .iter()
-            .zip(builders.into_iter().map(ColumnBuilder::finish))
-        {
+        for (we, c) in self.exprs.iter().zip(window_cols) {
             fields.push(Field::new(we.alias.clone(), c.data_type()));
             cols.push(c);
         }
@@ -171,33 +126,52 @@ impl PhysicalOperator for PhysicalWindow {
     }
 }
 
-fn push_partition(builders: &mut [ColumnBuilder], vals: &[Vec<Value>]) -> Result<()> {
-    for (b, vs) in builders.iter_mut().zip(vals) {
-        for v in vs {
-            b.push(v)?;
+/// Cut `parts` (consecutive, nonempty) into at most `p` runs of consecutive
+/// partitions holding about equal numbers of rows.
+fn split_by_rows(parts: &[(usize, usize)], p: usize) -> Vec<&[(usize, usize)]> {
+    let first = parts[0].0;
+    let total = parts[parts.len() - 1].1 - first;
+    let mut runs = Vec::with_capacity(p);
+    let mut begin = 0;
+    for k in 1..=p {
+        // The run ends with the partition that reaches its share of rows.
+        let target = first + total * k / p;
+        let end = (parts.partition_point(|&(_, hi)| hi < target) + 1).min(parts.len());
+        if end > begin {
+            runs.push(&parts[begin..end]);
+            begin = end;
         }
     }
-    Ok(())
+    runs
 }
 
-/// FNV-1a over the partition's key values at its first row. Fixed offset
-/// basis and prime keep shard assignment reproducible across runs.
-fn partition_key_hash(part_cols: &[Column], row: usize) -> u64 {
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
+#[cfg(test)]
+mod tests {
+    use super::split_by_rows;
+
+    #[test]
+    fn runs_cover_every_partition_in_order_with_balanced_rows() {
+        // Partition sizes 1, 9, 2, 2, 2, 30, 1, 1 starting at row 5.
+        let mut parts = Vec::new();
+        let mut lo = 5;
+        for size in [1, 9, 2, 2, 2, 30, 1, 1] {
+            parts.push((lo, lo + size));
+            lo += size;
         }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
+        for p in 1..=parts.len() {
+            let runs = split_by_rows(&parts, p);
+            assert!(!runs.is_empty() && runs.len() <= p, "p={p}");
+            assert!(runs.iter().all(|r| !r.is_empty()), "p={p}");
+            assert_eq!(runs.concat(), parts, "p={p}: order and coverage");
         }
+        // Two workers split 48 rows at the partition that reaches row 24.
+        let rows = |run: &[(usize, usize)]| run.iter().map(|&(lo, hi)| hi - lo).sum::<usize>();
+        let runs = split_by_rows(&parts, 2);
+        assert_eq!(runs.iter().map(|r| rows(r)).collect::<Vec<_>>(), [46, 2]);
+        let runs = split_by_rows(&parts, 4);
+        assert_eq!(
+            runs.iter().map(|r| rows(r)).collect::<Vec<_>>(),
+            [12, 34, 2]
+        );
     }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for c in part_cols {
-        c.value(row).hash(&mut h);
-    }
-    h.finish()
 }

@@ -13,9 +13,15 @@
 //! the [`crate::plan::LogicalPlan::Window`] node inserts a sort when needed
 //! and the optimizer removes it when the ordering is already available —
 //! the "order sharing" effect central to the paper's §6.2 analysis.
+//!
+//! Evaluation is columnar end to end: partition boundaries, frame walks and
+//! aggregates read the native payload slices of the key, order and argument
+//! columns and append to typed output columns ([`WindowEval`]). The scalar
+//! [`Value`] appears only in [`WindowEval::eval_partition_naive`], the
+//! per-frame recomputation the kernels are tested against.
 
 use crate::batch::Batch;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{with_native, Column, ColumnBuilder, Native};
 use crate::error::{Error, Result};
 use crate::expr::Expr;
 use crate::value::{DataType, Value};
@@ -171,29 +177,44 @@ impl WindowExpr {
 }
 
 /// Find partition boundaries: ranges of rows with equal partition-key values
-/// (NULLs compare equal for partitioning, per SQL).
+/// (NULLs compare equal for partitioning, per SQL; doubles compare by bit
+/// pattern, as `Value::eq`). Adjacent cells are compared on the typed
+/// payloads — no scalar is materialized.
 pub fn partition_ranges(cols: &[Column], n: usize) -> Vec<(usize, usize)> {
     if n == 0 {
         return vec![];
     }
-    if cols.is_empty() {
-        return vec![(0, n)];
+    // starts[i]: row i differs from row i - 1 in some key column.
+    let mut starts = vec![false; n];
+    for c in cols {
+        with_native!(c.data_type(), T => mark_boundaries::<T>(c, &mut starts));
     }
     let mut ranges = Vec::new();
     let mut start = 0;
-    for i in 1..n {
-        let boundary = cols.iter().any(|c| c.value(i) != c.value(i - 1));
-        if boundary {
-            ranges.push((start, i));
-            start = i;
-        }
+    for (i, _) in starts.iter().enumerate().skip(1).filter(|(_, &s)| s) {
+        ranges.push((start, i));
+        start = i;
     }
     ranges.push((start, n));
     ranges
 }
 
+fn mark_boundaries<T: Native>(col: &Column, starts: &mut [bool]) {
+    let vals = col
+        .values::<T>()
+        .expect("element type picked from the column");
+    let nullable = col.has_nulls();
+    for (i, start) in starts.iter_mut().enumerate().skip(1) {
+        *start |= if nullable && (col.is_null(i - 1) || col.is_null(i)) {
+            col.is_null(i - 1) != col.is_null(i)
+        } else {
+            !vals[i].same(&vals[i - 1])
+        };
+    }
+}
+
 /// Compute the inclusive frame `[lo, hi]` for row `i` inside partition
-/// `[p_lo, p_hi)`. Returns `None` for an empty frame.
+/// `[p_lo, p_hi)`. Returns `None` for an empty frame. (Oracle only.)
 fn frame_rows(
     frame: &Frame,
     i: usize,
@@ -303,6 +324,7 @@ fn frame_rows(
     }
 }
 
+/// (Oracle only; the kernels read the order key as `&[i64]`.)
 #[inline]
 fn key_num(c: &Column, i: usize) -> Option<i64> {
     if c.is_null(i) {
@@ -345,11 +367,12 @@ fn null_prefix_len(key: &Column, p_lo: usize, p_hi: usize) -> usize {
 pub struct WindowEval<'a> {
     exprs: &'a [WindowExpr],
     order_col: Option<Column>,
+    /// A Double order key truncated to the `i64` RANGE frames compare (an
+    /// Int key is read in place); only built when some frame is RANGE.
+    order_trunc: Option<Vec<i64>>,
     /// Evaluated argument column per expression (`None` for `count(*)`).
     arg_cols: Vec<Option<Column>>,
     out_types: Vec<DataType>,
-    /// Partition key columns (kept for shard assignment by the caller).
-    part_cols: Vec<Column>,
     ranges: Vec<(usize, usize)>,
 }
 
@@ -366,6 +389,11 @@ impl<'a> WindowEval<'a> {
             .map(|e| e.evaluate(batch))
             .collect::<Result<_>>()?;
         let order_col = order_by_key.map(|e| e.evaluate(batch)).transpose()?;
+        let order_trunc = order_col
+            .as_ref()
+            .filter(|_| exprs.iter().any(|we| we.frame.units == FrameUnits::Range))
+            .and_then(Column::double_values)
+            .map(|keys| keys.iter().map(|&k| k as i64).collect());
         let arg_cols = exprs
             .iter()
             .map(|we| we.arg.as_ref().map(|a| a.evaluate(batch)).transpose())
@@ -378,9 +406,9 @@ impl<'a> WindowEval<'a> {
         Ok(WindowEval {
             exprs,
             order_col,
+            order_trunc,
             arg_cols,
             out_types,
-            part_cols,
             ranges,
         })
     }
@@ -390,40 +418,54 @@ impl<'a> WindowEval<'a> {
         &self.ranges
     }
 
-    /// Result type per window expression.
-    pub fn output_types(&self) -> &[DataType] {
-        &self.out_types
-    }
-
-    /// The evaluated partition-key columns.
-    pub fn partition_cols(&self) -> &[Column] {
-        &self.part_cols
-    }
-
-    /// Evaluate all window expressions over one partition `[p_lo, p_hi)`
-    /// with the incremental sliding kernels. Returns one value vector per
-    /// expression (row-aligned with the partition) plus the number of
+    /// Evaluate all window expressions over the consecutive partitions
+    /// `parts` with the typed sliding kernels. Returns one column per
+    /// expression, row-aligned with `parts`' rows, plus the number of
     /// accumulator operations performed (the work counter: one per frame
     /// position entering or leaving an aggregate state — amortized O(1) per
     /// row, independent of frame width — plus per-frame recomputation work
-    /// on the floating-point fallback path).
+    /// for floating-point sums). `checkpoint` runs before each partition;
+    /// its error aborts the evaluation.
     ///
-    /// Results are byte-identical to [`eval_partition_naive`]; the counter
-    /// is a pure function of the data, identical at any parallelism.
+    /// Values are byte-identical to [`eval_partition_naive`]; the counter
+    /// is a pure function of the data, however `parts` is cut into calls.
     ///
     /// [`eval_partition_naive`]: WindowEval::eval_partition_naive
-    pub fn eval_partition(&self, (p_lo, p_hi): (usize, usize)) -> Result<(Vec<Vec<Value>>, u64)> {
+    pub fn eval_partitions(
+        &self,
+        parts: &[(usize, usize)],
+        mut checkpoint: impl FnMut() -> Result<()>,
+    ) -> Result<(Vec<Column>, u64)> {
+        let rows = parts.iter().map(|&(lo, hi)| hi - lo).sum();
+        let mut kernels: Vec<Box<dyn PartitionKernel + '_>> = self
+            .exprs
+            .iter()
+            .zip(&self.arg_cols)
+            .map(|(we, arg)| self.kernel(we, arg.as_ref()))
+            .collect::<Result<_>>()?;
+        let mut outs: Vec<ColumnBuilder> = self
+            .out_types
+            .iter()
+            .map(|&dt| ColumnBuilder::new(dt, rows))
+            .collect();
         let mut ops: u64 = 0;
-        let mut outputs = Vec::with_capacity(self.exprs.len());
-        for (we, arg_col) in self.exprs.iter().zip(&self.arg_cols) {
-            outputs.push(self.eval_expr_incremental(we, arg_col.as_ref(), p_lo, p_hi, &mut ops)?);
+        for &(p_lo, p_hi) in parts {
+            checkpoint()?;
+            for (kernel, out) in kernels.iter_mut().zip(&mut outs) {
+                kernel.eval(p_lo, p_hi, out, &mut ops)?;
+            }
         }
-        Ok((outputs, ops))
+        Ok((outs.into_iter().map(ColumnBuilder::finish).collect(), ops))
+    }
+
+    /// [`eval_partitions`](WindowEval::eval_partitions) over one partition.
+    pub fn eval_partition(&self, range: (usize, usize)) -> Result<(Vec<Column>, u64)> {
+        self.eval_partitions(&[range], || Ok(()))
     }
 
     /// Reference implementation: recompute every row's frame from scratch
-    /// (O(n·w) per partition). Kept as the oracle for the kernel
-    /// equivalence property test and the naive side of the ablation
+    /// (O(n·w) per partition) on scalar `Value`s. Kept as the oracle for the
+    /// kernel equivalence tests and the naive side of the ablation
     /// microbench. The work counter here is frame rows visited.
     pub fn eval_partition_naive(
         &self,
@@ -449,73 +491,66 @@ impl<'a> WindowEval<'a> {
         Ok((outputs, work))
     }
 
-    /// Incremental evaluation of one expression over one partition, writing
-    /// into a preallocated output vector.
-    fn eval_expr_incremental(
-        &self,
-        we: &WindowExpr,
-        arg: Option<&Column>,
-        p_lo: usize,
-        p_hi: usize,
-        ops: &mut u64,
-    ) -> Result<Vec<Value>> {
-        let mut out = vec![Value::Null; p_hi - p_lo];
-        match we.frame.units {
-            FrameUnits::Rows => {
-                let bounds = RowsBounds::validate(&we.frame)?;
-                slide(
-                    we,
-                    arg,
-                    p_lo,
-                    p_hi,
-                    p_lo,
-                    &mut out,
-                    ops,
-                    |i| bounds.window(i, p_lo, p_hi).into(),
-                    |_| false,
-                )?;
-            }
-            FrameUnits::Range => {
-                let key = self.order_col.as_ref().ok_or_else(|| {
-                    Error::Plan("RANGE frame requires exactly one numeric ORDER BY key".into())
-                })?;
-                let nn = null_prefix_len(key, p_lo, p_hi);
-                let nn_lo = p_lo + nn;
-                if nn > 0 {
-                    // NULL peer group: every NULL-key row shares the frame
-                    // `[p_lo, nn_lo)` — compute its aggregate once.
-                    let v = accumulate(we.func, arg, p_lo, nn_lo - 1)?;
-                    *ops += nn as u64;
-                    for slot in &mut out[..nn] {
-                        *slot = v.clone();
-                    }
+    /// Pick the typed kernel for one expression: the one place that looks
+    /// at (function, argument type, frame shape).
+    fn kernel<'e>(
+        &'e self,
+        we: &'e WindowExpr,
+        arg: Option<&'e Column>,
+    ) -> Result<Box<dyn PartitionKernel + 'e>> {
+        let need_arg =
+            || arg.ok_or_else(|| Error::Plan(format!("{}() requires an argument", we.func)));
+        Ok(match we.func {
+            WindowFuncKind::Count => match arg {
+                None => self.sliding(we, CountStar),
+                Some(col) => self.sliding(we, CountArg { col, nonnull: 0 }),
+            },
+            WindowFuncKind::Max | WindowFuncKind::Min => {
+                let col = need_arg()?;
+                if let Some(offset) = single_row_offset(&we.frame) {
+                    return Ok(Box::new(Shift { col, offset }));
                 }
-                if nn_lo < p_hi {
-                    let mut range = RangeBounds::validate(&we.frame, key, p_lo, p_hi, nn_lo)?;
-                    let unbounded_start = we.frame.start == FrameBound::UnboundedPreceding;
-                    slide(
+                let is_max = we.func == WindowFuncKind::Max;
+                with_native!(col.data_type(), T => self.sliding(we, MinMax::<T> {
+                    vals: col.values().expect("element type picked from the column"),
+                    col,
+                    is_max,
+                    deque: VecDeque::new(),
+                }))
+            }
+            WindowFuncKind::Sum | WindowFuncKind::Avg => {
+                let col = need_arg()?;
+                let avg = we.func == WindowFuncKind::Avg;
+                if let Some(vals) = col.int_values() {
+                    self.sliding(
                         we,
-                        arg,
-                        nn_lo,
-                        p_hi,
-                        p_lo,
-                        &mut out,
-                        ops,
-                        |i| range.window(i).into(),
-                        // UNBOUNDED PRECEDING start with a bounded end whose
-                        // threshold admits no non-NULL key: the frame is
-                        // empty per `frame_rows`, even though the coverage
-                        // window spans the NULL prefix.
-                        |th| unbounded_start && nn > 0 && th == nn_lo,
-                    )?;
+                        IntSum {
+                            vals,
+                            col,
+                            avg,
+                            sum: 0,
+                            nonnull: 0,
+                        },
+                    )
+                } else if let Some(vals) = col.double_values() {
+                    self.sliding(we, DoubleSum { vals, col, avg })
+                } else {
+                    self.sliding(we, NonNumeric { col })
                 }
             }
-        }
-        Ok(out)
+        })
+    }
+
+    fn sliding<'e, A: Accumulator + 'e>(
+        &'e self,
+        we: &'e WindowExpr,
+        acc: A,
+    ) -> Box<dyn PartitionKernel + 'e> {
+        Box::new(Sliding { ev: self, we, acc })
     }
 }
 
-/// The value of an aggregate over an empty frame.
+/// The value of an aggregate over an empty frame. (Oracle only.)
 fn empty_frame_value(func: WindowFuncKind) -> Value {
     match func {
         WindowFuncKind::Count => Value::Int(0),
@@ -523,122 +558,311 @@ fn empty_frame_value(func: WindowFuncKind) -> Value {
     }
 }
 
-/// Positional (ROWS) frame bounds, validated once per partition.
-struct RowsBounds {
-    start: FrameBound,
-    end: FrameBound,
+/// One window expression with its typed dispatch already done: evaluates
+/// partition `[p_lo, p_hi)` by appending `p_hi - p_lo` rows to `out` and
+/// adding its accumulator operations to `ops`.
+trait PartitionKernel {
+    fn eval(
+        &mut self,
+        p_lo: usize,
+        p_hi: usize,
+        out: &mut ColumnBuilder,
+        ops: &mut u64,
+    ) -> Result<()>;
 }
 
-impl RowsBounds {
-    fn validate(frame: &Frame) -> Result<Self> {
-        if frame.start == FrameBound::UnboundedFollowing {
-            return Err(Error::Plan(
-                "frame start cannot be UNBOUNDED FOLLOWING".into(),
-            ));
-        }
-        if frame.end == FrameBound::UnboundedPreceding {
-            return Err(Error::Plan(
-                "frame end cannot be UNBOUNDED PRECEDING".into(),
-            ));
-        }
-        Ok(RowsBounds {
-            start: frame.start,
-            end: frame.end,
-        })
-    }
+/// `Some(d)` when `frame` is the single row `d` positions after the current
+/// one — `ROWS BETWEEN 1 PRECEDING AND 1 PRECEDING` is `-1`.
+fn single_row_offset(frame: &Frame) -> Option<i64> {
+    let offset = |bound| match bound {
+        FrameBound::Preceding(k) => k.checked_neg(),
+        FrameBound::CurrentRow => Some(0),
+        FrameBound::Following(k) => Some(k),
+        FrameBound::UnboundedPreceding | FrameBound::UnboundedFollowing => None,
+    };
+    let (start, end) = (offset(frame.start)?, offset(frame.end)?);
+    (frame.units == FrameUnits::Rows && start == end).then_some(start)
+}
 
-    /// Half-open target window `[lo, hi_ex)` for row `i`; both ends are
-    /// nondecreasing in `i`, which is what lets the kernels slide.
-    fn window(&self, i: usize, p_lo: usize, p_hi: usize) -> (usize, usize) {
-        let clamp = |x: i64| x.clamp(p_lo as i64, p_hi as i64) as usize;
-        let lo = clamp(match self.start {
-            FrameBound::UnboundedPreceding => p_lo as i64,
-            FrameBound::Preceding(k) => i as i64 - k,
-            FrameBound::CurrentRow => i as i64,
-            FrameBound::Following(k) => i as i64 + k,
-            FrameBound::UnboundedFollowing => unreachable!("rejected by validate"),
-        });
-        let hi_ex = clamp(match self.end {
-            FrameBound::UnboundedPreceding => unreachable!("rejected by validate"),
-            FrameBound::Preceding(k) => i as i64 - k + 1,
-            FrameBound::CurrentRow => i as i64 + 1,
-            FrameBound::Following(k) => i as i64 + k + 1,
-            FrameBound::UnboundedFollowing => p_hi as i64,
-        });
-        (lo, hi_ex.max(lo))
+/// `min`/`max` over a single-row frame — every lag and lead the cleansing
+/// rules compile to — is the argument column shifted by `offset` rows inside
+/// the partition: two slice copies, no per-row state.
+struct Shift<'c> {
+    col: &'c Column,
+    offset: i64,
+}
+
+impl PartitionKernel for Shift<'_> {
+    fn eval(
+        &mut self,
+        p_lo: usize,
+        p_hi: usize,
+        out: &mut ColumnBuilder,
+        ops: &mut u64,
+    ) -> Result<()> {
+        let n = p_hi - p_lo;
+        // Rows whose frame falls outside the partition, and rows that have one.
+        let outside = usize::try_from(self.offset.unsigned_abs()).map_or(n, |k| k.min(n));
+        let inside = n - outside;
+        if self.offset <= 0 {
+            out.append_nulls(outside);
+            out.extend_from_range(self.col, p_lo, inside);
+        } else {
+            out.extend_from_range(self.col, p_lo + outside, inside);
+            out.append_nulls(outside);
+        }
+        // What sliding a one-row coverage window over the partition counts:
+        // every framed position enters once, and leaves once unless the
+        // partition ends while it is still covered (a lag's last frame).
+        if inside > 0 {
+            *ops += 2 * inside as u64 - u64::from(self.offset <= 0);
+        }
+        Ok(())
     }
 }
 
-/// RANGE frame bounds as two monotone pointers over the sorted non-NULL
-/// keys: because the current row's key is nondecreasing, the `first key ≥
-/// start-threshold` and `first key > end-threshold` positions only ever move
-/// forward, so each is advanced incrementally instead of binary-searched —
-/// the same two-pointer structure the accumulators rely on.
+/// Per-expression sliding aggregate state over typed slices. Positions
+/// enter and leave the covered window `[lo, hi_ex)`; `emit` appends the
+/// aggregate over the current, nonempty window.
+trait Accumulator {
+    /// Stateless aggregates that rescan the window on every `emit`.
+    const RECOMPUTES: bool = false;
+    fn reset(&mut self) {}
+    fn enter(&mut self, _i: usize) -> Result<()> {
+        Ok(())
+    }
+    fn evict(&mut self, _i: usize) {}
+    fn emit(&self, lo: usize, hi_ex: usize, out: &mut ColumnBuilder) -> Result<()>;
+}
+
+/// An [`Accumulator`] slid over one expression's ROWS or RANGE frames.
+struct Sliding<'e, A> {
+    ev: &'e WindowEval<'e>,
+    we: &'e WindowExpr,
+    acc: A,
+}
+
+impl<A: Accumulator> PartitionKernel for Sliding<'_, A> {
+    fn eval(
+        &mut self,
+        p_lo: usize,
+        p_hi: usize,
+        out: &mut ColumnBuilder,
+        ops: &mut u64,
+    ) -> Result<()> {
+        let frame = &self.we.frame;
+        validate_frame(frame)?;
+        match frame.units {
+            FrameUnits::Rows => self.slide(
+                p_lo..p_hi,
+                out,
+                ops,
+                |i| rows_window(frame, i, p_lo, p_hi),
+                |_| false,
+            ),
+            FrameUnits::Range => {
+                let key = self.ev.order_col.as_ref().ok_or_else(|| {
+                    Error::Plan("RANGE frame requires exactly one numeric ORDER BY key".into())
+                })?;
+                let nn = null_prefix_len(key, p_lo, p_hi);
+                let nn_lo = p_lo + nn;
+                if nn > 0 {
+                    // NULL peer group: every NULL-key row shares the frame
+                    // `[p_lo, nn_lo)` — compute its aggregate once.
+                    self.acc.reset();
+                    for i in p_lo..nn_lo {
+                        self.acc.enter(i)?;
+                    }
+                    *ops += nn as u64;
+                    self.acc.emit(p_lo, nn_lo, out)?;
+                    out.repeat_last(nn - 1);
+                }
+                if nn_lo == p_hi {
+                    return Ok(());
+                }
+                let keys = key
+                    .int_values()
+                    .or(self.ev.order_trunc.as_deref())
+                    .ok_or_else(|| {
+                        Error::Execution("RANGE frame requires a numeric ORDER BY key".into())
+                    })?;
+                let mut range = RangeBounds {
+                    start: frame.start,
+                    end: frame.end,
+                    keys,
+                    p_lo,
+                    p_hi,
+                    lo_ptr: nn_lo,
+                    hi_ptr: nn_lo,
+                };
+                let unbounded_start = frame.start == FrameBound::UnboundedPreceding;
+                self.slide(
+                    nn_lo..p_hi,
+                    out,
+                    ops,
+                    |i| range.window(i),
+                    // UNBOUNDED PRECEDING start with a bounded end whose
+                    // threshold admits no non-NULL key: the frame is empty
+                    // per `frame_rows`, even though the coverage window
+                    // spans the NULL prefix.
+                    |hi_ex| unbounded_start && nn > 0 && hi_ex == nn_lo,
+                )
+            }
+        }
+    }
+}
+
+impl<A: Accumulator> Sliding<'_, A> {
+    /// Slide the accumulator over `rows`, appending one output per row.
+    /// `target` yields the row's half-open frame window (both ends
+    /// nondecreasing); `force_empty`, given the window's end, marks frames
+    /// `frame_rows` would call empty even though the coverage window is not
+    /// (the RANGE NULL-prefix corner). `ops` counts every frame position
+    /// entering or leaving the accumulator state.
+    fn slide(
+        &mut self,
+        rows: std::ops::Range<usize>,
+        out: &mut ColumnBuilder,
+        ops: &mut u64,
+        mut target: impl FnMut(usize) -> (usize, usize),
+        force_empty: impl Fn(usize) -> bool,
+    ) -> Result<()> {
+        let acc = &mut self.acc;
+        let push_empty = |out: &mut ColumnBuilder| match self.we.func {
+            WindowFuncKind::Count => out.push_native(0i64),
+            _ => out.push_null(),
+        };
+        acc.reset();
+        if A::RECOMPUTES {
+            // Floating-point sums rescan each frame so the result stays
+            // bit-identical to the naive path (FP addition is not
+            // associative, so subtract-on-evict could drift). Ops degrade
+            // to frame size.
+            for i in rows {
+                let (lo, hi_ex) = target(i);
+                if hi_ex <= lo || force_empty(hi_ex) {
+                    push_empty(out);
+                } else {
+                    *ops += (hi_ex - lo) as u64;
+                    acc.emit(lo, hi_ex, out)?;
+                }
+            }
+            return Ok(());
+        }
+        // Coverage window `[cov_lo, cov_hi)`: the positions currently in the
+        // accumulator. Both target ends are monotone, so positions enter and
+        // leave at most once each — ≤ 2 ops per row amortized. Coverage
+        // starts at the first frame's own start, which may precede the first
+        // row (a RANGE frame with an UNBOUNDED PRECEDING start spans the NULL
+        // prefix even though iteration begins at the first non-NULL row).
+        let mut cov_lo = usize::MAX;
+        let mut cov_hi = usize::MAX;
+        for i in rows {
+            let (lo, hi_ex) = target(i);
+            if cov_lo == usize::MAX {
+                (cov_lo, cov_hi) = (lo, lo);
+            }
+            while cov_lo < cov_hi && cov_lo < lo {
+                acc.evict(cov_lo);
+                cov_lo += 1;
+                *ops += 1;
+            }
+            if cov_hi < lo {
+                // The window jumped past the old coverage: nothing in
+                // `[cov_hi, lo)` was ever entered.
+                cov_lo = lo;
+                cov_hi = lo;
+            }
+            while cov_hi < hi_ex {
+                acc.enter(cov_hi)?;
+                cov_hi += 1;
+                *ops += 1;
+            }
+            if cov_hi == cov_lo || force_empty(hi_ex) {
+                push_empty(out);
+            } else {
+                acc.emit(cov_lo, cov_hi, out)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+fn validate_frame(frame: &Frame) -> Result<()> {
+    if frame.start == FrameBound::UnboundedFollowing {
+        return Err(Error::Plan(
+            "frame start cannot be UNBOUNDED FOLLOWING".into(),
+        ));
+    }
+    if frame.end == FrameBound::UnboundedPreceding {
+        return Err(Error::Plan(
+            "frame end cannot be UNBOUNDED PRECEDING".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Half-open positional (ROWS) window `[lo, hi_ex)` of a validated frame for
+/// row `i`; both ends are nondecreasing in `i`, which is what lets the
+/// kernels slide.
+fn rows_window(frame: &Frame, i: usize, p_lo: usize, p_hi: usize) -> (usize, usize) {
+    let clamp = |x: i64| x.clamp(p_lo as i64, p_hi as i64) as usize;
+    let lo = clamp(match frame.start {
+        FrameBound::UnboundedPreceding => p_lo as i64,
+        FrameBound::Preceding(k) => i as i64 - k,
+        FrameBound::CurrentRow => i as i64,
+        FrameBound::Following(k) => i as i64 + k,
+        FrameBound::UnboundedFollowing => unreachable!("rejected by validate_frame"),
+    });
+    let hi_ex = clamp(match frame.end {
+        FrameBound::UnboundedPreceding => unreachable!("rejected by validate_frame"),
+        FrameBound::Preceding(k) => i as i64 - k + 1,
+        FrameBound::CurrentRow => i as i64 + 1,
+        FrameBound::Following(k) => i as i64 + k + 1,
+        FrameBound::UnboundedFollowing => p_hi as i64,
+    });
+    (lo, hi_ex.max(lo))
+}
+
+/// RANGE frame bounds of a validated frame as two monotone pointers over the
+/// sorted non-NULL `i64` keys: because the current row's key is
+/// nondecreasing, the `first key ≥ start-threshold` and `first key >
+/// end-threshold` positions only ever move forward, so each is advanced
+/// incrementally instead of binary-searched — the same two-pointer structure
+/// the accumulators rely on.
 struct RangeBounds<'c> {
     start: FrameBound,
     end: FrameBound,
-    key: &'c Column,
+    keys: &'c [i64],
     p_lo: usize,
     p_hi: usize,
     lo_ptr: usize,
     hi_ptr: usize,
 }
 
-impl<'c> RangeBounds<'c> {
-    fn validate(
-        frame: &Frame,
-        key: &'c Column,
-        p_lo: usize,
-        p_hi: usize,
-        nn_lo: usize,
-    ) -> Result<Self> {
-        if frame.start == FrameBound::UnboundedFollowing {
-            return Err(Error::Plan(
-                "frame start cannot be UNBOUNDED FOLLOWING".into(),
-            ));
-        }
-        if frame.end == FrameBound::UnboundedPreceding {
-            return Err(Error::Plan(
-                "frame end cannot be UNBOUNDED PRECEDING".into(),
-            ));
-        }
-        Ok(RangeBounds {
-            start: frame.start,
-            end: frame.end,
-            key,
-            p_lo,
-            p_hi,
-            lo_ptr: nn_lo,
-            hi_ptr: nn_lo,
-        })
-    }
-
-    fn window(&mut self, i: usize) -> Result<(usize, usize)> {
-        let v = key_num(self.key, i).ok_or_else(|| {
-            Error::Execution("RANGE frame requires a numeric ORDER BY key".into())
-        })?;
+impl RangeBounds<'_> {
+    fn window(&mut self, i: usize) -> (usize, usize) {
+        let v = self.keys[i];
         let lo = match self.start {
             FrameBound::UnboundedPreceding => self.p_lo,
             FrameBound::Preceding(k) => self.advance_lo(v - k),
             FrameBound::CurrentRow => self.advance_lo(v),
             FrameBound::Following(k) => self.advance_lo(v + k),
-            FrameBound::UnboundedFollowing => unreachable!("rejected by validate"),
+            FrameBound::UnboundedFollowing => unreachable!("rejected by validate_frame"),
         };
         let hi_ex = match self.end {
-            FrameBound::UnboundedPreceding => unreachable!("rejected by validate"),
+            FrameBound::UnboundedPreceding => unreachable!("rejected by validate_frame"),
             FrameBound::Preceding(k) => self.advance_hi(v - k),
             FrameBound::CurrentRow => self.advance_hi(v),
             FrameBound::Following(k) => self.advance_hi(v + k),
             FrameBound::UnboundedFollowing => self.p_hi,
         };
-        Ok((lo, hi_ex.max(lo)))
+        (lo, hi_ex.max(lo))
     }
 
     /// First position whose key is ≥ `threshold`.
     fn advance_lo(&mut self, threshold: i64) -> usize {
-        while self.lo_ptr < self.p_hi
-            && key_num(self.key, self.lo_ptr).is_some_and(|k| k < threshold)
-        {
+        while self.lo_ptr < self.p_hi && self.keys[self.lo_ptr] < threshold {
             self.lo_ptr += 1;
         }
         self.lo_ptr
@@ -646,271 +870,180 @@ impl<'c> RangeBounds<'c> {
 
     /// One past the last position whose key is ≤ `threshold`.
     fn advance_hi(&mut self, threshold: i64) -> usize {
-        while self.hi_ptr < self.p_hi
-            && key_num(self.key, self.hi_ptr).is_some_and(|k| k <= threshold)
-        {
+        while self.hi_ptr < self.p_hi && self.keys[self.hi_ptr] <= threshold {
             self.hi_ptr += 1;
         }
         self.hi_ptr
     }
 }
 
-/// Slide an accumulator over rows `[it_lo, p_hi)`, writing `out[i - out_lo]`
-/// for each row `i`. `target` yields the row's half-open frame window (both
-/// ends nondecreasing); `force_empty`, given the window's raw end pointer,
-/// marks frames `frame_rows` would call empty even though the coverage
-/// window is not (the RANGE NULL-prefix corner). `ops` counts every frame
-/// position entering or leaving the accumulator state.
-#[allow(clippy::too_many_arguments)]
-fn slide<W, F>(
-    we: &WindowExpr,
-    arg: Option<&Column>,
-    it_lo: usize,
-    p_hi: usize,
-    out_lo: usize,
-    out: &mut [Value],
-    ops: &mut u64,
-    mut target: W,
-    force_empty: F,
-) -> Result<()>
-where
-    W: FnMut(usize) -> WindowResult,
-    F: Fn(usize) -> bool,
-{
-    let mut kernel = Kernel::for_expr(we, arg)?;
-    if let Kernel::Recompute { func } = &kernel {
-        let func = *func;
-        // Floating-point fallback: recompute each frame so the result stays
-        // bit-identical to the naive path (FP addition is not associative,
-        // so subtract-on-evict could drift). Ops degrade to frame size.
-        for i in it_lo..p_hi {
-            let (lo, hi_ex) = target(i).into_result()?;
-            out[i - out_lo] = if hi_ex <= lo || force_empty(hi_ex) {
-                empty_frame_value(func)
-            } else {
-                *ops += (hi_ex - lo) as u64;
-                accumulate(func, arg, lo, hi_ex - 1)?
-            };
-        }
-        return Ok(());
-    }
-    // Coverage window `[cov_lo, cov_hi)`: the positions currently in the
-    // accumulator. Both target ends are monotone, so positions enter and
-    // leave at most once each — ≤ 2 ops per row amortized. Coverage starts
-    // at the first frame's own start, which may precede `it_lo` (a RANGE
-    // frame with an UNBOUNDED PRECEDING start spans the NULL prefix even
-    // though iteration begins at the first non-NULL row).
-    let mut cov_lo = usize::MAX;
-    let mut cov_hi = usize::MAX;
-    for i in it_lo..p_hi {
-        let (lo, hi_ex) = target(i).into_result()?;
-        if cov_lo == usize::MAX {
-            (cov_lo, cov_hi) = (lo, lo);
-        }
-        while cov_lo < cov_hi && cov_lo < lo {
-            kernel.evict(cov_lo);
-            cov_lo += 1;
-            *ops += 1;
-        }
-        if cov_hi < lo {
-            // The window jumped past the old coverage: nothing in
-            // `[cov_hi, lo)` was ever entered.
-            cov_lo = lo;
-            cov_hi = lo;
-        }
-        while cov_hi < hi_ex {
-            kernel.enter(cov_hi)?;
-            cov_hi += 1;
-            *ops += 1;
-        }
-        out[i - out_lo] = if cov_hi == cov_lo || force_empty(hi_ex) {
-            empty_frame_value(we.func)
-        } else {
-            kernel.emit(cov_hi - cov_lo)?
-        };
-    }
-    Ok(())
-}
+/// `count(*)`: the frame size is the answer.
+struct CountStar;
 
-/// Either an infallible (ROWS) or fallible (RANGE) target window — lets
-/// `slide` take both closures without boxing.
-enum WindowResult {
-    Ok((usize, usize)),
-    Err(Error),
-}
-
-impl WindowResult {
-    fn into_result(self) -> Result<(usize, usize)> {
-        match self {
-            WindowResult::Ok(w) => Ok(w),
-            WindowResult::Err(e) => Err(e),
-        }
+impl Accumulator for CountStar {
+    fn emit(&self, lo: usize, hi_ex: usize, out: &mut ColumnBuilder) -> Result<()> {
+        out.push_native((hi_ex - lo) as i64);
+        Ok(())
     }
 }
 
-impl From<(usize, usize)> for WindowResult {
-    fn from(w: (usize, usize)) -> Self {
-        WindowResult::Ok(w)
-    }
+/// `count(expr)`: running non-NULL count.
+struct CountArg<'c> {
+    col: &'c Column,
+    nonnull: i64,
 }
 
-impl From<Result<(usize, usize)>> for WindowResult {
-    fn from(r: Result<(usize, usize)>) -> Self {
-        match r {
-            Ok(w) => WindowResult::Ok(w),
-            Err(e) => WindowResult::Err(e),
-        }
+impl Accumulator for CountArg<'_> {
+    fn reset(&mut self) {
+        self.nonnull = 0;
     }
-}
-
-/// Per-expression sliding aggregate state.
-enum Kernel<'c> {
-    /// `count(*)`: the frame size is the answer.
-    CountStar,
-    /// `count(expr)`: running non-NULL count.
-    CountArg { col: &'c Column, nonnull: i64 },
-    /// Integer `sum`/`avg`: exact i128 running sum — wide enough that the
-    /// running value never wraps, with the i64 range enforced only on the
-    /// emitted frame total (matching the naive per-frame computation).
-    IntSum {
-        col: &'c Column,
-        avg: bool,
-        sum: i128,
-        nonnull: i64,
-    },
-    /// `min`/`max`: monotonic deque of candidate positions. The back is
-    /// popped only on *strict* domination, so among equal values the
-    /// earliest survives at the front — the same tie the naive scan keeps.
-    MinMax {
-        col: &'c Column,
-        is_max: bool,
-        deque: VecDeque<usize>,
-    },
-    /// Floating-point `sum`/`avg`: no state, handled by recomputation.
-    Recompute { func: WindowFuncKind },
-}
-
-impl<'c> Kernel<'c> {
-    fn for_expr(we: &WindowExpr, arg: Option<&'c Column>) -> Result<Kernel<'c>> {
-        Ok(match we.func {
-            WindowFuncKind::Count => match arg {
-                None => Kernel::CountStar,
-                Some(col) => Kernel::CountArg { col, nonnull: 0 },
-            },
-            WindowFuncKind::Max | WindowFuncKind::Min => Kernel::MinMax {
-                col: arg.ok_or_else(|| Error::Plan("max/min need an argument".into()))?,
-                is_max: we.func == WindowFuncKind::Max,
-                deque: VecDeque::new(),
-            },
-            WindowFuncKind::Sum | WindowFuncKind::Avg => {
-                let col = arg.ok_or_else(|| Error::Plan("sum/avg need an argument".into()))?;
-                if col.data_type() == DataType::Double {
-                    Kernel::Recompute { func: we.func }
-                } else {
-                    Kernel::IntSum {
-                        col,
-                        avg: we.func == WindowFuncKind::Avg,
-                        sum: 0,
-                        nonnull: 0,
-                    }
-                }
-            }
-        })
-    }
-
     fn enter(&mut self, i: usize) -> Result<()> {
-        match self {
-            Kernel::CountStar | Kernel::Recompute { .. } => {}
-            Kernel::CountArg { col, nonnull } => {
-                if !col.is_null(i) {
-                    *nonnull += 1;
-                }
-            }
-            Kernel::IntSum {
-                col, sum, nonnull, ..
-            } => {
-                if !col.is_null(i) {
-                    match col.value(i) {
-                        Value::Int(v) => {
-                            *sum += v as i128;
-                            *nonnull += 1;
-                        }
-                        other => {
-                            return Err(Error::Execution(format!(
-                                "sum/avg over non-numeric value {other}"
-                            )))
-                        }
-                    }
-                }
-            }
-            Kernel::MinMax { col, is_max, deque } => {
-                if !col.is_null(i) {
-                    let v = col.value(i);
-                    while let Some(&back) = deque.back() {
-                        let o = col.value(back).total_cmp(&v);
-                        let dominated = if *is_max { o.is_lt() } else { o.is_gt() };
-                        if dominated {
-                            deque.pop_back();
-                        } else {
-                            break;
-                        }
-                    }
-                    deque.push_back(i);
-                }
-            }
+        self.nonnull += i64::from(!self.col.is_null(i));
+        Ok(())
+    }
+    fn evict(&mut self, i: usize) {
+        self.nonnull -= i64::from(!self.col.is_null(i));
+    }
+    fn emit(&self, _: usize, _: usize, out: &mut ColumnBuilder) -> Result<()> {
+        out.push_native(self.nonnull);
+        Ok(())
+    }
+}
+
+/// Integer `sum`/`avg`: exact i128 running sum — wide enough that the
+/// running value never wraps, with the i64 range enforced only on the
+/// emitted frame total (matching the naive per-frame computation).
+struct IntSum<'c> {
+    vals: &'c [i64],
+    col: &'c Column,
+    avg: bool,
+    sum: i128,
+    nonnull: i64,
+}
+
+impl Accumulator for IntSum<'_> {
+    fn reset(&mut self) {
+        self.sum = 0;
+        self.nonnull = 0;
+    }
+    fn enter(&mut self, i: usize) -> Result<()> {
+        if !self.col.is_null(i) {
+            self.sum += self.vals[i] as i128;
+            self.nonnull += 1;
         }
         Ok(())
     }
-
     fn evict(&mut self, i: usize) {
-        match self {
-            Kernel::CountStar | Kernel::Recompute { .. } => {}
-            Kernel::CountArg { col, nonnull } => {
-                if !col.is_null(i) {
-                    *nonnull -= 1;
-                }
-            }
-            Kernel::IntSum {
-                col, sum, nonnull, ..
-            } => {
-                if !col.is_null(i) {
-                    if let Value::Int(v) = col.value(i) {
-                        *sum -= v as i128;
-                        *nonnull -= 1;
-                    }
-                }
-            }
-            Kernel::MinMax { deque, .. } => {
-                if deque.front() == Some(&i) {
-                    deque.pop_front();
-                }
-            }
+        if !self.col.is_null(i) {
+            self.sum -= self.vals[i] as i128;
+            self.nonnull -= 1;
         }
     }
-
-    fn emit(&self, frame_len: usize) -> Result<Value> {
-        match self {
-            Kernel::CountStar => Ok(Value::Int(frame_len as i64)),
-            Kernel::CountArg { nonnull, .. } => Ok(Value::Int(*nonnull)),
-            Kernel::IntSum {
-                avg, sum, nonnull, ..
-            } => {
-                if *nonnull == 0 {
-                    Ok(Value::Null)
-                } else if *avg {
-                    Ok(Value::Double(*sum as f64 / *nonnull as f64))
-                } else {
-                    i64::try_from(*sum)
-                        .map(Value::Int)
-                        .map_err(|_| Error::Execution("sum overflow in window aggregate".into()))
-                }
-            }
-            Kernel::MinMax { col, deque, .. } => Ok(match deque.front() {
-                None => Value::Null,
-                Some(&i) => col.value(i),
-            }),
-            Kernel::Recompute { .. } => unreachable!("recompute kernels never reach emit"),
+    fn emit(&self, _: usize, _: usize, out: &mut ColumnBuilder) -> Result<()> {
+        if self.nonnull == 0 {
+            out.push_null();
+        } else if self.avg {
+            out.push_native(self.sum as f64 / self.nonnull as f64);
+        } else {
+            out.push_native(
+                i64::try_from(self.sum)
+                    .map_err(|_| Error::Execution("sum overflow in window aggregate".into()))?,
+            );
         }
+        Ok(())
+    }
+}
+
+/// Floating-point `sum`/`avg`: no running state, every frame is summed
+/// front to back in the order the naive path adds it.
+struct DoubleSum<'c> {
+    vals: &'c [f64],
+    col: &'c Column,
+    avg: bool,
+}
+
+impl Accumulator for DoubleSum<'_> {
+    const RECOMPUTES: bool = true;
+    fn emit(&self, lo: usize, hi_ex: usize, out: &mut ColumnBuilder) -> Result<()> {
+        let mut sum = 0.0f64;
+        let mut nonnull = 0i64;
+        for i in (lo..hi_ex).filter(|&i| !self.col.is_null(i)) {
+            sum += self.vals[i];
+            nonnull += 1;
+        }
+        if nonnull == 0 {
+            out.push_null();
+        } else if self.avg {
+            out.push_native(sum / nonnull as f64);
+        } else {
+            out.push_native(sum);
+        }
+        Ok(())
+    }
+}
+
+/// `sum`/`avg` over a Bool or Str argument: NULL as long as every framed
+/// value is NULL, an error at the first one that is not.
+struct NonNumeric<'c> {
+    col: &'c Column,
+}
+
+impl Accumulator for NonNumeric<'_> {
+    fn enter(&mut self, i: usize) -> Result<()> {
+        if self.col.is_null(i) {
+            return Ok(());
+        }
+        Err(Error::Execution(format!(
+            "sum/avg over non-numeric value {}",
+            self.col.value(i)
+        )))
+    }
+    fn emit(&self, _: usize, _: usize, out: &mut ColumnBuilder) -> Result<()> {
+        out.push_null();
+        Ok(())
+    }
+}
+
+/// `min`/`max`: monotonic deque of candidate positions. The back is popped
+/// only on *strict* domination, so among equal values the earliest survives
+/// at the front — the same tie the naive scan keeps.
+struct MinMax<'c, T> {
+    vals: &'c [T],
+    col: &'c Column,
+    is_max: bool,
+    deque: VecDeque<usize>,
+}
+
+impl<T: Native> Accumulator for MinMax<'_, T> {
+    fn reset(&mut self) {
+        self.deque.clear();
+    }
+    fn enter(&mut self, i: usize) -> Result<()> {
+        if self.col.is_null(i) {
+            return Ok(());
+        }
+        while let Some(&back) = self.deque.back() {
+            let o = self.vals[back].total_cmp(&self.vals[i]);
+            if (self.is_max && o.is_lt()) || (!self.is_max && o.is_gt()) {
+                self.deque.pop_back();
+            } else {
+                break;
+            }
+        }
+        self.deque.push_back(i);
+        Ok(())
+    }
+    fn evict(&mut self, i: usize) {
+        if self.deque.front() == Some(&i) {
+            self.deque.pop_front();
+        }
+    }
+    fn emit(&self, _: usize, _: usize, out: &mut ColumnBuilder) -> Result<()> {
+        match self.deque.front() {
+            Some(&i) => out.push_native(self.vals[i].clone()),
+            None => out.push_null(),
+        }
+        Ok(())
     }
 }
 
@@ -926,29 +1059,11 @@ pub fn evaluate_window(
     order_by_key: Option<&Expr>,
     exprs: &[WindowExpr],
 ) -> Result<(Vec<Column>, u64)> {
-    let n = batch.num_rows();
     let ev = WindowEval::prepare(batch, partition_by, order_by_key, exprs)?;
-    let mut work: u64 = 0;
-    let mut builders: Vec<ColumnBuilder> = ev
-        .output_types()
-        .iter()
-        .map(|&dt| ColumnBuilder::new(dt, n))
-        .collect();
-    for &range in ev.partitions() {
-        let (vals, w) = ev.eval_partition(range)?;
-        work += w;
-        for (b, vs) in builders.iter_mut().zip(&vals) {
-            for v in vs {
-                b.push(v)?;
-            }
-        }
-    }
-    Ok((
-        builders.into_iter().map(ColumnBuilder::finish).collect(),
-        work,
-    ))
+    ev.eval_partitions(ev.partitions(), || Ok(()))
 }
 
+/// One frame's aggregate on scalar `Value`s. (Oracle only.)
 fn accumulate(func: WindowFuncKind, arg: Option<&Column>, lo: usize, hi: usize) -> Result<Value> {
     match func {
         WindowFuncKind::Count => {
@@ -1067,6 +1182,120 @@ mod tests {
             arg: Some(Expr::col("loc")),
             frame: Frame::rows(FrameBound::Preceding(1), FrameBound::Preceding(1)),
             alias: "loc_before".into(),
+        }
+    }
+
+    /// Partition boundaries, case by case: a boundary is any adjacent pair
+    /// that differs under `Value::eq` in some key column.
+    #[test]
+    fn partition_ranges_semantics_table() {
+        use DataType::{Bool, Double, Int, Str};
+        let null = Value::Null;
+        let d = Value::Double;
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        struct Case {
+            name: &'static str,
+            keys: Vec<(DataType, Vec<Value>)>,
+            expect: Vec<(usize, usize)>,
+        }
+        let cases = vec![
+            Case {
+                name: "empty input",
+                keys: vec![(Int, vec![])],
+                expect: vec![],
+            },
+            Case {
+                name: "no key columns: one partition",
+                keys: vec![],
+                expect: vec![(0, 3)],
+            },
+            Case {
+                name: "single row",
+                keys: vec![(Str, vec![Value::str("a")])],
+                expect: vec![(0, 1)],
+            },
+            Case {
+                name: "single-row partitions between runs",
+                keys: vec![(Int, [1, 1, 2, 3, 3].map(Value::Int).to_vec())],
+                expect: vec![(0, 2), (2, 3), (3, 5)],
+            },
+            Case {
+                name: "NULL = NULL, NULL <> value (whatever the slot holds)",
+                keys: vec![(
+                    Int,
+                    vec![null.clone(), null.clone(), Value::Int(0), null.clone()],
+                )],
+                expect: vec![(0, 2), (2, 3), (3, 4)],
+            },
+            Case {
+                name: "strings compare by content",
+                keys: vec![(
+                    Str,
+                    vec![
+                        Value::str("e1"),
+                        Value::str(format!("e{}", 1)),
+                        Value::str("e10"),
+                        null.clone(),
+                        null.clone(),
+                    ],
+                )],
+                expect: vec![(0, 2), (2, 3), (3, 5)],
+            },
+            Case {
+                name: "booleans",
+                keys: vec![(Bool, [false, false, true].map(Value::Bool).to_vec())],
+                expect: vec![(0, 2), (2, 3)],
+            },
+            Case {
+                name: "doubles by bit pattern: NaN = NaN, -0.0 <> 0.0, NaN payloads differ",
+                keys: vec![(
+                    Double,
+                    vec![d(f64::NAN), d(f64::NAN), d(nan2), d(-0.0), d(0.0), d(0.0)],
+                )],
+                expect: vec![(0, 2), (2, 3), (3, 4), (4, 6)],
+            },
+            Case {
+                name: "multi-column key: a change in any column is a boundary",
+                keys: vec![
+                    (Str, ["a", "a", "a", "b", "b"].map(Value::str).to_vec()),
+                    (
+                        Int,
+                        vec![
+                            Value::Int(1),
+                            Value::Int(1),
+                            null.clone(),
+                            null.clone(),
+                            null.clone(),
+                        ],
+                    ),
+                ],
+                expect: vec![(0, 2), (2, 3), (3, 5)],
+            },
+        ];
+        for case in cases {
+            let n = case.keys.first().map_or(3, |(_, v)| v.len());
+            let cols: Vec<Column> = case
+                .keys
+                .iter()
+                .map(|(dt, vals)| Column::from_values(*dt, vals).unwrap())
+                .collect();
+            assert_eq!(partition_ranges(&cols, n), case.expect, "{}", case.name);
+            // The same key cells seen through a window into a longer payload.
+            let windowed: Vec<Column> = case
+                .keys
+                .iter()
+                .map(|(dt, vals)| {
+                    let mut padded = vec![Value::Null];
+                    padded.extend(vals.iter().cloned());
+                    Column::from_values(*dt, &padded).unwrap().slice(1, n)
+                })
+                .collect();
+            assert_eq!(
+                partition_ranges(&windowed, n),
+                case.expect,
+                "{} (windowed)",
+                case.name
+            );
         }
     }
 

@@ -104,3 +104,43 @@ fn try_slice_errors_are_field_named() {
     assert_eq!(flat.try_slice(4, 2).unwrap().num_rows(), 2);
     assert_eq!(selected.try_slice(1, 2).unwrap().num_rows(), 2);
 }
+
+/// Cutting a batch into chunk slices and concatenating them back — what a
+/// pipeline breaker does with the chunks of the breaker below it — returns
+/// windows of the original payload, not copies; a chunk that went through a
+/// filter is gathered, and the result equals the flatten oracle row for row.
+#[test]
+fn concat_of_chunk_slices_is_copy_free_unless_a_chunk_is_selected() {
+    let base = batch(10);
+    let chunks = || vec![base.slice(0, 4), base.slice(4, 4), base.slice(8, 2)];
+
+    let rejoined = Batch::concat(&chunks()).unwrap();
+    assert_eq!(rows_of(&rejoined), rows_of(&base));
+    for (joined, original) in rejoined.columns().iter().zip(base.columns()) {
+        assert!(
+            std::ptr::eq(joined.data(), original.data()),
+            "shared payload"
+        );
+    }
+    assert_eq!(rows_of(&rejoined.slice(3, 4)), rows_of(&base.slice(3, 4)));
+    assert_eq!(
+        rows_of(&rejoined.take(&[9, 0])),
+        rows_of(&base.take(&[9, 0]))
+    );
+
+    let mut filtered = chunks();
+    filtered[1] = filtered[1].with_selection(vec![0, 3]);
+    let oracle: Vec<Vec<Value>> = filtered
+        .iter()
+        .flat_map(|c| rows_of(&c.flatten()))
+        .collect();
+    let joined = Batch::concat(&filtered).unwrap();
+    assert!(joined.is_flat());
+    assert_eq!(rows_of(&joined), oracle);
+    for (joined, original) in joined.columns().iter().zip(base.columns()) {
+        assert!(
+            !std::ptr::eq(joined.data(), original.data()),
+            "gathered copy"
+        );
+    }
+}

@@ -242,24 +242,39 @@ fn random_window_plan(rng: &mut StdRng) -> LogicalPlan {
     }
 }
 
-/// Random window plans produce byte-identical batches and identical stats
-/// at parallelism 1, 2, and 8.
+const CHUNK_ROWS: [usize; 4] = [0, 1, 7, 1024];
+
+/// Random window plans produce byte-identical batches at every parallelism
+/// × chunk size — the typed column fragments of the parallel runs stitch to
+/// exactly the serial column, whether the input arrives materialized
+/// (`chunk_rows` 0) or as re-joined 1-, 7- or 1024-row chunks — and
+/// identical stats and operator metrics across parallelism at each chunk
+/// size (chunk size itself only moves the per-chunk counters).
 #[test]
-fn random_plans_equivalent_across_parallelism() {
+fn random_plans_equivalent_across_parallelism_and_chunk_size() {
     check("parallel window equivalence", |rng| {
         let cat = random_catalog(rng);
         let plan = random_window_plan(rng);
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
-        for &p in &PARALLELISMS {
-            let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
-            let batch = ex.execute(&plan).unwrap();
-            let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
-            match &baseline {
-                None => baseline = Some((rows_of(&batch), ex.stats, metrics)),
-                Some((rows, stats, metrics1)) => {
-                    assert_eq!(&rows_of(&batch), rows, "rows differ at P={p}");
-                    assert_eq!(&ex.stats, stats, "stats differ at P={p}");
-                    assert_eq!(&metrics, metrics1, "operator metrics differ at P={p}");
+        let mut rows_and_ops: Option<(Vec<Vec<Value>>, u64)> = None;
+        for &chunk_rows in &CHUNK_ROWS {
+            let mut baseline: Option<(ExecStats, Option<DeterministicMetrics>)> = None;
+            for &p in &PARALLELISMS {
+                let options = ExecOptions::with_parallelism(p).with_chunk_rows(chunk_rows);
+                let mut ex = Executor::with_options(&cat, options);
+                let batch = ex.execute(&plan).unwrap();
+                let at = format!("P={p} chunk_rows={chunk_rows}");
+                let got = (rows_of(&batch), ex.stats.window_accumulator_ops);
+                match &rows_and_ops {
+                    None => rows_and_ops = Some(got),
+                    Some(first) => assert_eq!(&got, first, "rows or window ops differ at {at}"),
+                }
+                let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
+                match &baseline {
+                    None => baseline = Some((ex.stats, metrics)),
+                    Some((stats, metrics1)) => {
+                        assert_eq!(&ex.stats, stats, "stats differ at {at}");
+                        assert_eq!(&metrics, metrics1, "operator metrics differ at {at}");
+                    }
                 }
             }
         }

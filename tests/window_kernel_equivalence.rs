@@ -1,11 +1,14 @@
-//! Incremental window kernels ≡ naive frame recomputation.
+//! Typed window kernels ≡ naive frame recomputation.
 //!
-//! The incremental sliding-window kernels (`WindowEval::eval_partition`)
-//! must produce **byte-identical** values to the per-row recomputation
-//! oracle (`eval_partition_naive`) for every aggregate, frame shape, and
-//! NULL mix — and the whole-plan results must stay identical at any
-//! parallelism. The oracle is the pre-optimization semantics, so these
-//! properties pin the refactor down exactly.
+//! The typed sliding-window kernels (`WindowEval::eval_partition`, which
+//! write straight into typed columns) must produce **byte-identical** values
+//! to the per-row `Value` recomputation oracle (`eval_partition_naive`) for
+//! every aggregate, argument type, frame shape, and NULL mix — and the
+//! whole-plan results must stay identical at any parallelism. The oracle is
+//! the pre-optimization semantics, so these properties pin the kernels down
+//! exactly. The accumulator-ops counter has no oracle to compare against;
+//! the exhaustive table pins it to the totals the scalar kernels counted
+//! before the typed ones replaced them.
 //!
 //! The offline build has no proptest; each property runs seeded random
 //! cases from the vendored `rand` shim (failing seeds are printed).
@@ -135,11 +138,18 @@ fn random_exprs(rng: &mut StdRng, units_rows: bool) -> Vec<WindowExpr> {
         .collect()
 }
 
-/// Per-partition equivalence: the incremental kernels return the exact
-/// values of the naive oracle over random ROWS and RANGE frames.
+/// The typed kernels' output for one partition, read back as the scalar
+/// rows the oracle produces, plus the accumulator-ops count.
+fn typed(ev: &WindowEval<'_>, range: (usize, usize)) -> Result<(Vec<Vec<Value>>, u64)> {
+    let (cols, ops) = ev.eval_partition(range)?;
+    Ok((cols.iter().map(|c| c.iter().collect()).collect(), ops))
+}
+
+/// Per-partition equivalence: the typed kernels return the exact values of
+/// the naive oracle over random ROWS and RANGE frames.
 #[test]
-fn incremental_matches_naive_oracle() {
-    check("incremental ≡ naive", |rng| {
+fn typed_kernels_match_naive_oracle() {
+    check("typed ≡ naive", |rng| {
         let batch = random_sorted_batch(rng);
         let units_rows = rng.gen_bool(0.5);
         let exprs = random_exprs(rng, units_rows);
@@ -148,14 +158,32 @@ fn incremental_matches_naive_oracle() {
         let ev = WindowEval::prepare(&batch, &[Expr::col("epc")], Some(&order_key), &exprs)
             .expect("prepare");
         for &range in ev.partitions() {
-            let (inc, _) = ev.eval_partition(range).expect("incremental");
+            let (got, _) = typed(&ev, range).expect("typed");
             let (naive, _) = ev.eval_partition_naive(range).expect("naive");
             assert_eq!(
-                inc,
+                got,
                 naive,
                 "partition {range:?} of {} rows",
                 batch.num_rows()
             );
+        }
+        // One call over all partitions stitches the same values and counts
+        // the same ops as partition-at-a-time calls.
+        let (whole, whole_ops) = ev
+            .eval_partitions(ev.partitions(), || Ok(()))
+            .expect("typed");
+        let mut ops = 0;
+        let mut rows: Vec<Vec<Value>> = vec![Vec::new(); exprs.len()];
+        for &range in ev.partitions() {
+            let (vals, o) = typed(&ev, range).expect("typed");
+            ops += o;
+            for (acc, v) in rows.iter_mut().zip(vals) {
+                acc.extend(v);
+            }
+        }
+        assert_eq!(whole_ops, ops);
+        for (c, r) in whole.iter().zip(&rows) {
+            assert_eq!(&c.iter().collect::<Vec<_>>(), r);
         }
     });
 }
@@ -248,7 +276,7 @@ fn range_null_peer_group_edge_case() {
                 &exprs,
             )
             .unwrap();
-            let (inc, _) = ev.eval_partition((0, 5)).unwrap();
+            let (inc, _) = typed(&ev, (0, 5)).unwrap();
             let (naive, _) = ev.eval_partition_naive((0, 5)).unwrap();
             assert_eq!(inc, naive, "{func:?} over {frame:?}");
             // NULL-key rows aggregate their peer group only: for sum over
@@ -274,6 +302,246 @@ fn range_null_peer_group_edge_case() {
         &exprs,
     )
     .unwrap();
-    let (inc, _) = ev.eval_partition((0, 5)).unwrap();
+    let (inc, _) = typed(&ev, (0, 5)).unwrap();
     assert_eq!(inc[0][4], Value::Null);
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive table: every (function, argument type, frame, NULL mix) cell.
+// ---------------------------------------------------------------------------
+
+/// One partition per NULL mix, sorted by (epc, rtime NULLS FIRST). The
+/// Double column carries −0.0 and a NaN so bit-exactness is visible.
+fn table_batch() -> Batch {
+    let schema = schema_ref(Schema::new(vec![
+        Field::new("epc", DataType::Str),
+        Field::new("rtime", DataType::Int),
+        Field::new("iv", DataType::Int),
+        Field::new("dv", DataType::Double),
+        Field::new("sv", DataType::Str),
+        Field::new("bv", DataType::Bool),
+    ]));
+    let full = |epc: &str, t: Option<i64>, k: i64| {
+        vec![
+            Value::str(epc),
+            t.map_or(Value::Null, Value::Int),
+            Value::Int(7 * k % 11 - 5),
+            Value::Double(if k == 3 {
+                -0.0
+            } else {
+                (5 * k % 7) as f64 / 4.0 - 0.5
+            }),
+            Value::str(format!("s{}", 3 * k % 5)),
+            Value::Bool(k % 3 == 0),
+        ]
+    };
+    let nulls = |epc: &str, t: Option<i64>| {
+        let mut row = vec![Value::Null; 6];
+        row[0] = Value::str(epc);
+        row[1] = t.map_or(Value::Null, Value::Int);
+        row
+    };
+    let mut rows = Vec::new();
+    // a: no NULLs; duplicate order keys make RANGE peer groups.
+    for (k, t) in [10, 20, 20, 25, 40, 41].into_iter().enumerate() {
+        rows.push(full("a", Some(t), k as i64));
+    }
+    // b: some NULL arguments, and a NaN.
+    for (k, t) in [5, 6, 8, 8, 30].into_iter().enumerate() {
+        rows.push(if k % 2 == 1 {
+            nulls("b", Some(t))
+        } else {
+            full("b", Some(t), k as i64 + 1)
+        });
+    }
+    rows[6 + 4][3] = Value::Double(f64::NAN);
+    // c: every argument NULL.
+    for t in [1, 2, 3] {
+        rows.push(nulls("c", Some(t)));
+    }
+    // d: a NULL order-key prefix, with and without NULL arguments.
+    rows.push(full("d", None, 2));
+    rows.push(nulls("d", None));
+    for (k, t) in [7, 9, 9, 15].into_iter().enumerate() {
+        rows.push(full("d", Some(t), k as i64 + 4));
+    }
+    // e: a single row. f: every order key NULL.
+    rows.push(full("e", Some(3), 9));
+    rows.push(full("f", None, 1));
+    rows.push(full("f", None, 6));
+    Batch::from_rows(schema, &rows).unwrap()
+}
+
+use FrameBound::{CurrentRow as Cur, Following as Fol, Preceding as Pre};
+const UNB_PRE: FrameBound = FrameBound::UnboundedPreceding;
+const UNB_FOL: FrameBound = FrameBound::UnboundedFollowing;
+
+/// Frame shapes (start, end) with the accumulator ops the scalar kernels
+/// counted over the whole table for ROWS and for RANGE frames: 1-row,
+/// bounded, unbounded and always-empty frames.
+const FRAME_TABLE: [(FrameBound, FrameBound, u64, u64); 12] = [
+    (Pre(1), Pre(1), 481, 178),
+    (Fol(1), Fol(1), 560, 220),
+    (Cur, Cur, 666, 633),
+    (Pre(2), Pre(2), 328, 165),
+    (Pre(2), Fol(1), 615, 606),
+    (Fol(1), Fol(3), 600, 346),
+    (Pre(5), Cur, 491, 606),
+    (UNB_PRE, Cur, 491, 523),
+    (Cur, UNB_FOL, 754, 695),
+    (UNB_PRE, UNB_FOL, 579, 585),
+    (UNB_PRE, Pre(4), 89, 307),
+    (Pre(1), Pre(3), 0, 68),
+];
+
+/// {count(*), count, sum, avg, min, max} × {Int, Double, Str, Bool} ×
+/// {ROWS, RANGE} × `FRAME_TABLE` × the NULL mixes of `table_batch`: typed
+/// kernels and oracle agree on every value — or fail with the same error
+/// (`sum`/`avg` over Str/Bool) — and the ops counter is the pinned one.
+#[test]
+fn exhaustive_table_matches_oracle_and_pins_ops() {
+    let batch = table_batch();
+    let funcs = [
+        WindowFuncKind::Count,
+        WindowFuncKind::Sum,
+        WindowFuncKind::Avg,
+        WindowFuncKind::Min,
+        WindowFuncKind::Max,
+    ];
+    let mut actual = FRAME_TABLE;
+    for (cell, &(start, end, _, _)) in actual.iter_mut().zip(&FRAME_TABLE) {
+        for rows_units in [true, false] {
+            let frame = if rows_units {
+                Frame::rows(start, end)
+            } else {
+                Frame::range(start, end)
+            };
+            let mut exprs: Vec<WindowExpr> = vec![WindowExpr {
+                func: WindowFuncKind::Count,
+                arg: None,
+                frame: frame.clone(),
+                alias: "count_star".into(),
+            }];
+            for arg in ["iv", "dv", "sv", "bv"] {
+                exprs.extend(funcs.iter().map(|&func| WindowExpr {
+                    func,
+                    arg: Some(Expr::col(arg)),
+                    frame: frame.clone(),
+                    alias: format!("{func}_{arg}"),
+                }));
+            }
+            let mut ops = 0;
+            // One expression at a time, so an erroring cell fails alone.
+            for we in exprs.chunks(1) {
+                let ev =
+                    WindowEval::prepare(&batch, &[Expr::col("epc")], Some(&Expr::col("rtime")), we)
+                        .unwrap();
+                assert_eq!(ev.partitions().len(), 6);
+                for &range in ev.partitions() {
+                    let what = format!("{} partition {range:?}", we[0]);
+                    match (typed(&ev, range), ev.eval_partition_naive(range)) {
+                        (Ok((got, o)), Ok((naive, _))) => {
+                            assert_eq!(got, naive, "{what}");
+                            ops += o;
+                        }
+                        (Err(e), Err(naive)) => {
+                            assert_eq!(e.to_string(), naive.to_string(), "{what}")
+                        }
+                        (got, naive) => panic!("{what}: typed {got:?} vs naive {naive:?}"),
+                    }
+                }
+            }
+            if rows_units {
+                cell.2 = ops;
+            } else {
+                cell.3 = ops;
+            }
+        }
+    }
+    assert_eq!(
+        actual, FRAME_TABLE,
+        "accumulator ops per frame (ROWS, RANGE)"
+    );
+}
+
+/// The two corners the sum kernels handle specially. Integer sums run in
+/// i128 and only the emitted frame total is held to the i64 range: a frame
+/// whose prefix overflows but whose total does not is fine, one whose total
+/// overflows is an error on both paths. Double sums are re-added per frame
+/// in row order, so they carry the oracle's exact rounding.
+#[test]
+fn sum_corners_i128_running_sum_and_double_recompute() {
+    let schema = schema_ref(Schema::new(vec![
+        Field::new("epc", DataType::Str),
+        Field::new("rtime", DataType::Int),
+        Field::new("iv", DataType::Int),
+        Field::new("dv", DataType::Double),
+    ]));
+    let big = i64::MAX;
+    let rows: Vec<Vec<Value>> = [
+        (big, 1e16),
+        (big, 1.0),
+        (-big, -1e16),
+        (-big, 3.0),
+        (5, 0.1),
+        (7, 0.2),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(t, (i, d))| {
+        vec![
+            Value::str("e"),
+            Value::Int(t as i64),
+            Value::Int(i),
+            Value::Double(d),
+        ]
+    })
+    .collect();
+    let batch = Batch::from_rows(schema, &rows).unwrap();
+    let eval = |func, arg: &str, frame: Frame| {
+        let exprs = [WindowExpr {
+            func,
+            arg: Some(Expr::col(arg)),
+            frame,
+            alias: "w".into(),
+        }];
+        let ev = WindowEval::prepare(
+            &batch,
+            &[Expr::col("epc")],
+            Some(&Expr::col("rtime")),
+            &exprs,
+        )
+        .unwrap();
+        let got = typed(&ev, (0, 6)).map(|(v, _)| v[0].clone());
+        let naive = ev.eval_partition_naive((0, 6)).map(|(v, _)| v[0].clone());
+        (got, naive)
+    };
+    // Entering the whole-partition frame row by row passes 2·i64::MAX; the
+    // frame total is 12.
+    let whole = Frame::rows(UNB_PRE, UNB_FOL);
+    let (got, naive) = eval(WindowFuncKind::Sum, "iv", whole.clone());
+    let got = got.unwrap();
+    assert_eq!(got, naive.unwrap());
+    assert_eq!(got, vec![Value::Int(12); 6]);
+    let (got, naive) = eval(WindowFuncKind::Avg, "iv", whole);
+    assert_eq!(got.unwrap(), naive.unwrap());
+    // A frame total out of range fails the same way on both paths; avg,
+    // which never narrows, does not fail at all.
+    let (got, naive) = eval(WindowFuncKind::Sum, "iv", Frame::rows(Pre(1), Cur));
+    assert_eq!(got.unwrap_err().to_string(), naive.unwrap_err().to_string());
+    let (got, naive) = eval(WindowFuncKind::Avg, "iv", Frame::rows(Pre(1), Cur));
+    assert_eq!(got.unwrap(), naive.unwrap());
+    // (1e16 + 1.0) − 1e16 ≠ 1.0 in f64: a running add/subtract sum would
+    // drift from the per-frame one. Bit-identical to the oracle instead.
+    for func in [WindowFuncKind::Sum, WindowFuncKind::Avg] {
+        for frame in [
+            Frame::rows(Pre(1), Cur),
+            Frame::rows(Pre(2), Fol(1)),
+            Frame::range(Pre(2), Cur),
+            Frame::rows(UNB_PRE, UNB_FOL),
+        ] {
+            let (got, naive) = eval(func, "dv", frame.clone());
+            assert_eq!(got.unwrap(), naive.unwrap(), "{func} {frame}");
+        }
+    }
 }
