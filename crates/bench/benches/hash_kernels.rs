@@ -33,7 +33,7 @@ fn main() {
     for p in &points {
         println!(
             "  {:>12}: {:>8} rows -> {:>7} out, {:>9} hash_ops, {:>4} collisions, \
-             {:>8} memcmps, {:>9} key bytes | vectorized {:>8.3}ms vs rowwise {:>8.3}ms",
+             {:>8} memcmps, {:>9} key bytes | vectorized {:>8.3}ms vs oracle {:>8.3}ms",
             p.label,
             p.rows,
             p.out_rows,
@@ -42,7 +42,7 @@ fn main() {
             p.probe_memcmps,
             p.key_bytes_encoded,
             p.vectorized_ms,
-            p.rowwise_ms
+            p.oracle_ms
         );
         if p.has_alloc_events() {
             let at_half = half
@@ -91,7 +91,7 @@ fn main() {
                         .set("probe_memcmps", p.probe_memcmps)
                         .set("key_bytes_encoded", p.key_bytes_encoded)
                         .set("vectorized_ms", Json::Num(p.vectorized_ms))
-                        .set("rowwise_ms", Json::Num(p.rowwise_ms));
+                        .set("oracle_ms", Json::Num(p.oracle_ms));
                     if p.has_alloc_events() {
                         o = o.set("alloc_events", p.alloc_events);
                     }

@@ -1,7 +1,7 @@
 //! Microbench for the typed expression kernels of
 //! [`dc_relational::expr`]: [`filter_chunk`] over a selection-carrying
 //! chunk versus the per-row `Value`-boxing oracle
-//! ([`Expr::evaluate_rowwise`] on the compacted batch).
+//! ([`dc_oracle::evaluate`] on the compacted batch).
 //!
 //! The interesting number is not wall-clock (printed as colour only) but
 //! the deterministic [`KernelStats`](dc_relational::expr::KernelStats): a
@@ -109,11 +109,11 @@ fn cases() -> Vec<(&'static str, u64, Expr)> {
     ]
 }
 
-/// Count TRUE rows of `pred` via the retained per-row `Value` oracle on the
+/// Count TRUE rows of `pred` via the per-row `Value` oracle on the
 /// compacted batch.
 fn oracle_survivors(pred: &Expr, chunk: &Batch) -> u64 {
     let compact = chunk.flatten();
-    let c: Column = pred.evaluate_rowwise(&compact).expect("oracle eval");
+    let c: Column = dc_oracle::evaluate(pred, &compact).expect("oracle eval");
     (0..c.len())
         .filter(|&k| !c.is_null(k) && c.value(k) == Value::Bool(true))
         .count() as u64

@@ -1,7 +1,7 @@
 //! Microbench for the vectorized hash machinery of
 //! [`dc_relational::hash`]: batch key encoding + [`RawKeyTable`] lookups
-//! behind join, GROUP BY aggregation, and DISTINCT, versus the retained
-//! `Vec<Value>` oracle (`rowwise == true` on the same entry points).
+//! behind join, GROUP BY aggregation, and DISTINCT, versus the
+//! `Vec<Value>`-keyed reference operators of `dc-oracle`.
 //!
 //! The interesting numbers are not wall-clock (printed as colour only)
 //! but the deterministic [`HashStats`] counters and the encoder's
@@ -14,12 +14,12 @@
 //! [`RawKeyTable`]: dc_relational::hash::RawKeyTable
 //! [`HashStats`]: dc_relational::hash::HashStats
 
-use dc_relational::agg::{distinct_with, hash_aggregate_with, AggExpr, AggFunc};
+use dc_relational::agg::{distinct, hash_aggregate, AggExpr, AggFunc};
 use dc_relational::batch::{schema_ref, Batch};
 use dc_relational::column::ColumnBuilder;
 use dc_relational::expr::Expr;
 use dc_relational::hash::{encode_keys, HashStats, NullKeys};
-use dc_relational::join::{hash_join_with, JoinType};
+use dc_relational::join::{hash_join, JoinType};
 use dc_relational::physical::QueryBudget;
 use dc_relational::schema::{Field, Schema, SchemaRef};
 use dc_relational::value::{DataType, Value};
@@ -43,7 +43,7 @@ pub struct HashKernelPoint {
     /// does not expose an encoder (join/agg/distinct end-to-end cases).
     pub alloc_events: u64,
     pub vectorized_ms: f64,
-    pub rowwise_ms: f64,
+    pub oracle_ms: f64,
 }
 
 impl HashKernelPoint {
@@ -138,7 +138,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
     let mut points = Vec::new();
 
     // Encode-only: fixed-width (Int + Double) and var-width (Str) layouts.
-    // The rowwise lane materializes the same keys as `Vec<Value>` rows —
+    // The oracle lane materializes the same keys as `Vec<Value>` rows —
     // the per-row boxing the normalized encoding replaces.
     for (label, cols) in [
         ("encode_fixed", vec![0usize, 2]),
@@ -150,7 +150,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
             let enc = encode_keys(&key_cols, None, rows, NullKeys::Match, &mut stats).unwrap();
             (enc, stats)
         });
-        let (_, rowwise_ms) = timed(iters, || {
+        let (_, oracle_ms) = timed(iters, || {
             let keys: Vec<Vec<Value>> = (0..rows)
                 .map(|i| cols.iter().map(|&c| fact.column(c).value(i)).collect())
                 .collect();
@@ -168,80 +168,80 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
             key_bytes_encoded: stats.key_bytes_encoded,
             alloc_events: enc.alloc_events(),
             vectorized_ms,
-            rowwise_ms,
+            oracle_ms,
         });
     }
 
-    // End-to-end consumers: both lanes run the same entry point, with
-    // `rowwise` selecting the retained `Vec<Value>` oracle.
-    type Run = Box<dyn Fn(bool) -> (u64, u64, HashStats)>;
-    let join = |left_keys: Vec<Expr>, right_keys: Vec<Expr>| -> Run {
-        let (fact, dim, budget) = (fact.clone(), dim.clone(), budget.clone());
-        Box::new(move |rowwise| {
-            let (out, work) = hash_join_with(
-                &fact,
-                &dim,
-                &left_keys,
-                &right_keys,
-                JoinType::Inner,
-                &budget,
-                rowwise,
-            )
-            .unwrap();
+    // End-to-end consumers: the engine's entry point — (output rows, key
+    // lookups, hash work) — against the oracle's `Vec<Value>`-keyed
+    // reference, which has only output rows to report.
+    type Engine<'a> = Box<dyn Fn() -> (u64, u64, HashStats) + 'a>;
+    type Oracle<'a> = Box<dyn Fn() -> u64 + 'a>;
+    let join = |left: &'static str, right: &'static str| -> (Engine<'_>, Oracle<'_>) {
+        let (fact, dim, budget) = (&fact, &dim, &budget);
+        let (left, right) = ([Expr::col(left)], [Expr::col(right)]);
+        let (l, r) = (left.clone(), right.clone());
+        let engine = move || {
+            let (out, work) = hash_join(fact, dim, &l, &r, JoinType::Inner, budget).unwrap();
             let lookups = dim.num_rows() as u64 + work.probes;
             (out.num_rows() as u64, lookups, work.hash)
-        })
+        };
+        let oracle = move || {
+            let out = dc_oracle::join(fact, dim, &left, &right, JoinType::Inner);
+            out.unwrap().num_rows() as u64
+        };
+        (Box::new(engine), Box::new(oracle))
     };
-    let cases: Vec<(&'static str, u64, Run)> = vec![
-        (
-            "join_int",
-            (fact.num_rows() + dim.num_rows()) as u64,
-            join(vec![Expr::col("k")], vec![Expr::col("dk")]),
-        ),
-        (
-            "join_str",
-            (fact.num_rows() + dim.num_rows()) as u64,
-            join(vec![Expr::col("epc")], vec![Expr::col("gln")]),
-        ),
-        ("group_by_str", fact.num_rows() as u64, {
-            let fact = fact.clone();
-            Box::new(move |rowwise| {
-                let mut stats = HashStats::default();
-                let out = hash_aggregate_with(
-                    &fact,
-                    &[(Expr::col("epc"), "epc".into())],
-                    &[
-                        AggExpr {
-                            func: AggFunc::CountStar,
-                            alias: "n".into(),
-                        },
-                        AggExpr {
-                            func: AggFunc::Sum(Expr::col("w")),
-                            alias: "s".into(),
-                        },
-                    ],
-                    rowwise,
-                    &mut stats,
-                )
-                .unwrap();
-                (out.num_rows() as u64, fact.num_rows() as u64, stats)
-            })
-        }),
-        ("distinct", fact.num_rows() as u64, {
-            let fact = fact.clone();
-            Box::new(move |rowwise| {
-                let mut stats = HashStats::default();
-                let out = distinct_with(&fact, rowwise, &mut stats).unwrap();
-                (out.num_rows() as u64, fact.num_rows() as u64, stats)
-            })
-        }),
+    let group_by = [(Expr::col("epc"), "epc".to_string())];
+    let aggs = [
+        AggExpr {
+            func: AggFunc::CountStar,
+            alias: "n".into(),
+        },
+        AggExpr {
+            func: AggFunc::Sum(Expr::col("w")),
+            alias: "s".into(),
+        },
     ];
-    for (label, rows_in, run) in cases {
-        let (vec_out, vectorized_ms) = timed(iters, || run(false));
-        let (row_out, rowwise_ms) = timed(iters, || run(true));
+    let join_rows = (fact.num_rows() + dim.num_rows()) as u64;
+    let fact_rows = fact.num_rows() as u64;
+    let cases: Vec<(&'static str, u64, (Engine<'_>, Oracle<'_>))> = vec![
+        ("join_int", join_rows, join("k", "dk")),
+        ("join_str", join_rows, join("epc", "gln")),
+        (
+            "group_by_str",
+            fact_rows,
+            (
+                Box::new(|| {
+                    let mut stats = HashStats::default();
+                    let out = hash_aggregate(&fact, &group_by, &aggs, &mut stats).unwrap();
+                    (out.num_rows() as u64, fact_rows, stats)
+                }),
+                Box::new(|| {
+                    let out = dc_oracle::aggregate(&fact, &group_by, &aggs);
+                    out.unwrap().num_rows() as u64
+                }),
+            ),
+        ),
+        (
+            "distinct",
+            fact_rows,
+            (
+                Box::new(|| {
+                    let mut stats = HashStats::default();
+                    let out = distinct(&fact, &mut stats).unwrap();
+                    (out.num_rows() as u64, fact_rows, stats)
+                }),
+                Box::new(|| dc_oracle::distinct(&fact).num_rows() as u64),
+            ),
+        ),
+    ];
+    for (label, rows_in, (engine, oracle)) in cases {
+        let (vec_out, vectorized_ms) = timed(iters, engine);
+        let (oracle_rows, oracle_ms) = timed(iters, oracle);
         assert_eq!(
-            vec_out.0, row_out.0,
-            "{label}: vectorized and rowwise output row counts diverge"
+            vec_out.0, oracle_rows,
+            "{label}: vectorized and oracle output row counts diverge"
         );
         let (out_rows, lookups, stats) = vec_out;
         points.push(HashKernelPoint {
@@ -255,7 +255,7 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
             key_bytes_encoded: stats.key_bytes_encoded,
             alloc_events: u64::MAX,
             vectorized_ms,
-            rowwise_ms,
+            oracle_ms,
         });
     }
     points

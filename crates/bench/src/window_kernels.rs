@@ -3,13 +3,16 @@
 //! run-aware merge sort vs a from-scratch full sort.
 //!
 //! Unlike the figure experiments this does not go through SQL — it drives
-//! [`WindowEval`] and [`sort_batch_runs`] directly so the two sides differ
-//! *only* in the kernel under test. Work counters are deterministic; the
+//! [`WindowEval`] (against [`NaiveWindow`], the reference in `dc-oracle`)
+//! and [`sort_batch_runs`] directly so the two sides differ *only* in the
+//! kernel under test. Work counters are deterministic; the
 //! bench binary gates on them and reports wall-clock as colour.
 
+use dc_oracle::NaiveWindow;
 use dc_relational::batch::{schema_ref, Batch};
 use dc_relational::column::Column;
 use dc_relational::expr::Expr;
+use dc_relational::physical::QueryBudget;
 use dc_relational::schema::{Field, Schema};
 use dc_relational::sort::{sort_batch_runs, SortKey};
 use dc_relational::value::{DataType, Value};
@@ -112,15 +115,17 @@ fn run_both(batch: &Batch, exprs: &[WindowExpr]) -> (u64, f64, u64, f64) {
 
     let start = Instant::now();
     let (typed, ops) = ev
-        .eval_partitions(ev.partitions(), || Ok(()))
+        .eval_partitions(ev.partitions(), &QueryBudget::unlimited())
         .expect("typed kernels");
     let typed_ms = start.elapsed().as_secs_f64() * 1e3;
 
+    let reference = NaiveWindow::prepare(batch, &[Expr::col("epc")], Some(&order_key), exprs)
+        .expect("prepare naive window");
     let start = Instant::now();
     let mut naive_work = 0u64;
     let mut naive: Vec<Vec<Value>> = vec![Vec::new(); exprs.len()];
     for &range in ev.partitions() {
-        let (vals, w) = ev.eval_partition_naive(range).expect("naive");
+        let (vals, w) = reference.eval_partition(range).expect("naive");
         naive_work += w;
         for (acc, v) in naive.iter_mut().zip(vals) {
             acc.extend(v);

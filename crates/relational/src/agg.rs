@@ -12,7 +12,7 @@ use crate::expr::Expr;
 use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -209,27 +209,13 @@ impl AggState {
 }
 
 /// Execute a hash aggregation. Output columns are the group expressions
-/// (named by `group_aliases`) followed by the aggregates.
-///
-/// Convenience wrapper over [`hash_aggregate_with`] (vectorized hash path,
-/// counters discarded).
+/// (named by their aliases) followed by the aggregates; groups come out in
+/// first-seen order. Group lookup goes through the normalized-key table of
+/// [`crate::hash`]; its work is added to `hash`.
 pub fn hash_aggregate(
     input: &Batch,
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
-) -> Result<Batch> {
-    let mut hash = HashStats::default();
-    hash_aggregate_with(input, group_by, aggs, false, &mut hash)
-}
-
-/// [`hash_aggregate`] with an explicit path selector and hash-work counters.
-/// `rowwise` runs the retained `HashMap<Vec<Value>, _>` oracle; otherwise
-/// group lookup goes through the normalized-key table of [`crate::hash`].
-pub fn hash_aggregate_with(
-    input: &Batch,
-    group_by: &[(Expr, String)],
-    aggs: &[AggExpr],
-    rowwise: bool,
     hash: &mut HashStats,
 ) -> Result<Batch> {
     let n = input.num_rows();
@@ -252,50 +238,23 @@ pub fn hash_aggregate_with(
             .collect()
     };
 
-    // Group lookup: slot index = first-seen order on both paths.
-    // `rep_rows[slot]` is the first input row of each group — the group-key
-    // output columns gather straight from the evaluated key columns, so key
-    // values are never re-materialized from the table.
+    // Group lookup: slot index = first-seen order. `rep_rows[slot]` is the
+    // first input row of each group — the group-key output columns gather
+    // straight from the evaluated key columns, so key values are never
+    // re-materialized from the table.
     let mut states: Vec<Vec<AggState>> = Vec::new();
     let mut rep_rows: Vec<usize> = Vec::new();
-    let update = |slot: usize, states: &mut Vec<Vec<AggState>>, i: usize| -> Result<()> {
+    let keys = encode_keys(&group_cols, None, n, NullKeys::Match, hash)?;
+    let mut table = RawKeyTable::with_capacity(n.min(1024));
+    for i in 0..n {
+        let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
+        if fresh {
+            states.push(new_states());
+            rep_rows.push(i);
+        }
         for ((state, agg), arg) in states[slot].iter_mut().zip(aggs).zip(&arg_cols) {
-            let v = match arg {
-                None => None,
-                Some(c) => {
-                    if c.is_null(i) {
-                        None
-                    } else {
-                        Some(c.value(i))
-                    }
-                }
-            };
+            let v = arg.as_ref().filter(|c| !c.is_null(i)).map(|c| c.value(i));
             state.update(&agg.func, v)?;
-        }
-        Ok(())
-    };
-    if rowwise {
-        let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-        for i in 0..n {
-            let key: Vec<Value> = group_cols.iter().map(|c| c.value(i)).collect();
-            let next = states.len();
-            let slot = *groups.entry(key).or_insert(next);
-            if slot == next {
-                states.push(new_states());
-                rep_rows.push(i);
-            }
-            update(slot, &mut states, i)?;
-        }
-    } else {
-        let keys = encode_keys(&group_cols, None, n, NullKeys::Match, hash)?;
-        let mut table = RawKeyTable::with_capacity(n.min(1024));
-        for i in 0..n {
-            let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
-            if fresh {
-                states.push(new_states());
-                rep_rows.push(i);
-            }
-            update(slot, &mut states, i)?;
         }
     }
 
@@ -345,33 +304,16 @@ pub fn hash_aggregate_with(
     Batch::new(schema, cols)
 }
 
-/// DISTINCT over whole rows.
-///
-/// Convenience wrapper over [`distinct_with`] (vectorized hash path,
-/// counters discarded).
-pub fn distinct(input: &Batch) -> Batch {
-    let mut hash = HashStats::default();
-    distinct_with(input, false, &mut hash).expect("distinct encoding cannot fail")
-}
-
-/// [`distinct`] with an explicit path selector and hash-work counters.
-pub fn distinct_with(input: &Batch, rowwise: bool, hash: &mut HashStats) -> Result<Batch> {
+/// DISTINCT over whole rows, keeping each row's first occurrence in input
+/// order. Hash-kernel work is added to `hash`.
+pub fn distinct(input: &Batch, hash: &mut HashStats) -> Result<Batch> {
     let n = input.num_rows();
     let mut keep = Vec::new();
-    if rowwise {
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        for i in 0..n {
-            if seen.insert(input.row(i)) {
-                keep.push(i);
-            }
-        }
-    } else {
-        let keys = encode_keys(input.columns(), input.selection(), n, NullKeys::Match, hash)?;
-        let mut table = RawKeyTable::with_capacity(n.min(1024));
-        for i in 0..n {
-            if table.insert(keys.hash(i), keys.key(i), hash).1 {
-                keep.push(i);
-            }
+    let keys = encode_keys(input.columns(), input.selection(), n, NullKeys::Match, hash)?;
+    let mut table = RawKeyTable::with_capacity(n.min(1024));
+    for i in 0..n {
+        if table.insert(keys.hash(i), keys.key(i), hash).1 {
+            keep.push(i);
         }
     }
     Ok(input.take(&keep))
@@ -381,6 +323,11 @@ pub fn distinct_with(input: &Batch, rowwise: bool, hash: &mut HashStats) -> Resu
 mod tests {
     use super::*;
     use crate::batch::schema_ref;
+
+    /// `hash_aggregate` with the hash-work counters discarded.
+    fn aggregate(input: &Batch, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> Result<Batch> {
+        hash_aggregate(input, group_by, aggs, &mut HashStats::default())
+    }
 
     fn batch() -> Batch {
         let schema = schema_ref(Schema::new(vec![
@@ -402,7 +349,7 @@ mod tests {
 
     #[test]
     fn count_distinct_and_avg() {
-        let out = hash_aggregate(
+        let out = aggregate(
             &batch(),
             &[(Expr::col("mfr"), "mfr".into())],
             &[
@@ -434,7 +381,7 @@ mod tests {
 
     #[test]
     fn count_skips_nulls_count_star_does_not() {
-        let out = hash_aggregate(
+        let out = aggregate(
             &batch(),
             &[],
             &[
@@ -454,7 +401,7 @@ mod tests {
 
     #[test]
     fn min_max_sum() {
-        let out = hash_aggregate(
+        let out = aggregate(
             &batch(),
             &[],
             &[
@@ -482,7 +429,7 @@ mod tests {
     #[test]
     fn empty_input_global_agg_yields_one_row() {
         let b = batch().take(&[]);
-        let out = hash_aggregate(
+        let out = aggregate(
             &b,
             &[],
             &[AggExpr {
@@ -498,7 +445,7 @@ mod tests {
     #[test]
     fn empty_input_grouped_agg_yields_zero_rows() {
         let b = batch().take(&[]);
-        let out = hash_aggregate(
+        let out = aggregate(
             &b,
             &[(Expr::col("mfr"), "mfr".into())],
             &[AggExpr {
@@ -518,7 +465,7 @@ mod tests {
             &[vec![Value::Null], vec![Value::Null], vec![Value::str("a")]],
         )
         .unwrap();
-        let out = hash_aggregate(
+        let out = aggregate(
             &b,
             &[(Expr::col("k"), "k".into())],
             &[AggExpr {
@@ -544,7 +491,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let d = distinct(&b);
+        let d = distinct(&b, &mut HashStats::default()).unwrap();
         assert_eq!(d.num_rows(), 2);
     }
 }

@@ -64,9 +64,9 @@ pub struct ExecStats {
     pub seq_cache_misses: u64,
     /// Cleansed-sequence cache entries invalidated by appends.
     pub seq_cache_invalidations: u64,
-    /// Chunks emitted by streaming operators (0 when running fully
-    /// materialized, i.e. `chunk_rows == 0`). Deterministic for a fixed
-    /// chunk size: identical at any parallelism.
+    /// Chunks emitted by streaming operators (pipeline breakers count
+    /// none). Deterministic for a fixed chunk size: identical at any
+    /// parallelism.
     pub batches_processed: u64,
     /// Column gathers avoided because a filtering operator marked survivors
     /// with a selection vector instead of copying column data (one per
@@ -87,7 +87,7 @@ pub struct ExecStats {
     pub maintenance_fallbacks: u64,
     /// Per-value hash computations by the vectorized hash kernels (rows ×
     /// key columns across join build/probe, aggregation, DISTINCT, and
-    /// scatter merge). 0 on the row-wise oracle path.
+    /// scatter merge).
     pub hash_ops: u64,
     /// Full 64-bit hash matches whose normalized keys compared unequal —
     /// genuine collisions resolved by memcmp.
@@ -208,10 +208,9 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Execute a plan to a fully materialized batch: lower to a physical
-    /// operator tree, then run it — streaming 1024-row morsels through
-    /// pipelined operators when [`ExecOptions::chunk_rows`] > 0, fully
-    /// materialized otherwise.
+    /// Execute a plan to one flat batch: lower to a physical operator tree,
+    /// then drain its chunk stream ([`ExecOptions::chunk_rows`] rows at a
+    /// time).
     pub fn execute(&mut self, plan: &LogicalPlan) -> Result<Batch> {
         let physical = lower(plan, self.catalog)?;
         let mut ctx = ExecContext::with_budget(self.catalog, self.options, self.budget.clone());

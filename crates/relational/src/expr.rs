@@ -293,132 +293,11 @@ impl Expr {
     /// `ColumnData` types and run tight loops over native slices, honoring
     /// the batch's selection vector when one is present (only selected rows
     /// are evaluated — so error behavior matches a pre-compacted batch).
-    /// Type combinations without a kernel fall back to the per-row `Value`
-    /// path with identical semantics. [`Expr::evaluate_rowwise`] is the
-    /// retained `Value`-boxed oracle the property suite compares against.
+    /// Type combinations without a kernel fall back to a per-row `Value`
+    /// loop with identical semantics.
     pub fn evaluate(&self, batch: &Batch) -> Result<Column> {
         let mut ks = KernelStats::default();
         eval_vec(self, batch, batch.selection(), &mut ks)
-    }
-
-    /// The original per-row `Value`-boxing evaluator, kept verbatim as the
-    /// equivalence oracle for the typed kernels. Produces one value per
-    /// logical row (selected batches are compacted first).
-    pub fn evaluate_rowwise(&self, batch: &Batch) -> Result<Column> {
-        if !batch.is_flat() {
-            return self.evaluate_rowwise(&batch.flatten());
-        }
-        let n = batch.num_rows();
-        match self {
-            Expr::Column(c) => {
-                let i = batch.schema().index_of(c.qualifier.as_deref(), &c.name)?;
-                Ok(batch.column(i).clone())
-            }
-            Expr::Literal(v) => {
-                let dt = v.data_type().unwrap_or(DataType::Int);
-                let mut b = ColumnBuilder::new(dt, n);
-                for _ in 0..n {
-                    b.push(v)?;
-                }
-                Ok(b.finish())
-            }
-            Expr::Binary { left, op, right } => {
-                let l = left.evaluate_rowwise(batch)?;
-                let r = right.evaluate_rowwise(batch)?;
-                eval_binary_rowwise(&l, *op, &r, self)
-            }
-            Expr::Not(inner) => {
-                let c = inner.evaluate_rowwise(batch)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, n);
-                for i in 0..n {
-                    match c.value(i) {
-                        Value::Null => b.push_null(),
-                        Value::Bool(x) => b.push(&Value::Bool(!x))?,
-                        other => {
-                            return Err(Error::Execution(format!(
-                                "NOT applied to non-boolean {other}"
-                            )))
-                        }
-                    }
-                }
-                Ok(b.finish())
-            }
-            Expr::IsNull { expr, negated } => {
-                let c = expr.evaluate_rowwise(batch)?;
-                let mut b = ColumnBuilder::new(DataType::Bool, n);
-                for i in 0..n {
-                    let is_null = c.is_null(i);
-                    b.push(&Value::Bool(is_null != *negated))?;
-                }
-                Ok(b.finish())
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let set: HashSet<Value> = list.iter().cloned().collect();
-                eval_in_rowwise(&expr.evaluate_rowwise(batch)?, &set, *negated)
-            }
-            Expr::InSet {
-                expr, set, negated, ..
-            } => eval_in_rowwise(&expr.evaluate_rowwise(batch)?, set, *negated),
-            Expr::CountIf(_) => Err(Error::Plan(
-                "count(<predicate>) is only valid inside a cleansing rule \
-                 condition over a set reference"
-                    .into(),
-            )),
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                let dt = self.data_type(batch.schema())?;
-                let conds: Vec<Column> = branches
-                    .iter()
-                    .map(|(c, _)| c.evaluate_rowwise(batch))
-                    .collect::<Result<_>>()?;
-                let results: Vec<Column> = branches
-                    .iter()
-                    .map(|(_, r)| r.evaluate_rowwise(batch))
-                    .collect::<Result<_>>()?;
-                let else_col = else_expr
-                    .as_ref()
-                    .map(|e| e.evaluate_rowwise(batch))
-                    .transpose()?;
-                let mut b = ColumnBuilder::new(dt, n);
-                'row: for i in 0..n {
-                    for (c, r) in conds.iter().zip(&results) {
-                        if c.value(i).as_bool() == Some(true) {
-                            b.push(&r.value(i))?;
-                            continue 'row;
-                        }
-                    }
-                    match &else_col {
-                        Some(e) => b.push(&e.value(i))?,
-                        None => b.push_null(),
-                    }
-                }
-                Ok(b.finish())
-            }
-        }
-    }
-
-    /// Evaluate a predicate and return the indices of rows where it is TRUE.
-    pub fn filter_indices(&self, batch: &Batch) -> Result<Vec<usize>> {
-        let c = self.evaluate(batch)?;
-        if c.data_type() != DataType::Bool {
-            return Err(Error::Execution(format!(
-                "filter predicate produced {} not BOOLEAN",
-                c.data_type()
-            )));
-        }
-        let mut out = Vec::new();
-        for i in 0..c.len() {
-            if !c.is_null(i) && c.value(i).as_bool() == Some(true) {
-                out.push(i);
-            }
-        }
-        Ok(out)
     }
 
     /// All column references in this expression.
@@ -496,143 +375,6 @@ impl Expr {
             },
         };
         f(rebuilt)
-    }
-}
-
-fn eval_in_rowwise(c: &Column, set: &HashSet<Value>, negated: bool) -> Result<Column> {
-    let mut b = ColumnBuilder::new(DataType::Bool, c.len());
-    for i in 0..c.len() {
-        if c.is_null(i) {
-            b.push_null();
-        } else {
-            let hit = set.contains(&c.value(i));
-            b.push(&Value::Bool(hit != negated))?;
-        }
-    }
-    Ok(b.finish())
-}
-
-fn eval_binary_rowwise(l: &Column, op: BinaryOp, r: &Column, ctx: &Expr) -> Result<Column> {
-    let n = l.len();
-    if op.is_comparison() {
-        let mut b = ColumnBuilder::new(DataType::Bool, n);
-        for i in 0..n {
-            let lv = l.value(i);
-            let rv = r.value(i);
-            match lv.sql_cmp(&rv) {
-                None => b.push_null(),
-                Some(o) => {
-                    let t = match op {
-                        BinaryOp::Eq => o == std::cmp::Ordering::Equal,
-                        BinaryOp::NotEq => o != std::cmp::Ordering::Equal,
-                        BinaryOp::Lt => o == std::cmp::Ordering::Less,
-                        BinaryOp::LtEq => o != std::cmp::Ordering::Greater,
-                        BinaryOp::Gt => o == std::cmp::Ordering::Greater,
-                        BinaryOp::GtEq => o != std::cmp::Ordering::Less,
-                        _ => unreachable!(),
-                    };
-                    b.push(&Value::Bool(t))?;
-                }
-            }
-        }
-        return Ok(b.finish());
-    }
-    match op {
-        BinaryOp::And | BinaryOp::Or => {
-            let mut b = ColumnBuilder::new(DataType::Bool, n);
-            for i in 0..n {
-                let lv = if l.is_null(i) {
-                    None
-                } else {
-                    l.value(i).as_bool()
-                };
-                let rv = if r.is_null(i) {
-                    None
-                } else {
-                    r.value(i).as_bool()
-                };
-                // Kleene three-valued logic.
-                let out = if op == BinaryOp::And {
-                    match (lv, rv) {
-                        (Some(false), _) | (_, Some(false)) => Some(false),
-                        (Some(true), Some(true)) => Some(true),
-                        _ => None,
-                    }
-                } else {
-                    match (lv, rv) {
-                        (Some(true), _) | (_, Some(true)) => Some(true),
-                        (Some(false), Some(false)) => Some(false),
-                        _ => None,
-                    }
-                };
-                match out {
-                    Some(v) => b.push(&Value::Bool(v))?,
-                    None => b.push_null(),
-                }
-            }
-            Ok(b.finish())
-        }
-        BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Multiply | BinaryOp::Divide => {
-            let int_result = l.data_type() == DataType::Int
-                && r.data_type() == DataType::Int
-                && op != BinaryOp::Divide;
-            let dt = if int_result {
-                DataType::Int
-            } else {
-                DataType::Double
-            };
-            let mut b = ColumnBuilder::new(dt, n);
-            for i in 0..n {
-                let lv = l.value(i);
-                let rv = r.value(i);
-                if lv.is_null() || rv.is_null() {
-                    b.push_null();
-                    continue;
-                }
-                if int_result {
-                    let (x, y) = (lv.as_int().unwrap(), rv.as_int().unwrap());
-                    let out = match op {
-                        BinaryOp::Plus => x.checked_add(y),
-                        BinaryOp::Minus => x.checked_sub(y),
-                        BinaryOp::Multiply => x.checked_mul(y),
-                        _ => unreachable!(),
-                    };
-                    match out {
-                        Some(v) => b.push(&Value::Int(v))?,
-                        None => {
-                            return Err(Error::Execution(format!(
-                                "integer overflow evaluating {ctx}"
-                            )))
-                        }
-                    }
-                } else {
-                    let (x, y) = (
-                        lv.as_double().ok_or_else(|| {
-                            Error::Execution(format!("non-numeric operand {lv} in {ctx}"))
-                        })?,
-                        rv.as_double().ok_or_else(|| {
-                            Error::Execution(format!("non-numeric operand {rv} in {ctx}"))
-                        })?,
-                    );
-                    let out = match op {
-                        BinaryOp::Plus => x + y,
-                        BinaryOp::Minus => x - y,
-                        BinaryOp::Multiply => x * y,
-                        BinaryOp::Divide => {
-                            if y == 0.0 {
-                                b.push_null();
-                                continue;
-                            }
-                            x / y
-                        }
-                        _ => unreachable!(),
-                    };
-                    b.push(&Value::Double(out))?;
-                }
-            }
-            Ok(b.finish())
-        }
-        _ => Err(Error::Internal(format!("unhandled binary op {op}"))),
     }
 }
 
@@ -733,8 +475,7 @@ fn operand<'a>(
 }
 
 /// Vectorized evaluation core: produce a dense column with one entry per
-/// evaluated row (`sel` when present, else every batch row). Semantics are
-/// identical to [`Expr::evaluate_rowwise`] restricted to those rows.
+/// evaluated row (`sel` when present, else every batch row).
 fn eval_vec(
     expr: &Expr,
     batch: &Batch,
@@ -1326,6 +1067,11 @@ mod tests {
     use crate::batch::schema_ref;
     use crate::schema::Field;
 
+    /// Physical rows of `b` where `e` is TRUE, through [`filter_chunk`].
+    fn survivors(e: &Expr, b: &Batch) -> Vec<u32> {
+        filter_chunk(e, b).unwrap().selected
+    }
+
     fn batch() -> Batch {
         let schema = schema_ref(Schema::new(vec![
             Field::new("a", DataType::Int),
@@ -1350,7 +1096,7 @@ mod tests {
         let c = e.evaluate(&b).unwrap();
         assert_eq!(c.value(0), Value::Bool(true));
         assert!(c.is_null(1));
-        assert_eq!(e.filter_indices(&b).unwrap(), vec![0, 2]);
+        assert_eq!(survivors(&e, &b), vec![0, 2]);
     }
 
     #[test]
@@ -1360,12 +1106,12 @@ mod tests {
         let e = Expr::col("b")
             .gt(Expr::lit(5i64))
             .or(Expr::col("a").eq(Expr::lit(2i64)));
-        assert_eq!(e.filter_indices(&b).unwrap(), vec![0, 1, 2]);
+        assert_eq!(survivors(&e, &b), vec![0, 1, 2]);
         // (b > 5) AND (a = 2): row 1 has NULL AND TRUE = NULL -> filtered out
         let e = Expr::col("b")
             .gt(Expr::lit(5i64))
             .and(Expr::col("a").eq(Expr::lit(2i64)));
-        assert!(e.filter_indices(&b).unwrap().is_empty());
+        assert!(survivors(&e, &b).is_empty());
     }
 
     #[test]
@@ -1397,9 +1143,9 @@ mod tests {
             expr: Box::new(Expr::col("b")),
             negated: false,
         };
-        assert_eq!(e.filter_indices(&b).unwrap(), vec![1]);
+        assert_eq!(survivors(&e, &b), vec![1]);
         let e = Expr::Not(Box::new(Expr::col("s").eq(Expr::lit("x"))));
-        assert_eq!(e.filter_indices(&b).unwrap(), vec![1]);
+        assert_eq!(survivors(&e, &b), vec![1]);
     }
 
     #[test]
@@ -1410,7 +1156,7 @@ mod tests {
             list: vec![Value::str("x"), Value::str("z")],
             negated: false,
         };
-        assert_eq!(e.filter_indices(&b).unwrap(), vec![0, 2]);
+        assert_eq!(survivors(&e, &b), vec![0, 2]);
     }
 
     #[test]

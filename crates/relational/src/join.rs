@@ -11,8 +11,6 @@ use crate::error::{Error, Result};
 use crate::expr::Expr;
 use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
 use crate::physical::QueryBudget;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Rows between cooperative budget checkpoints inside the build and probe
@@ -38,25 +36,6 @@ impl std::fmt::Display for JoinType {
     }
 }
 
-/// Evaluate key expressions into per-row key tuples; `None` if any key part
-/// is NULL (such rows never join).
-fn key_rows(batch: &Batch, keys: &[Expr]) -> Result<Vec<Option<Vec<Value>>>> {
-    let cols: Vec<_> = keys
-        .iter()
-        .map(|k| k.evaluate(batch))
-        .collect::<Result<Vec<_>>>()?;
-    let n = batch.num_rows();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        if cols.iter().any(|c| c.is_null(i)) {
-            out.push(None);
-        } else {
-            out.push(Some(cols.iter().map(|c| c.value(i)).collect()));
-        }
-    }
-    Ok(out)
-}
-
 /// Work performed by one hash join: probe count (the historical counter)
 /// plus the hash-kernel counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -64,63 +43,6 @@ pub struct JoinWork {
     /// One per left row, NULL-keyed rows included.
     pub probes: u64,
     pub hash: HashStats,
-}
-
-/// Hash join two batches on equi-key expressions.
-///
-/// The hash table is always built on the right input (the caller puts the
-/// smaller/reference side on the right, as the planner does for dimension
-/// tables). Returns the joined batch and the number of probe comparisons,
-/// which the executor accumulates as a work counter.
-///
-/// Convenience wrapper over [`hash_join_with`]: unlimited budget, vectorized
-/// hash path.
-pub fn hash_join(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[Expr],
-    right_keys: &[Expr],
-    join_type: JoinType,
-) -> Result<(Batch, u64)> {
-    let (batch, work) = hash_join_with(
-        left,
-        right,
-        left_keys,
-        right_keys,
-        join_type,
-        &QueryBudget::unlimited(),
-        false,
-    )?;
-    Ok((batch, work.probes))
-}
-
-/// [`hash_join`] with a cooperative budget (checked every
-/// `BUDGET_CHECK_INTERVAL` rows inside both the build and probe loops) and
-/// an explicit path selector: `rowwise` runs the retained
-/// `HashMap<Vec<Value>, _>` oracle the property suite compares against,
-/// otherwise build and probe run on the vectorized kernels of
-/// [`crate::hash`].
-pub fn hash_join_with(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[Expr],
-    right_keys: &[Expr],
-    join_type: JoinType,
-    budget: &QueryBudget,
-    rowwise: bool,
-) -> Result<(Batch, JoinWork)> {
-    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
-        return Err(Error::Plan(format!(
-            "join requires matching non-empty key lists, got {} and {}",
-            left_keys.len(),
-            right_keys.len()
-        )));
-    }
-    if rowwise {
-        hash_join_rowwise(left, right, left_keys, right_keys, join_type, budget)
-    } else {
-        hash_join_vectorized(left, right, left_keys, right_keys, join_type, budget)
-    }
 }
 
 /// Assemble the inner-join output from gathered row indices.
@@ -133,11 +55,17 @@ fn emit_inner(left: &Batch, right: &Batch, li: &[usize], ri: &[usize]) -> Result
     Batch::new(schema, cols)
 }
 
-/// The vectorized path: normalized-key build table with CSR match lists
-/// (per-key build rows stay in ascending order, matching the oracle's
-/// insertion order), hash-first probe with memcmp only on candidate
-/// collision.
-fn hash_join_vectorized(
+/// Hash join two batches on equi-key expressions.
+///
+/// The hash table is always built on the right input (the caller puts the
+/// smaller/reference side on the right, as the planner does for dimension
+/// tables): a normalized-key build table ([`crate::hash`]) with CSR match
+/// lists — per-key build rows stay in ascending order, so matches come out
+/// in right-input order — probed hash-first, with a memcmp only on a
+/// candidate collision. `budget` is checked every `BUDGET_CHECK_INTERVAL`
+/// rows inside both the build and the probe loop. Returns the joined batch
+/// and the work performed.
+pub fn hash_join(
     left: &Batch,
     right: &Batch,
     left_keys: &[Expr],
@@ -145,6 +73,13 @@ fn hash_join_vectorized(
     join_type: JoinType,
     budget: &QueryBudget,
 ) -> Result<(Batch, JoinWork)> {
+    if left_keys.len() != right_keys.len() || left_keys.is_empty() {
+        return Err(Error::Plan(format!(
+            "join requires matching non-empty key lists, got {} and {}",
+            left_keys.len(),
+            right_keys.len()
+        )));
+    }
     let mut hash = HashStats::default();
     const NO_SLOT: u32 = u32::MAX;
 
@@ -236,74 +171,25 @@ fn hash_join_vectorized(
     Ok((batch, JoinWork { probes, hash }))
 }
 
-/// The retained `Vec<Value>` oracle path (equivalence baseline for the
-/// vectorized kernels), with the same cooperative budget checkpoints.
-fn hash_join_rowwise(
-    left: &Batch,
-    right: &Batch,
-    left_keys: &[Expr],
-    right_keys: &[Expr],
-    join_type: JoinType,
-    budget: &QueryBudget,
-) -> Result<(Batch, JoinWork)> {
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, key) in key_rows(right, right_keys)?.into_iter().enumerate() {
-        if i % BUDGET_CHECK_INTERVAL == 0 {
-            budget.check()?;
-        }
-        if let Some(k) = key {
-            table.entry(k).or_default().push(i);
-        }
-    }
-
-    let left_keys_eval = key_rows(left, left_keys)?;
-    let mut probes: u64 = 0;
-    let work = |probes| JoinWork {
-        probes,
-        hash: HashStats::default(),
-    };
-    match join_type {
-        JoinType::Inner => {
-            let mut li = Vec::new();
-            let mut ri = Vec::new();
-            for (i, key) in left_keys_eval.into_iter().enumerate() {
-                if i % BUDGET_CHECK_INTERVAL == 0 {
-                    budget.check()?;
-                }
-                probes += 1;
-                let Some(k) = key else { continue };
-                if let Some(matches) = table.get(&k) {
-                    for &m in matches {
-                        li.push(i);
-                        ri.push(m);
-                    }
-                }
-            }
-            Ok((emit_inner(left, right, &li, &ri)?, work(probes)))
-        }
-        JoinType::LeftSemi => {
-            let mut li = Vec::new();
-            for (i, key) in left_keys_eval.into_iter().enumerate() {
-                if i % BUDGET_CHECK_INTERVAL == 0 {
-                    budget.check()?;
-                }
-                probes += 1;
-                let Some(k) = key else { continue };
-                if table.contains_key(&k) {
-                    li.push(i);
-                }
-            }
-            Ok((left.take(&li), work(probes)))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::schema_ref;
     use crate::schema::{Field, Schema};
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
+
+    /// `hash_join` under an unlimited budget, returning the probe count.
+    fn join(
+        left: &Batch,
+        right: &Batch,
+        left_keys: &[Expr],
+        right_keys: &[Expr],
+        join_type: JoinType,
+    ) -> Result<(Batch, u64)> {
+        let budget = QueryBudget::unlimited();
+        let (batch, work) = hash_join(left, right, left_keys, right_keys, join_type, &budget)?;
+        Ok((batch, work.probes))
+    }
 
     fn reads() -> Batch {
         let schema = schema_ref(Schema::new(vec![
@@ -339,7 +225,7 @@ mod tests {
 
     #[test]
     fn inner_join_basics() {
-        let (out, _) = hash_join(
+        let (out, _) = join(
             &reads(),
             &locs(),
             &[Expr::col("c.biz_loc")],
@@ -362,7 +248,7 @@ mod tests {
         // e3 has NULL biz_loc; even a NULL on the right must not match it.
         let schema = schema_ref(Schema::new(vec![Field::new("gln", DataType::Str)]));
         let right = Batch::from_rows(schema, &[vec![Value::Null]]).unwrap();
-        let (out, _) = hash_join(
+        let (out, _) = join(
             &reads(),
             &right,
             &[Expr::col("c.biz_loc")],
@@ -379,7 +265,7 @@ mod tests {
         let schema = schema_ref(Schema::new(vec![Field::new("gln", DataType::Str)]));
         let right =
             Batch::from_rows(schema, &[vec![Value::str("l1")], vec![Value::str("l1")]]).unwrap();
-        let (out, _) = hash_join(
+        let (out, _) = join(
             &reads(),
             &right,
             &[Expr::col("c.biz_loc")],
@@ -410,7 +296,7 @@ mod tests {
             Field::new("d", DataType::Str),
         ]));
         let right = Batch::from_rows(schema_r, &[vec![Value::str("x"), Value::str("2")]]).unwrap();
-        let (out, _) = hash_join(
+        let (out, _) = join(
             &left,
             &right,
             &[Expr::col("a"), Expr::col("b")],
@@ -427,7 +313,7 @@ mod tests {
         let schema = schema_ref(Schema::new(vec![Field::new("gln", DataType::Str)]));
         let right =
             Batch::from_rows(schema, &[vec![Value::str("l1")], vec![Value::str("l1")]]).unwrap();
-        let (out, _) = hash_join(
+        let (out, _) = join(
             &reads(),
             &right,
             &[Expr::col("c.biz_loc")],
@@ -440,7 +326,7 @@ mod tests {
 
     #[test]
     fn empty_key_list_rejected() {
-        assert!(hash_join(&reads(), &locs(), &[], &[], JoinType::Inner).is_err());
+        assert!(join(&reads(), &locs(), &[], &[], JoinType::Inner).is_err());
     }
 
     /// A wide batch of `n` rows with int, str, and NULL-bearing key columns.
@@ -463,44 +349,27 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_path_matches_rowwise_oracle() {
+    fn probes_count_every_left_row_and_hash_work_is_recorded() {
         let budget = QueryBudget::unlimited();
         for jt in [JoinType::Inner, JoinType::LeftSemi] {
-            for (l, r) in [
-                (wide(200, 7, 3), wide(40, 0, 5)),
-                (wide(50, 0, 1), wide(50, 3, 1)),
-                (wide(0, 0, 1), wide(10, 0, 1)),
-            ] {
-                let keys = [Expr::col("k"), Expr::col("s")];
-                let (vb, vw) = hash_join_with(&l, &r, &keys, &keys, jt, &budget, false).unwrap();
-                let (ob, ow) = hash_join_with(&l, &r, &keys, &keys, jt, &budget, true).unwrap();
-                assert_eq!(vb.num_rows(), ob.num_rows(), "{jt}");
-                for i in 0..vb.num_rows() {
-                    assert_eq!(vb.row(i), ob.row(i), "{jt} row {i}");
-                }
-                assert_eq!(vw.probes, ow.probes, "{jt} probes");
-                assert!(vw.hash.hash_ops > 0);
-            }
+            let (l, r) = (wide(200, 7, 3), wide(40, 0, 5));
+            let keys = [Expr::col("k"), Expr::col("s")];
+            let (_, work) = hash_join(&l, &r, &keys, &keys, jt, &budget).unwrap();
+            assert_eq!(work.probes, 200, "{jt}: NULL-keyed rows are probed too");
+            assert!(work.hash.hash_ops > 0);
         }
     }
 
     #[test]
     fn expired_budget_aborts_inside_build_and_probe() {
         // An already-expired deadline must abort the join from inside its
-        // loops — both paths, both phases (the first checkpoint fires at
-        // row 0 of the build loop).
+        // loops (the first checkpoint fires at row 0 of the build loop).
         let budget = QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let l = wide(100, 0, 1);
         let r = wide(100, 0, 1);
         let keys = [Expr::col("k")];
-        for rowwise in [false, true] {
-            let err = hash_join_with(&l, &r, &keys, &keys, JoinType::Inner, &budget, rowwise)
-                .unwrap_err();
-            assert!(
-                matches!(err, Error::Aborted(_)),
-                "rowwise={rowwise}: {err:?}"
-            );
-        }
+        let err = hash_join(&l, &r, &keys, &keys, JoinType::Inner, &budget).unwrap_err();
+        assert!(matches!(err, Error::Aborted(_)), "{err:?}");
     }
 }

@@ -1,8 +1,7 @@
 //! Hash aggregation with GROUP BY.
 
-use super::{ExecContext, PhysicalOperator};
-use crate::agg::{hash_aggregate_with, AggExpr};
-use crate::batch::Batch;
+use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
+use crate::agg::{hash_aggregate, AggExpr};
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::hash::HashStats;
@@ -28,20 +27,14 @@ impl PhysicalOperator for PhysicalAggregate {
         vec![self.input.as_ref()]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let b = collect_input(self.input.as_ref(), ctx)?;
         // Each input row is hashed into a group once.
         ctx.metrics.add_comparisons(b.num_rows() as u64);
         let mut hash = HashStats::default();
-        let out = hash_aggregate_with(
-            &b,
-            &self.group_by,
-            &self.aggs,
-            ctx.options.rowwise_hash,
-            &mut hash,
-        )?;
+        let out = hash_aggregate(&b, &self.group_by, &self.aggs, &mut hash)?;
         ctx.stats.add_hash(&hash);
         ctx.metrics.add_hash(&hash);
-        Ok(out)
+        Ok(materialized(out))
     }
 }

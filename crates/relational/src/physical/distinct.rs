@@ -1,8 +1,7 @@
 //! Duplicate-row elimination.
 
-use super::{ExecContext, PhysicalOperator};
-use crate::agg::distinct_with;
-use crate::batch::Batch;
+use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
+use crate::agg::distinct;
 use crate::error::Result;
 use crate::hash::HashStats;
 
@@ -20,14 +19,14 @@ impl PhysicalOperator for PhysicalDistinct {
         vec![self.input.as_ref()]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let b = collect_input(self.input.as_ref(), ctx)?;
         // Each input row is hashed against the seen-set once.
         ctx.metrics.add_comparisons(b.num_rows() as u64);
         let mut hash = HashStats::default();
-        let out = distinct_with(&b, ctx.options.rowwise_hash, &mut hash)?;
+        let out = distinct(&b, &mut hash)?;
         ctx.stats.add_hash(&hash);
         ctx.metrics.add_hash(&hash);
-        Ok(out)
+        Ok(materialized(out))
     }
 }

@@ -1,10 +1,9 @@
 //! Inner hash join (build right, probe left).
 
-use super::{ExecContext, PhysicalOperator};
-use crate::batch::Batch;
+use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::join::{hash_join_with, JoinType};
+use crate::join::{hash_join, JoinType};
 
 #[derive(Debug)]
 pub struct PhysicalHashJoin {
@@ -33,22 +32,21 @@ impl PhysicalOperator for PhysicalHashJoin {
         vec![self.left.as_ref(), self.right.as_ref()]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let l = super::collect_input(self.left.as_ref(), ctx)?;
-        let r = super::collect_input(self.right.as_ref(), ctx)?;
-        let (out, work) = hash_join_with(
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let l = collect_input(self.left.as_ref(), ctx)?;
+        let r = collect_input(self.right.as_ref(), ctx)?;
+        let (out, work) = hash_join(
             &l,
             &r,
             &self.left_keys,
             &self.right_keys,
             JoinType::Inner,
             &ctx.budget,
-            ctx.options.rowwise_hash,
         )?;
         ctx.stats.join_probes += work.probes;
         ctx.stats.add_hash(&work.hash);
         ctx.metrics.add_comparisons(work.probes);
         ctx.metrics.add_hash(&work.hash);
-        Ok(out)
+        Ok(materialized(out))
     }
 }

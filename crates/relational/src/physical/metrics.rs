@@ -1,6 +1,6 @@
 //! Per-operator execution metrics — the observability backbone.
 //!
-//! Every [`PhysicalOperator`](super::PhysicalOperator) execution records one
+//! Every [`PhysicalOperator`](super::PhysicalOperator) that is opened records one
 //! [`OperatorMetrics`] node; nesting mirrors the operator tree, so an
 //! `EXPLAIN ANALYZE` rendering can annotate each plan node with exactly the
 //! work it did. Two kinds of quantities live side by side and must never be
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 
 /// Metrics for one executed physical operator, with children mirroring the
 /// operator tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OperatorMetrics {
     /// Operator name, e.g. `"WindowExec"`.
     pub name: String,
@@ -50,9 +50,9 @@ pub struct OperatorMetrics {
     pub segments_pruned: u64,
     /// Segments that survived pruning.
     pub segments_scanned: u64,
-    /// Chunks this operator emitted on the streaming path (0 when the
-    /// operator ran materialized). A pure function of plan + data +
-    /// chunk size: identical at any parallelism.
+    /// Chunks this operator streamed (0 for pipeline breakers, whose output
+    /// is computed whole when they are opened). A pure function of plan +
+    /// data + chunk size: identical at any parallelism.
     pub batches_processed: u64,
     /// Column gathers skipped because a filter marked survivors with a
     /// selection vector instead of copying column data (one per column per
@@ -255,45 +255,44 @@ impl OperatorMetrics {
     }
 }
 
-/// Addressable handle for an open metrics frame, returned by
-/// [`MetricsCollector::enter`]. Streaming operators hold their frame's id so
-/// interleaved `next_chunk` calls can record work against the right node —
-/// the innermost-frame `add_*` methods would misattribute it (while a
-/// pipeline streams, the stack holds every operator in the pipeline, with
-/// the source on top).
+/// Handle for an operator's metrics frame, returned by
+/// [`MetricsCollector::enter`] and passed back to
+/// [`MetricsCollector::resume`] each time the operator runs again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameId(u64);
+pub struct FrameId(usize);
 
-/// One operator frame while its `execute` is on the stack.
+/// One operator's frame: its counters so far and where it hangs in the tree.
 #[derive(Debug)]
-struct PendingNode {
-    id: u64,
-    name: &'static str,
-    label: String,
+struct Frame {
+    /// The frame that was current when this one was entered.
+    parent: Option<usize>,
     /// Explicitly recorded input rows (scans); defaults to the sum of the
     /// children's `rows_out` when absent.
     rows_in: Option<u64>,
-    comparisons: u64,
-    partitions: u64,
-    segments_total: u64,
-    segments_pruned: u64,
-    segments_scanned: u64,
-    batches_processed: u64,
-    selection_avoided_copies: u64,
-    hash: HashStats,
-    children: Vec<OperatorMetrics>,
+    /// Counters recorded so far; `children` is filled in by `finish`.
+    node: OperatorMetrics,
 }
 
-/// Builds the [`OperatorMetrics`] tree as operators execute. The
-/// instrumented [`PhysicalOperator::execute`](super::PhysicalOperator::execute)
-/// wrapper drives `enter`/`exit`; operator bodies record their own work
-/// through the `add_*` methods, which always target the innermost frame —
-/// the operator currently executing.
+/// Builds the [`OperatorMetrics`] tree as operators execute.
+///
+/// The collector keeps every frame of the plan and one *current* frame —
+/// the operator whose body is running. [`enter`](Self::enter) opens a frame
+/// under the current one and makes it current; [`exit`](Self::exit) charges
+/// it the rows and wall-clock of the call that just ended and hands control
+/// back to its parent; [`resume`](Self::resume) makes an already entered
+/// frame current again, which is how a streaming operator, pulled chunk by
+/// chunk between its parent's and its child's calls, keeps recording into
+/// its own node. All three are driven by the one instrumented stream wrapper
+/// ([`OpStream`](super::OpStream)); operator bodies only call the `add_*`
+/// methods, which always target the current frame. Because a frame belongs
+/// to the tree from the moment it is entered, a failed or abandoned subtree
+/// is still attached — there is no unwinding to get wrong.
 #[derive(Debug, Default)]
 pub struct MetricsCollector {
-    stack: Vec<PendingNode>,
-    root: Option<OperatorMetrics>,
-    next_id: u64,
+    /// Frames in enter order, so a parent always precedes its children and
+    /// siblings appear in execution order.
+    frames: Vec<Frame>,
+    current: Option<usize>,
 }
 
 impl MetricsCollector {
@@ -301,128 +300,129 @@ impl MetricsCollector {
         MetricsCollector::default()
     }
 
-    /// Open a frame for an operator about to execute (or stream). The
-    /// returned id addresses this frame until its matching `exit`.
+    /// Open a frame for an operator about to run, as a child of the current
+    /// frame, and make it current.
     pub fn enter(&mut self, name: &'static str, label: String) -> FrameId {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.stack.push(PendingNode {
-            id,
-            name,
-            label,
+        let id = self.frames.len();
+        self.frames.push(Frame {
+            parent: self.current,
             rows_in: None,
-            comparisons: 0,
-            partitions: 0,
-            segments_total: 0,
-            segments_pruned: 0,
-            segments_scanned: 0,
-            batches_processed: 0,
-            selection_avoided_copies: 0,
-            hash: HashStats::default(),
-            children: Vec::new(),
+            node: OperatorMetrics {
+                name: name.to_string(),
+                label,
+                ..OperatorMetrics::default()
+            },
         });
+        self.current = Some(id);
         FrameId(id)
     }
 
-    /// Close the innermost frame, attaching it to its parent (or making it
-    /// the root). `rows_out` is 0 when the operator failed.
+    /// Make an entered frame current again for another call into its
+    /// operator (paired with the `exit` that ends the call).
+    pub fn resume(&mut self, frame: FrameId) {
+        self.current = Some(frame.0);
+    }
+
+    /// End the current frame's call: add the rows it produced (0 when it
+    /// failed) and its inclusive wall-clock, then make its parent current.
     pub fn exit(&mut self, rows_out: u64, wall_nanos: u64) {
-        let Some(node) = self.stack.pop() else {
+        let Some(frame) = self.current_mut() else {
             debug_assert!(false, "MetricsCollector::exit without matching enter");
             return;
         };
-        let rows_in = node
-            .rows_in
-            .unwrap_or_else(|| node.children.iter().map(|c| c.rows_out).sum());
-        let done = OperatorMetrics {
-            name: node.name.to_string(),
-            label: node.label,
-            rows_in,
-            rows_out,
-            comparisons: node.comparisons,
-            partitions: node.partitions,
-            segments_total: node.segments_total,
-            segments_pruned: node.segments_pruned,
-            segments_scanned: node.segments_scanned,
-            batches_processed: node.batches_processed,
-            selection_avoided_copies: node.selection_avoided_copies,
-            hash_ops: node.hash.hash_ops,
-            hash_collisions: node.hash.hash_collisions,
-            probe_memcmps: node.hash.probe_memcmps,
-            key_bytes_encoded: node.hash.key_bytes_encoded,
-            wall_nanos,
-            children: node.children,
-        };
-        match self.stack.last_mut() {
-            Some(parent) => parent.children.push(done),
-            None => self.root = Some(done),
-        }
+        frame.node.rows_out += rows_out;
+        frame.node.wall_nanos += wall_nanos;
+        self.current = frame.parent;
+    }
+
+    fn current_mut(&mut self) -> Option<&mut Frame> {
+        self.current.map(|i| &mut self.frames[i])
     }
 
     /// Record elementary work units against the operator currently executing.
     pub fn add_comparisons(&mut self, n: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.comparisons += n;
+        if let Some(f) = self.current_mut() {
+            f.node.comparisons += n;
         }
     }
 
     /// Record hash-kernel work against the operator currently executing.
     pub fn add_hash(&mut self, h: &HashStats) {
-        if let Some(top) = self.stack.last_mut() {
-            top.hash.merge(h);
+        if let Some(f) = self.current_mut() {
+            f.node.hash_ops += h.hash_ops;
+            f.node.hash_collisions += h.hash_collisions;
+            f.node.probe_memcmps += h.probe_memcmps;
+            f.node.key_bytes_encoded += h.key_bytes_encoded;
         }
     }
 
     /// Record window partitions against the operator currently executing.
     pub fn add_partitions(&mut self, n: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.partitions += n;
+        if let Some(f) = self.current_mut() {
+            f.node.partitions += n;
         }
     }
 
     /// Record the rows a leaf operator fetched itself (overrides the
     /// children-sum default for `rows_in`).
     pub fn set_rows_in(&mut self, n: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.rows_in = Some(n);
+        if let Some(f) = self.current_mut() {
+            f.rows_in = Some(n);
         }
     }
 
     /// Record a zone-map pruning decision against the operator currently
     /// executing (scans only).
     pub fn add_segments(&mut self, total: u64, pruned: u64, scanned: u64) {
-        if let Some(top) = self.stack.last_mut() {
-            top.segments_total += total;
-            top.segments_pruned += pruned;
-            top.segments_scanned += scanned;
+        if let Some(f) = self.current_mut() {
+            f.node.segments_total += total;
+            f.node.segments_pruned += pruned;
+            f.node.segments_scanned += scanned;
         }
     }
 
-    fn frame_mut(&mut self, id: FrameId) -> Option<&mut PendingNode> {
-        self.stack.iter_mut().rev().find(|n| n.id == id.0)
-    }
-
-    /// Record elementary work units against a specific open frame — used by
-    /// streaming operators whose frames are not the innermost while the
-    /// pipeline runs.
-    pub fn add_comparisons_to(&mut self, id: FrameId, n: u64) {
-        if let Some(f) = self.frame_mut(id) {
-            f.comparisons += n;
+    /// Record one chunk emitted by the operator currently executing.
+    pub fn add_chunk(&mut self) {
+        if let Some(f) = self.current_mut() {
+            f.node.batches_processed += 1;
         }
     }
 
-    /// Record one emitted chunk (and any column gathers it avoided by
-    /// carrying a selection vector) against a specific open frame.
-    pub fn record_chunk(&mut self, id: FrameId, avoided_copies: u64) {
-        if let Some(f) = self.frame_mut(id) {
-            f.batches_processed += 1;
-            f.selection_avoided_copies += avoided_copies;
+    /// Record column gathers the operator currently executing avoided by
+    /// marking survivors with a selection vector.
+    pub fn add_avoided_copies(&mut self, n: u64) {
+        if let Some(f) = self.current_mut() {
+            f.node.selection_avoided_copies += n;
         }
     }
 
-    /// The completed tree (the last fully executed root operator).
+    /// The tree recorded so far, rooted at the first frame entered; `None`
+    /// if no operator was ever entered.
     pub fn finish(self) -> Option<OperatorMetrics> {
-        self.root
+        let mut frames: Vec<Option<Frame>> = self.frames.into_iter().map(Some).collect();
+        let mut root = None;
+        // Children follow their parent, so walking backwards completes every
+        // node before it is attached.
+        for i in (0..frames.len()).rev() {
+            let Frame {
+                parent,
+                rows_in,
+                mut node,
+            } = frames[i].take().expect("each frame is attached once");
+            node.children.reverse();
+            node.rows_in =
+                rows_in.unwrap_or_else(|| node.children.iter().map(|c| c.rows_out).sum());
+            match parent {
+                Some(p) => frames[p]
+                    .as_mut()
+                    .expect("a parent is entered before its children")
+                    .node
+                    .children
+                    .push(node),
+                None => root = Some(node),
+            }
+        }
+        root
     }
 }
 
@@ -516,5 +516,47 @@ mod tests {
         let m = c.finish().unwrap();
         assert_eq!(m.children.len(), 1);
         assert_eq!(m.rows_out, 0);
+    }
+
+    #[test]
+    fn abandoned_frames_still_form_a_tree() {
+        // A parent whose open failed after its child was opened never pulls
+        // or exits that child again; the child is attached all the same.
+        let mut c = MetricsCollector::new();
+        c.enter("ProjectExec", "ProjectExec".into());
+        c.enter("ScanExec", "ScanExec".into());
+        c.exit(0, 5);
+        let m = c.finish().unwrap();
+        assert_eq!(m.name, "ProjectExec");
+        assert_eq!(m.children.len(), 1);
+        assert_eq!(m.children[0].wall_nanos, 5);
+    }
+
+    #[test]
+    fn resumed_frames_accumulate_interleaved_calls() {
+        // A two-operator pipeline pulled twice: each call resumes the
+        // operator's own frame, so work lands on the right node even though
+        // the calls interleave.
+        let mut c = MetricsCollector::new();
+        let filter = c.enter("FilterExec", "FilterExec".into());
+        let scan = c.enter("ScanExec", "ScanExec".into());
+        c.exit(0, 1); // scan opened
+        c.exit(0, 2); // filter opened
+        for rows in [3, 4] {
+            c.resume(filter);
+            c.resume(scan);
+            c.add_chunk();
+            c.exit(10, 1);
+            c.add_comparisons(10); // back in the filter's frame
+            c.add_chunk();
+            c.exit(rows, 2);
+        }
+        let m = c.finish().unwrap();
+        assert_eq!((m.rows_in, m.rows_out, m.comparisons), (20, 7, 20));
+        assert_eq!(m.batches_processed, 2);
+        assert_eq!(m.wall_nanos, 6);
+        let s = &m.children[0];
+        assert_eq!((s.rows_out, s.comparisons, s.batches_processed), (20, 0, 2));
+        assert_eq!(s.wall_nanos, 3);
     }
 }

@@ -21,6 +21,30 @@
 //! the execution options, the deterministic work counters, and a separate
 //! wall-clock channel for window evaluation (timings may differ across
 //! parallelism; counters must not).
+//!
+//! # Operator contract
+//!
+//! There is one way to run an operator: [`open_stream`] it and pull
+//! [`OpStream::next_chunk`] until it returns `None`; dropping the stream
+//! releases it. [`open_stream`] and [`OpStream`] are the only code that
+//! checks the [`QueryBudget`], owns the operator's metrics frame, measures
+//! its inclusive wall-clock, charges emitted rows to the row budget and
+//! counts chunks — an operator's [`PhysicalOperator::open`] and its
+//! [`ChunkStream::next_chunk`] contain only the operator's own work and
+//! record it with the collector's `add_*` methods, which land in that
+//! operator's frame because the wrapper made it current. Operators come in
+//! two kinds:
+//!
+//! * **streaming** (scan, filter, project, limit, alias): `open` opens the
+//!   child and returns a stream that transforms one pulled chunk at a time;
+//! * **pipeline breakers** (sort, window, joins, aggregate, distinct,
+//!   union): `open` drains its inputs with [`collect_input`], computes the
+//!   whole output and returns it as [`materialized`], which serves zero-copy
+//!   slices. A breaker's rows are charged to the row budget when it is
+//!   opened — the work is done by then — and it counts no chunks.
+//!
+//! [`ExecOptions::chunk_rows`] only sets how many rows a chunk may carry;
+//! `0` means one unbounded chunk through the same streams.
 
 pub mod aggregate;
 pub mod distinct;
@@ -43,6 +67,7 @@ pub use metrics::{DeterministicMetrics, FrameId, MetricsCollector, OperatorMetri
 use crate::batch::Batch;
 use crate::error::{AbortReason, Error, Result};
 use crate::exec::ExecStats;
+use crate::schema::SchemaRef;
 use crate::table::Catalog;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -142,19 +167,12 @@ pub struct ExecOptions {
     /// cleansing window path). `1` means serial. Parallelism never changes
     /// results or work counters — only wall-clock.
     pub parallelism: usize,
-    /// Morsel size for the streaming [`ChunkStream`] pipeline: streaming
-    /// operators pull batches of at most this many rows. `0` disables
-    /// streaming entirely — every operator materializes through
-    /// [`PhysicalOperator::execute`], which is the equivalence oracle the
-    /// vectorized path is tested against. Chunk size never changes results
-    /// or deterministic counters other than `batches_processed` /
-    /// `selection_avoided_copies` (which count chunks, not rows).
+    /// Morsel size of the [`ChunkStream`] pipeline: every stream hands out
+    /// batches of at most this many rows; `0` means one unbounded chunk.
+    /// Chunk size never changes results or deterministic counters other
+    /// than `batches_processed` / `selection_avoided_copies` (which count
+    /// chunks, not rows).
     pub chunk_rows: usize,
-    /// Run hash-keyed operators (join, aggregation, DISTINCT) on the
-    /// retained row-wise `Vec<Value>` path instead of the vectorized hash
-    /// kernels. The equivalence oracle for the property suite — results are
-    /// identical; the hash-kernel counters simply stay 0.
-    pub rowwise_hash: bool,
 }
 
 /// Default morsel size for the streaming pipeline (rows per chunk).
@@ -165,7 +183,6 @@ impl Default for ExecOptions {
         ExecOptions {
             parallelism: 1,
             chunk_rows: DEFAULT_CHUNK_ROWS,
-            rowwise_hash: false,
         }
     }
 }
@@ -178,15 +195,9 @@ impl ExecOptions {
         }
     }
 
-    /// Override the streaming morsel size (`0` = fully materialized).
+    /// Override the morsel size (`0` = one unbounded chunk).
     pub fn with_chunk_rows(mut self, chunk_rows: usize) -> Self {
         self.chunk_rows = chunk_rows;
-        self
-    }
-
-    /// Select the row-wise `Vec<Value>` hash path (the equivalence oracle).
-    pub fn with_rowwise_hash(mut self, rowwise: bool) -> Self {
-        self.rowwise_hash = rowwise;
         self
     }
 }
@@ -202,11 +213,10 @@ pub struct ExecContext<'a> {
     /// with parallelism, counters must not.
     pub window_eval_nanos: u64,
     /// Per-operator metrics tree under construction (see
-    /// [`metrics::MetricsCollector`]); driven by the instrumented
-    /// [`PhysicalOperator::execute`] wrapper around every operator.
+    /// [`metrics::MetricsCollector`]); frames are driven by [`OpStream`].
     pub metrics: MetricsCollector,
-    /// Per-query robustness budget, checked by the instrumented
-    /// [`PhysicalOperator::execute`] wrapper at every operator boundary.
+    /// Per-query robustness budget, checked by [`OpStream`] at every
+    /// operator boundary.
     pub budget: QueryBudget,
     /// Cumulative rows emitted by operators this execution — the quantity
     /// [`QueryBudget::row_limit`] bounds.
@@ -230,24 +240,29 @@ impl<'a> ExecContext<'a> {
             rows_emitted: 0,
         }
     }
+
+    /// Record column gathers a filtering operator avoided by marking a
+    /// chunk's survivors with a selection vector.
+    pub fn record_avoided_copies(&mut self, n: u64) {
+        self.stats.selection_avoided_copies += n;
+        self.metrics.add_avoided_copies(n);
+    }
 }
 
-/// A fully-lowered physical operator: executes to a materialized batch.
+/// A fully-lowered physical operator.
 ///
-/// Contract:
-/// * `execute_op` materializes this operator's full output, recursively
-///   executing children (via their instrumented [`execute`]); all work is
-///   accounted in `ctx.stats` using the same counter semantics at any
+/// * [`open`](PhysicalOperator::open) is the operator body and its only
+///   execution method; it is called by [`open_stream`] and by nothing else
+///   (see the module-level *Operator contract*). All work
+///   is accounted in `ctx.stats` using the same counter semantics at any
 ///   `ctx.options.parallelism`, and node-local work (comparisons,
-///   partitions) additionally into `ctx.metrics` against the current frame.
+///   partitions) additionally into `ctx.metrics`.
 /// * Operators perform no plan-level decisions at runtime — what to do
 ///   (index bounds, sort placement, projections) was fixed by `lower()`;
 ///   only data-dependent choices (e.g. *which* candidate index bound is
 ///   most selective on the actual table) remain.
 /// * `children` exposes the operator tree for display/inspection and must
-///   match the inputs `execute_op` consumes.
-///
-/// [`execute`]: PhysicalOperator::execute
+///   match the inputs `open` consumes.
 pub trait PhysicalOperator: std::fmt::Debug {
     /// Operator name for plan rendering, e.g. `"WindowExec"`.
     fn name(&self) -> &'static str;
@@ -260,154 +275,164 @@ pub trait PhysicalOperator: std::fmt::Debug {
     /// Child operators, in execution order.
     fn children(&self) -> Vec<&dyn PhysicalOperator>;
 
-    /// Operator body: execute to a fully materialized batch. Implementations
-    /// recurse through the children's `execute`, never `execute_op`.
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch>;
-
-    /// Instrumented entry point: checks the query budget (cancellation and
-    /// deadline) before running, opens a [`metrics::MetricsCollector`]
-    /// frame, runs [`execute_op`](PhysicalOperator::execute_op), closes
-    /// the frame with the produced row count and the operator's inclusive
-    /// wall-clock, and finally charges the produced rows against the row
-    /// budget. A tripped budget unwinds with [`Error::Aborted`]; parent
-    /// frames are closed on the way out, so metrics stay balanced and no
-    /// partial batch escapes. Callers (the executor and parent operators)
-    /// always go through this; operators implement `execute_op`.
-    fn execute(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        ctx.budget.check()?;
-        ctx.metrics.enter(self.name(), self.label());
-        let start = Instant::now();
-        let result = self.execute_op(ctx);
-        let nanos = start.elapsed().as_nanos() as u64;
-        let rows_out = result.as_ref().map(|b| b.num_rows() as u64).unwrap_or(0);
-        ctx.metrics.exit(rows_out, nanos);
-        ctx.rows_emitted += rows_out;
-        if result.is_ok() {
-            ctx.budget.check_rows(ctx.rows_emitted)?;
-        }
-        result
-    }
-
-    /// Streaming entry point: open a pull-based [`ChunkStream`] over this
-    /// operator's output. The default falls back to the materialized
-    /// [`execute`](PhysicalOperator::execute) (budget charging and metrics
-    /// included) and serves the result back in `ctx.options.chunk_rows`
-    /// slices; streaming operators (scan, filter, project, limit, alias)
-    /// override it to pull morsels end-to-end without materializing.
-    ///
-    /// Contract for native implementations:
-    /// * `open_chunks` checks the budget, enters this operator's metrics
-    ///   frame (before opening children, so frames nest outer→inner), and
-    ///   does any one-time setup.
-    /// * `next_chunk` checks the budget, pulls/produces at most
-    ///   `chunk_rows` logical rows, records per-chunk work against the
-    ///   operator's [`metrics::FrameId`], and charges emitted rows against
-    ///   the row budget.
-    /// * `close` closes children first, then exits this operator's frame
-    ///   with its accumulated rows and inclusive wall-clock — frames pop
-    ///   LIFO, so the metrics tree is identical in shape to the
-    ///   materialized path's.
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        let batch = self.execute(ctx)?;
-        Ok(Box::new(MaterializedStream::new(
-            batch,
-            ctx.options.chunk_rows,
-        )))
-    }
+    /// Operator body: open the children (through [`open_stream`] or
+    /// [`collect_input`]), do any one-time work, and return the stream of
+    /// this operator's output.
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>>;
 }
 
-/// A pull-based stream of row chunks ("morsels") from a physical operator.
+/// The body of a pull-based stream of row chunks ("morsels") from a
+/// physical operator, wrapped in an [`OpStream`] by [`open_stream`].
 ///
 /// Chunks carry at most [`ExecOptions::chunk_rows`] logical rows and may
 /// carry a selection vector (see [`Batch::selection`]) — consumers must go
 /// through the logical-row APIs (`num_rows`, `row`, `take`, `flatten`) or
-/// honor the selection explicitly. `next_chunk` returning `Ok(None)` means
-/// the stream is exhausted; `close` must be called exactly once (including
-/// after an error) so metrics frames stay balanced.
+/// honor the selection explicitly.
 pub trait ChunkStream {
     /// Output schema, available before the first chunk.
-    fn schema(&self) -> crate::schema::SchemaRef;
+    fn schema(&self) -> SchemaRef;
 
-    /// Pull the next chunk, or `None` when exhausted.
+    /// Produce the next chunk, or `None` when exhausted.
     fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>>;
 
-    /// Release the stream: close children, then exit this operator's
-    /// metrics frame. Idempotence is not required — call exactly once.
-    fn close(&mut self, ctx: &mut ExecContext<'_>);
+    /// `Some(rows)` when the whole output was computed before the stream was
+    /// returned — what makes an operator a pipeline breaker. Only
+    /// [`materialized`] answers `Some`.
+    fn precomputed_rows(&self) -> Option<u64> {
+        None
+    }
 }
 
-/// Fallback stream over an already-materialized batch: serves zero-copy
-/// [`Batch::slice`] windows of `chunk_rows` rows. Does not re-charge the
-/// row budget (the materializing `execute` already did) and owns no
-/// metrics frame (ditto).
-pub struct MaterializedStream {
-    batch: Batch,
-    chunk_rows: usize,
-    pos: usize,
+/// The next zero-copy slice of `batch` from `*pos`: at most `chunk_rows`
+/// rows, or all remaining rows when `chunk_rows` is 0.
+pub(crate) fn next_slice(batch: &Batch, pos: &mut usize, chunk_rows: usize) -> Option<Batch> {
+    let left = batch.num_rows() - *pos;
+    if left == 0 {
+        return None;
+    }
+    let len = if chunk_rows == 0 {
+        left
+    } else {
+        chunk_rows.min(left)
+    };
+    let chunk = batch.slice(*pos, len);
+    *pos += len;
+    Some(chunk)
 }
 
-impl MaterializedStream {
-    pub fn new(batch: Batch, chunk_rows: usize) -> Self {
-        MaterializedStream {
-            batch,
-            chunk_rows,
-            pos: 0,
+/// A pipeline breaker's output stream: the batch it computed while opening,
+/// served as zero-copy [`Batch::slice`] windows.
+pub fn materialized<'a>(batch: Batch) -> Box<dyn ChunkStream + 'a> {
+    struct Materialized {
+        batch: Batch,
+        pos: usize,
+    }
+
+    impl ChunkStream for Materialized {
+        fn schema(&self) -> SchemaRef {
+            self.batch.schema().clone()
+        }
+
+        fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+            Ok(next_slice(
+                &self.batch,
+                &mut self.pos,
+                ctx.options.chunk_rows,
+            ))
+        }
+
+        fn precomputed_rows(&self) -> Option<u64> {
+            Some(self.batch.num_rows() as u64)
         }
     }
+
+    Box::new(Materialized { batch, pos: 0 })
 }
 
-impl ChunkStream for MaterializedStream {
-    fn schema(&self) -> crate::schema::SchemaRef {
-        self.batch.schema().clone()
+/// An opened operator: its [`ChunkStream`] body plus all the bookkeeping
+/// every operator shares. Created by [`open_stream`]; dropping it releases
+/// the operator.
+pub struct OpStream<'a> {
+    body: Box<dyn ChunkStream + 'a>,
+    frame: FrameId,
+    /// Rows are charged and chunks counted as they are pulled; false for a
+    /// pipeline breaker, which was charged in full when opened.
+    streaming: bool,
+}
+
+/// Open `op` for execution: check the budget (cancellation and deadline),
+/// enter the operator's metrics frame, run its [`PhysicalOperator::open`]
+/// and time it. A pipeline breaker's rows are charged to the row budget
+/// here. A tripped budget unwinds with [`Error::Aborted`]; no partial batch
+/// escapes.
+pub fn open_stream<'a>(
+    op: &'a dyn PhysicalOperator,
+    ctx: &mut ExecContext<'_>,
+) -> Result<OpStream<'a>> {
+    ctx.budget.check()?;
+    let frame = ctx.metrics.enter(op.name(), op.label());
+    let start = Instant::now();
+    let opened = op.open(ctx);
+    let precomputed = opened.as_ref().ok().and_then(|s| s.precomputed_rows());
+    ctx.metrics
+        .exit(precomputed.unwrap_or(0), start.elapsed().as_nanos() as u64);
+    let body = opened?;
+    if let Some(rows) = precomputed {
+        ctx.rows_emitted += rows;
+        ctx.budget.check_rows(ctx.rows_emitted)?;
+    }
+    Ok(OpStream {
+        body,
+        frame,
+        streaming: precomputed.is_none(),
+    })
+}
+
+impl OpStream<'_> {
+    /// Output schema, available before the first chunk.
+    pub fn schema(&self) -> SchemaRef {
+        self.body.schema()
     }
 
-    fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
+    /// Pull the next chunk, or `None` when exhausted: check the budget, make
+    /// the operator's frame current, run its body and time it, then count
+    /// the chunk and charge its rows to the row budget.
+    pub fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
         ctx.budget.check()?;
-        let total = self.batch.num_rows();
-        if self.pos >= total {
-            return Ok(None);
-        }
-        let len = if self.chunk_rows == 0 {
-            total - self.pos
-        } else {
-            self.chunk_rows.min(total - self.pos)
+        ctx.metrics.resume(self.frame);
+        let start = Instant::now();
+        let pulled = self.body.next_chunk(ctx);
+        let emitted = match &pulled {
+            Ok(Some(chunk)) if self.streaming => Some(chunk.num_rows() as u64),
+            _ => None,
         };
-        let chunk = self.batch.slice(self.pos, len);
-        self.pos += len;
-        Ok(Some(chunk))
+        if let Some(rows) = emitted {
+            ctx.metrics.add_chunk();
+            ctx.stats.batches_processed += 1;
+            ctx.rows_emitted += rows;
+        }
+        ctx.metrics
+            .exit(emitted.unwrap_or(0), start.elapsed().as_nanos() as u64);
+        let chunk = pulled?;
+        if emitted.is_some() {
+            ctx.budget.check_rows(ctx.rows_emitted)?;
+        }
+        Ok(chunk)
     }
-
-    fn close(&mut self, _ctx: &mut ExecContext<'_>) {}
 }
 
-/// Drain an operator's full output, streaming when the pipeline is enabled.
+/// Drain an operator's full output into one flat batch.
 ///
-/// This is how pipeline-breakers (sort, joins, aggregate, distinct, union,
-/// window) and the executor root consume their inputs: with
-/// `chunk_rows == 0` it is exactly the materialized `execute` (the
-/// equivalence oracle); otherwise it pulls the child's chunk stream dry and
-/// compacts the parts into one flat batch.
+/// This is how pipeline breakers and the executor root consume their
+/// inputs.
 pub fn collect_input(op: &dyn PhysicalOperator, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-    if ctx.options.chunk_rows == 0 {
-        return op.execute(ctx);
-    }
-    let mut stream = op.open_chunks(ctx)?;
-    let schema = stream.schema();
+    let mut stream = open_stream(op, ctx)?;
     let mut parts: Vec<Batch> = Vec::new();
-    loop {
-        match stream.next_chunk(ctx) {
-            Ok(Some(chunk)) => parts.push(chunk),
-            Ok(None) => break,
-            Err(e) => {
-                // Close before unwinding so metrics frames stay balanced.
-                stream.close(ctx);
-                return Err(e);
-            }
-        }
+    while let Some(chunk) = stream.next_chunk(ctx)? {
+        parts.push(chunk);
     }
-    stream.close(ctx);
     match parts.len() {
-        0 => Ok(Batch::empty(schema)),
+        0 => Ok(Batch::empty(stream.schema())),
         1 => Ok(parts.pop().expect("one part").flatten()),
         _ => Batch::concat(&parts),
     }

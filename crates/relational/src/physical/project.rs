@@ -1,13 +1,11 @@
 //! Expression projection with output aliases.
 
-use super::metrics::FrameId;
-use super::{ChunkStream, ExecContext, PhysicalOperator};
+use super::{open_stream, ChunkStream, ExecContext, OpStream, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::schema::{Field, Schema, SchemaRef};
 use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Debug)]
 pub struct PhysicalProject {
@@ -33,43 +31,19 @@ impl PhysicalOperator for PhysicalProject {
         vec![self.input.as_ref()]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = self.input.execute(ctx)?;
-        // One expression-evaluation pass per input row.
-        ctx.metrics.add_comparisons(b.num_rows() as u64);
-        self.project(&b)
-    }
-
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        ctx.budget.check()?;
-        let id = ctx.metrics.enter(self.name(), self.label());
-        let start = Instant::now();
-        let child = match self.input.open_chunks(ctx) {
-            Ok(c) => c,
-            Err(e) => {
-                ctx.metrics.exit(0, start.elapsed().as_nanos() as u64);
-                return Err(e);
-            }
-        };
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let child = open_stream(self.input.as_ref(), ctx)?;
         // Output types are a pure function of expression + input schema, so
         // projecting a zero-row batch yields the stream's schema through the
         // exact code path every chunk takes.
-        let schema = match self.project(&Batch::empty(child.schema())) {
-            Ok(b) => b.schema().clone(),
-            Err(e) => {
-                let mut child = child;
-                child.close(ctx);
-                ctx.metrics.exit(0, start.elapsed().as_nanos() as u64);
-                return Err(e);
-            }
-        };
+        let schema = self
+            .project(&Batch::empty(child.schema()))?
+            .schema()
+            .clone();
         Ok(Box::new(ProjectStream {
             op: self,
             child,
             schema,
-            id,
-            rows_out: 0,
-            nanos: start.elapsed().as_nanos() as u64,
         }))
     }
 }
@@ -92,11 +66,8 @@ impl PhysicalProject {
 /// Streaming projection: evaluates the expression list chunk by chunk.
 struct ProjectStream<'a> {
     op: &'a PhysicalProject,
-    child: Box<dyn ChunkStream + 'a>,
+    child: OpStream<'a>,
     schema: SchemaRef,
-    id: FrameId,
-    rows_out: u64,
-    nanos: u64,
 }
 
 impl ChunkStream for ProjectStream<'_> {
@@ -105,41 +76,11 @@ impl ChunkStream for ProjectStream<'_> {
     }
 
     fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        ctx.budget.check()?;
-        let start = Instant::now();
-        let chunk = match self.child.next_chunk(ctx) {
-            Ok(Some(c)) => c,
-            Ok(None) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Ok(None);
-            }
-            Err(e) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Err(e);
-            }
+        let Some(chunk) = self.child.next_chunk(ctx)? else {
+            return Ok(None);
         };
-        // One expression-evaluation pass per input row, as materialized.
-        ctx.metrics
-            .add_comparisons_to(self.id, chunk.num_rows() as u64);
-        let out = match self.op.project(&chunk) {
-            Ok(b) => b,
-            Err(e) => {
-                self.nanos += start.elapsed().as_nanos() as u64;
-                return Err(e);
-            }
-        };
-        ctx.metrics.record_chunk(self.id, 0);
-        ctx.stats.batches_processed += 1;
-        let rows = out.num_rows() as u64;
-        self.rows_out += rows;
-        ctx.rows_emitted += rows;
-        self.nanos += start.elapsed().as_nanos() as u64;
-        ctx.budget.check_rows(ctx.rows_emitted)?;
-        Ok(Some(out))
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.child.close(ctx);
-        ctx.metrics.exit(self.rows_out, self.nanos);
+        // One expression-evaluation pass per input row.
+        ctx.metrics.add_comparisons(chunk.num_rows() as u64);
+        self.op.project(&chunk).map(Some)
     }
 }

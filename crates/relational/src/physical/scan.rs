@@ -5,8 +5,7 @@
 //! runtime is data-dependent: which candidate fetches the fewest rows on
 //! the actual table, and whether even the best one beats a full scan.
 
-use super::metrics::FrameId;
-use super::{ChunkStream, ExecContext, PhysicalOperator};
+use super::{next_slice, ChunkStream, ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
 use crate::expr::{filter_chunk, Expr};
@@ -17,7 +16,6 @@ use crate::table::Table;
 use crate::value::Value;
 use dc_storage::{Segment, ZonePredicate};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One index access the scan may use, fixed at lowering time.
 #[derive(Debug, Clone)]
@@ -64,43 +62,19 @@ impl PhysicalOperator for PhysicalScan {
         vec![]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let base = self.fetch_base(ctx)?;
-        let Some(filter) = &self.filter else {
-            return Ok(base);
-        };
-        let keep = filter.filter_indices(&base)?;
-        Ok(base.take(&keep))
-    }
-
-    fn open_chunks<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
-        ctx.budget.check()?;
-        let id = ctx.metrics.enter(self.name(), self.label());
-        let start = Instant::now();
-        let base = match self.fetch_base(ctx) {
-            Ok(b) => b,
-            Err(e) => {
-                ctx.metrics.exit(0, start.elapsed().as_nanos() as u64);
-                return Err(e);
-            }
-        };
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
         Ok(Box::new(ScanStream {
-            base,
+            base: self.fetch_base(ctx)?,
             filter: self.filter.as_ref(),
             pos: 0,
-            id,
-            rows_out: 0,
-            nanos: start.elapsed().as_nanos() as u64,
         }))
     }
 }
 
 impl PhysicalScan {
     /// Fetch the (index/segment-narrowed) base rows under the output
-    /// schema and record the fetch counters. The residual filter — applied
-    /// on top by `execute_op` (gather) or `ScanStream` (selection vector) —
-    /// is deliberately *not* part of this, so both paths account the fetch
-    /// identically.
+    /// schema and record the fetch counters. The residual filter is applied
+    /// on top by `ScanStream`, chunk by chunk.
     fn fetch_base(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let t = ctx.catalog.get(&self.table)?;
         let out_schema: Arc<Schema> = match &self.alias {
@@ -169,9 +143,6 @@ struct ScanStream<'a> {
     base: Batch,
     filter: Option<&'a Expr>,
     pos: usize,
-    id: FrameId,
-    rows_out: u64,
-    nanos: u64,
 }
 
 impl ChunkStream for ScanStream<'_> {
@@ -180,46 +151,15 @@ impl ChunkStream for ScanStream<'_> {
     }
 
     fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        ctx.budget.check()?;
-        let start = Instant::now();
-        let total = self.base.num_rows();
-        if self.pos >= total {
-            self.nanos += start.elapsed().as_nanos() as u64;
+        let Some(mut chunk) = next_slice(&self.base, &mut self.pos, ctx.options.chunk_rows) else {
             return Ok(None);
-        }
-        let want = ctx.options.chunk_rows;
-        let len = if want == 0 {
-            total - self.pos
-        } else {
-            want.min(total - self.pos)
         };
-        let mut chunk = self.base.slice(self.pos, len);
-        self.pos += len;
-        let mut avoided = 0u64;
         if let Some(pred) = self.filter {
-            let outcome = match filter_chunk(pred, &chunk) {
-                Ok(o) => o,
-                Err(e) => {
-                    self.nanos += start.elapsed().as_nanos() as u64;
-                    return Err(e);
-                }
-            };
-            chunk = chunk.with_survivors(outcome.selected);
-            avoided = chunk.num_columns() as u64;
+            let survivors = filter_chunk(pred, &chunk)?.selected;
+            chunk = chunk.with_survivors(survivors);
+            ctx.record_avoided_copies(chunk.num_columns() as u64);
         }
-        ctx.metrics.record_chunk(self.id, avoided);
-        ctx.stats.batches_processed += 1;
-        ctx.stats.selection_avoided_copies += avoided;
-        let rows = chunk.num_rows() as u64;
-        self.rows_out += rows;
-        ctx.rows_emitted += rows;
-        self.nanos += start.elapsed().as_nanos() as u64;
-        ctx.budget.check_rows(ctx.rows_emitted)?;
         Ok(Some(chunk))
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        ctx.metrics.exit(self.rows_out, self.nanos);
     }
 }
 

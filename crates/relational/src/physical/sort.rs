@@ -11,7 +11,7 @@
 //! per-segment `sorted_by` metadata recorded at seal time instead of
 //! re-scanning the data — one comparison per segment boundary.
 
-use super::{ExecContext, PhysicalOperator};
+use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
 use crate::expr::Expr;
@@ -41,8 +41,8 @@ impl PhysicalOperator for PhysicalSort {
         vec![self.input.as_ref()]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let b = collect_input(self.input.as_ref(), ctx)?;
         let hint = self.segment_run_hint(ctx, &b);
         let (out, effort) = sort_batch_runs(&b, &self.keys, hint.as_deref())?;
         ctx.stats.rows_sorted += b.num_rows() as u64;
@@ -54,7 +54,7 @@ impl PhysicalOperator for PhysicalSort {
             ctx.stats.merge_runs_used += effort.runs;
         }
         ctx.metrics.add_comparisons(effort.comparisons);
-        Ok(out)
+        Ok(materialized(out))
     }
 }
 

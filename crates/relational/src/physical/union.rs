@@ -1,6 +1,6 @@
 //! Bag UNION ALL of same-shape inputs (qualifiers are dropped, as in SQL).
 
-use super::{ExecContext, PhysicalOperator};
+use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::error::Result;
 use std::sync::Arc;
@@ -19,15 +19,15 @@ impl PhysicalOperator for PhysicalUnion {
         self.inputs.iter().map(|b| b.as_ref()).collect()
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
         let batches: Vec<Batch> = self
             .inputs
             .iter()
-            .map(|p| super::collect_input(p.as_ref(), ctx))
+            .map(|p| collect_input(p.as_ref(), ctx))
             .collect::<Result<_>>()?;
         let out = Batch::concat(&batches)?;
         // UNION output columns lose their source qualifiers.
         let schema = Arc::new(out.schema().unqualified());
-        out.with_schema(schema)
+        out.with_schema(schema).map(materialized)
     }
 }

@@ -22,7 +22,7 @@
 //! [`ExecContext::window_eval_nanos`] — the one quantity that *should*
 //! change with parallelism.
 
-use super::{ExecContext, PhysicalOperator};
+use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
 use crate::batch::Batch;
 use crate::column::Column;
 use crate::error::Result;
@@ -60,8 +60,8 @@ impl PhysicalOperator for PhysicalWindow {
         vec![self.input.as_ref()]
     }
 
-    fn execute_op(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let b = super::collect_input(self.input.as_ref(), ctx)?;
+    fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let b = collect_input(self.input.as_ref(), ctx)?;
         let start = Instant::now();
 
         let ev = WindowEval::prepare(&b, &self.partition_by, self.order_key.as_ref(), &self.exprs)?;
@@ -69,11 +69,11 @@ impl PhysicalOperator for PhysicalWindow {
         ctx.stats.partitions_executed += parts.len() as u64;
         ctx.metrics.add_partitions(parts.len() as u64);
 
-        // Cancellation/deadline checkpoint per partition: the Φ_C hot path
-        // can dominate a query's runtime, so operator-entry checks alone
-        // would not be responsive.
+        // The budget is re-checked per partition: the Φ_C hot path can
+        // dominate a query's runtime, so operator-entry checks alone would
+        // not be responsive.
         let budget = &ctx.budget;
-        let eval = |run: &[(usize, usize)]| ev.eval_partitions(run, || budget.check());
+        let eval = |run: &[(usize, usize)]| ev.eval_partitions(run, budget);
 
         let p = ctx.options.parallelism.min(parts.len()).max(1);
         let (window_cols, work) = if p <= 1 {
@@ -122,7 +122,7 @@ impl PhysicalOperator for PhysicalWindow {
         }
         let out = Batch::new(Arc::new(Schema::new(fields)), cols);
         ctx.window_eval_nanos += start.elapsed().as_nanos() as u64;
-        out
+        out.map(materialized)
     }
 }
 

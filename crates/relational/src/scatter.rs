@@ -31,7 +31,7 @@
 //! exact for integer-valued inputs and associative-up-to-rounding
 //! otherwise.
 
-use crate::agg::{distinct_with, AggExpr, AggFunc};
+use crate::agg::{distinct, AggExpr, AggFunc};
 use crate::batch::{schema_ref, Batch};
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
@@ -42,7 +42,7 @@ use crate::schema::{Field, Schema};
 use crate::sort::{sort_batch, sort_batch_runs, SortKey};
 use crate::table::Catalog;
 use crate::value::{DataType, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// How the catalog is sharded: the cluster-key column and the set of
 /// tables partitioned on it (all other tables are replicated to every
@@ -410,20 +410,7 @@ pub struct GatherOutcome {
 }
 
 /// Execute the gather pipeline over per-shard partial batches.
-///
-/// Convenience wrapper over [`gather_with`] (vectorized hash path).
 pub fn gather(parts: &[Batch], steps: &[GatherStep]) -> Result<(Batch, GatherOutcome)> {
-    gather_with(parts, steps, false)
-}
-
-/// [`gather`] with an explicit hash-path selector: `rowwise` routes the
-/// reaggregation and DISTINCT steps through the retained
-/// `HashMap<Vec<Value>, _>` oracle instead of the normalized-key encoder.
-pub fn gather_with(
-    parts: &[Batch],
-    steps: &[GatherStep],
-    rowwise: bool,
-) -> Result<(Batch, GatherOutcome)> {
     let mut outcome = GatherOutcome {
         shard_rows_merged: parts.iter().map(|b| b.num_rows() as u64).sum(),
         ..GatherOutcome::default()
@@ -445,8 +432,8 @@ pub fn gather_with(
                 outcome.merge_runs_used += effort.runs;
                 merged
             }
-            GatherStep::Reaggregate(spec) => reaggregate(&batch, spec, rowwise, &mut outcome.hash)?,
-            GatherStep::Distinct => distinct_with(&batch, rowwise, &mut outcome.hash)?,
+            GatherStep::Reaggregate(spec) => reaggregate(&batch, spec, &mut outcome.hash)?,
+            GatherStep::Distinct => distinct(&batch, &mut outcome.hash)?,
             GatherStep::Project { exprs } => {
                 let cols: Vec<_> = exprs
                     .iter()
@@ -483,13 +470,8 @@ pub fn gather_with(
 /// combine each partial column per its [`PartialMerge`]. Emits groups in
 /// first-seen order over the concatenated partials. Group lookup runs on
 /// the shared normalized-key encoder (so coordinator merge cost is counted
-/// under `hash_ops`), unless `rowwise` selects the `Vec<Value>` oracle.
-fn reaggregate(
-    batch: &Batch,
-    spec: &Reaggregate,
-    rowwise: bool,
-    hash: &mut HashStats,
-) -> Result<Batch> {
+/// under `hash_ops`).
+fn reaggregate(batch: &Batch, spec: &Reaggregate, hash: &mut HashStats) -> Result<Batch> {
     let consumed: usize = spec.merges.iter().map(|(m, _)| m.arity()).sum();
     if batch.num_columns() != spec.group_cols + consumed {
         return Err(Error::Execution(format!(
@@ -532,32 +514,16 @@ fn reaggregate(
     let mut rep_rows: Vec<usize> = Vec::new();
     let mut accs: Vec<Vec<Acc>> = Vec::new();
     let mut slot_of_row: Vec<u32> = Vec::with_capacity(n);
-    if rowwise {
-        let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-        for i in 0..n {
-            let key: Vec<Value> = (0..spec.group_cols)
-                .map(|c| batch.column(c).value(i))
-                .collect();
-            let next = accs.len();
-            let slot = *groups.entry(key).or_insert(next);
-            if slot == next {
-                accs.push(new_accs(batch.schema()));
-                rep_rows.push(i);
-            }
-            slot_of_row.push(slot as u32);
+    let gcols: Vec<Column> = batch.columns()[..spec.group_cols].to_vec();
+    let keys = encode_keys(&gcols, batch.selection(), n, NullKeys::Match, hash)?;
+    let mut table = RawKeyTable::with_capacity(n.min(1024));
+    for i in 0..n {
+        let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
+        if fresh {
+            accs.push(new_accs(batch.schema()));
+            rep_rows.push(i);
         }
-    } else {
-        let gcols: Vec<Column> = batch.columns()[..spec.group_cols].to_vec();
-        let keys = encode_keys(&gcols, batch.selection(), n, NullKeys::Match, hash)?;
-        let mut table = RawKeyTable::with_capacity(n.min(1024));
-        for i in 0..n {
-            let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
-            if fresh {
-                accs.push(new_accs(batch.schema()));
-                rep_rows.push(i);
-            }
-            slot_of_row.push(slot as u32);
-        }
+        slot_of_row.push(slot as u32);
     }
     for (i, &slot) in slot_of_row.iter().enumerate() {
         let row_accs = &mut accs[slot as usize];

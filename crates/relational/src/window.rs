@@ -16,15 +16,15 @@
 //!
 //! Evaluation is columnar end to end: partition boundaries, frame walks and
 //! aggregates read the native payload slices of the key, order and argument
-//! columns and append to typed output columns ([`WindowEval`]). The scalar
-//! [`Value`] appears only in [`WindowEval::eval_partition_naive`], the
-//! per-frame recomputation the kernels are tested against.
+//! columns and append to typed output columns ([`WindowEval`]); no scalar
+//! [`Value`](crate::value::Value) is materialized per row.
 
 use crate::batch::Batch;
 use crate::column::{with_native, Column, ColumnBuilder, Native};
 use crate::error::{Error, Result};
 use crate::expr::Expr;
-use crate::value::{DataType, Value};
+use crate::physical::QueryBudget;
+use crate::value::DataType;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -213,131 +213,6 @@ fn mark_boundaries<T: Native>(col: &Column, starts: &mut [bool]) {
     }
 }
 
-/// Compute the inclusive frame `[lo, hi]` for row `i` inside partition
-/// `[p_lo, p_hi)`. Returns `None` for an empty frame. (Oracle only.)
-fn frame_rows(
-    frame: &Frame,
-    i: usize,
-    p_lo: usize,
-    p_hi: usize,
-    order_key: Option<&Column>,
-) -> Result<Option<(usize, usize)>> {
-    match frame.units {
-        FrameUnits::Rows => {
-            let lo = match frame.start {
-                FrameBound::UnboundedPreceding => p_lo as i64,
-                FrameBound::Preceding(k) => i as i64 - k,
-                FrameBound::CurrentRow => i as i64,
-                FrameBound::Following(k) => i as i64 + k,
-                FrameBound::UnboundedFollowing => {
-                    return Err(Error::Plan(
-                        "frame start cannot be UNBOUNDED FOLLOWING".into(),
-                    ))
-                }
-            };
-            let hi = match frame.end {
-                FrameBound::UnboundedPreceding => {
-                    return Err(Error::Plan(
-                        "frame end cannot be UNBOUNDED PRECEDING".into(),
-                    ))
-                }
-                FrameBound::Preceding(k) => i as i64 - k,
-                FrameBound::CurrentRow => i as i64,
-                FrameBound::Following(k) => i as i64 + k,
-                FrameBound::UnboundedFollowing => p_hi as i64 - 1,
-            };
-            let lo = lo.max(p_lo as i64);
-            let hi = hi.min(p_hi as i64 - 1);
-            if lo > hi {
-                Ok(None)
-            } else {
-                Ok(Some((lo as usize, hi as usize)))
-            }
-        }
-        FrameUnits::Range => {
-            let key = order_key.ok_or_else(|| {
-                Error::Plan("RANGE frame requires exactly one numeric ORDER BY key".into())
-            })?;
-            // Sorted input puts NULL order keys first within the partition.
-            // Binary searches must stay inside the non-NULL subrange:
-            // `key_num` maps NULL to `None`, so a predicate over the whole
-            // partition would not be monotone once NULLs are present.
-            let nn_lo = p_lo + null_prefix_len(key, p_lo, p_hi);
-            if key.is_null(i) {
-                // NULL order key: NULLs are peers of each other and of no
-                // non-NULL row, so the frame is the NULL peer group —
-                // nonempty, since row `i` itself is in it.
-                return Ok(Some((p_lo, nn_lo - 1)));
-            }
-            let v = key_num(key, i).ok_or_else(|| {
-                Error::Execution("RANGE frame requires a numeric ORDER BY key".into())
-            })?;
-            // partition_point over the sorted non-NULL keys.
-            let first_ge = |threshold: i64| -> usize {
-                let mut lo = nn_lo;
-                let mut hi = p_hi;
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if key_num(key, mid).is_some_and(|k| k < threshold) {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            };
-            let last_le = |threshold: i64| -> Option<usize> {
-                let p = first_ge(threshold + 1);
-                if p == nn_lo {
-                    None
-                } else {
-                    Some(p - 1)
-                }
-            };
-            let lo = match frame.start {
-                FrameBound::UnboundedPreceding => p_lo,
-                FrameBound::Preceding(k) => first_ge(v - k),
-                FrameBound::CurrentRow => first_ge(v),
-                FrameBound::Following(k) => first_ge(v + k),
-                FrameBound::UnboundedFollowing => {
-                    return Err(Error::Plan(
-                        "frame start cannot be UNBOUNDED FOLLOWING".into(),
-                    ))
-                }
-            };
-            let hi = match frame.end {
-                FrameBound::UnboundedPreceding => {
-                    return Err(Error::Plan(
-                        "frame end cannot be UNBOUNDED PRECEDING".into(),
-                    ))
-                }
-                FrameBound::Preceding(k) => last_le(v - k),
-                FrameBound::CurrentRow => last_le(v),
-                FrameBound::Following(k) => last_le(v + k),
-                FrameBound::UnboundedFollowing => Some(p_hi - 1),
-            };
-            match hi {
-                Some(hi) if lo <= hi && lo < p_hi => Ok(Some((lo, hi))),
-                _ => Ok(None),
-            }
-        }
-    }
-}
-
-/// (Oracle only; the kernels read the order key as `&[i64]`.)
-#[inline]
-fn key_num(c: &Column, i: usize) -> Option<i64> {
-    if c.is_null(i) {
-        None
-    } else {
-        match c.value(i) {
-            Value::Int(v) => Some(v),
-            Value::Double(v) => Some(v as i64),
-            _ => None,
-        }
-    }
-}
-
 /// Number of leading NULL order keys in partition `[p_lo, p_hi)`. The input
 /// is sorted with NULLs first, so the NULLs form a prefix and a binary
 /// search finds its length.
@@ -424,17 +299,15 @@ impl<'a> WindowEval<'a> {
     /// accumulator operations performed (the work counter: one per frame
     /// position entering or leaving an aggregate state — amortized O(1) per
     /// row, independent of frame width — plus per-frame recomputation work
-    /// for floating-point sums). `checkpoint` runs before each partition;
-    /// its error aborts the evaluation.
+    /// for floating-point sums). `budget` is checked before each partition;
+    /// a tripped budget aborts the evaluation.
     ///
-    /// Values are byte-identical to [`eval_partition_naive`]; the counter
-    /// is a pure function of the data, however `parts` is cut into calls.
-    ///
-    /// [`eval_partition_naive`]: WindowEval::eval_partition_naive
+    /// The counter is a pure function of the data, however `parts` is cut
+    /// into calls.
     pub fn eval_partitions(
         &self,
         parts: &[(usize, usize)],
-        mut checkpoint: impl FnMut() -> Result<()>,
+        budget: &QueryBudget,
     ) -> Result<(Vec<Column>, u64)> {
         let rows = parts.iter().map(|&(lo, hi)| hi - lo).sum();
         let mut kernels: Vec<Box<dyn PartitionKernel + '_>> = self
@@ -450,7 +323,7 @@ impl<'a> WindowEval<'a> {
             .collect();
         let mut ops: u64 = 0;
         for &(p_lo, p_hi) in parts {
-            checkpoint()?;
+            budget.check()?;
             for (kernel, out) in kernels.iter_mut().zip(&mut outs) {
                 kernel.eval(p_lo, p_hi, out, &mut ops)?;
             }
@@ -460,35 +333,7 @@ impl<'a> WindowEval<'a> {
 
     /// [`eval_partitions`](WindowEval::eval_partitions) over one partition.
     pub fn eval_partition(&self, range: (usize, usize)) -> Result<(Vec<Column>, u64)> {
-        self.eval_partitions(&[range], || Ok(()))
-    }
-
-    /// Reference implementation: recompute every row's frame from scratch
-    /// (O(n·w) per partition) on scalar `Value`s. Kept as the oracle for the
-    /// kernel equivalence tests and the naive side of the ablation
-    /// microbench. The work counter here is frame rows visited.
-    pub fn eval_partition_naive(
-        &self,
-        (p_lo, p_hi): (usize, usize),
-    ) -> Result<(Vec<Vec<Value>>, u64)> {
-        let mut work: u64 = 0;
-        let mut outputs = Vec::with_capacity(self.exprs.len());
-        for (we, arg_col) in self.exprs.iter().zip(&self.arg_cols) {
-            let mut vals = Vec::with_capacity(p_hi - p_lo);
-            for i in p_lo..p_hi {
-                let frame = frame_rows(&we.frame, i, p_lo, p_hi, self.order_col.as_ref())?;
-                let v = match frame {
-                    None => empty_frame_value(we.func),
-                    Some((lo, hi)) => {
-                        work += (hi - lo + 1) as u64;
-                        accumulate(we.func, arg_col.as_ref(), lo, hi)?
-                    }
-                };
-                vals.push(v);
-            }
-            outputs.push(vals);
-        }
-        Ok((outputs, work))
+        self.eval_partitions(&[range], &QueryBudget::unlimited())
     }
 
     /// Pick the typed kernel for one expression: the one place that looks
@@ -547,14 +392,6 @@ impl<'a> WindowEval<'a> {
         acc: A,
     ) -> Box<dyn PartitionKernel + 'e> {
         Box::new(Sliding { ev: self, we, acc })
-    }
-}
-
-/// The value of an aggregate over an empty frame. (Oracle only.)
-fn empty_frame_value(func: WindowFuncKind) -> Value {
-    match func {
-        WindowFuncKind::Count => Value::Int(0),
-        _ => Value::Null,
     }
 }
 
@@ -702,9 +539,8 @@ impl<A: Accumulator> PartitionKernel for Sliding<'_, A> {
                     ops,
                     |i| range.window(i),
                     // UNBOUNDED PRECEDING start with a bounded end whose
-                    // threshold admits no non-NULL key: the frame is empty
-                    // per `frame_rows`, even though the coverage window
-                    // spans the NULL prefix.
+                    // threshold admits no non-NULL key: the frame is empty,
+                    // even though the coverage window spans the NULL prefix.
                     |hi_ex| unbounded_start && nn > 0 && hi_ex == nn_lo,
                 )
             }
@@ -716,8 +552,8 @@ impl<A: Accumulator> Sliding<'_, A> {
     /// Slide the accumulator over `rows`, appending one output per row.
     /// `target` yields the row's half-open frame window (both ends
     /// nondecreasing); `force_empty`, given the window's end, marks frames
-    /// `frame_rows` would call empty even though the coverage window is not
-    /// (the RANGE NULL-prefix corner). `ops` counts every frame position
+    /// that are empty even though the coverage window is not (the RANGE
+    /// NULL-prefix corner). `ops` counts every frame position
     /// entering or leaving the accumulator state.
     fn slide(
         &mut self,
@@ -735,7 +571,7 @@ impl<A: Accumulator> Sliding<'_, A> {
         acc.reset();
         if A::RECOMPUTES {
             // Floating-point sums rescan each frame so the result stays
-            // bit-identical to the naive path (FP addition is not
+            // bit-identical to a per-frame sum (FP addition is not
             // associative, so subtract-on-evict could drift). Ops degrade
             // to frame size.
             for i in rows {
@@ -912,7 +748,7 @@ impl Accumulator for CountArg<'_> {
 
 /// Integer `sum`/`avg`: exact i128 running sum — wide enough that the
 /// running value never wraps, with the i64 range enforced only on the
-/// emitted frame total (matching the naive per-frame computation).
+/// emitted frame total (as summing each frame on its own would).
 struct IntSum<'c> {
     vals: &'c [i64],
     col: &'c Column,
@@ -955,7 +791,7 @@ impl Accumulator for IntSum<'_> {
 }
 
 /// Floating-point `sum`/`avg`: no running state, every frame is summed
-/// front to back in the order the naive path adds it.
+/// front to back, in row order.
 struct DoubleSum<'c> {
     vals: &'c [f64],
     col: &'c Column,
@@ -1006,7 +842,7 @@ impl Accumulator for NonNumeric<'_> {
 
 /// `min`/`max`: monotonic deque of candidate positions. The back is popped
 /// only on *strict* domination, so among equal values the earliest survives
-/// at the front — the same tie the naive scan keeps.
+/// at the front — the tie a front-to-back scan of the frame keeps.
 struct MinMax<'c, T> {
     vals: &'c [T],
     col: &'c Column,
@@ -1060,94 +896,7 @@ pub fn evaluate_window(
     exprs: &[WindowExpr],
 ) -> Result<(Vec<Column>, u64)> {
     let ev = WindowEval::prepare(batch, partition_by, order_by_key, exprs)?;
-    ev.eval_partitions(ev.partitions(), || Ok(()))
-}
-
-/// One frame's aggregate on scalar `Value`s. (Oracle only.)
-fn accumulate(func: WindowFuncKind, arg: Option<&Column>, lo: usize, hi: usize) -> Result<Value> {
-    match func {
-        WindowFuncKind::Count => {
-            let c = match arg {
-                None => (hi - lo + 1) as i64,
-                Some(col) => (lo..=hi).filter(|&i| !col.is_null(i)).count() as i64,
-            };
-            Ok(Value::Int(c))
-        }
-        WindowFuncKind::Max | WindowFuncKind::Min => {
-            let col = arg.ok_or_else(|| Error::Plan("max/min need an argument".into()))?;
-            let mut best: Option<Value> = None;
-            for i in lo..=hi {
-                if col.is_null(i) {
-                    continue;
-                }
-                let v = col.value(i);
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let keep_new = if func == WindowFuncKind::Max {
-                            v.total_cmp(&b).is_gt()
-                        } else {
-                            v.total_cmp(&b).is_lt()
-                        };
-                        if keep_new {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-        WindowFuncKind::Sum | WindowFuncKind::Avg => {
-            let col = arg.ok_or_else(|| Error::Plan("sum/avg need an argument".into()))?;
-            // i128 running sum: wide enough that it never wraps for any
-            // frame of i64 values, so only the frame *total* is range
-            // checked — the same rule the incremental kernel applies,
-            // keeping both paths identical on overflowing inputs.
-            let mut sum_i: i128 = 0;
-            let mut sum_f: f64 = 0.0;
-            let mut is_float = col.data_type() == DataType::Double;
-            let mut count = 0i64;
-            for i in lo..=hi {
-                if col.is_null(i) {
-                    continue;
-                }
-                match col.value(i) {
-                    Value::Int(v) => {
-                        sum_i += v as i128;
-                    }
-                    Value::Double(v) => {
-                        is_float = true;
-                        sum_f += v;
-                    }
-                    other => {
-                        return Err(Error::Execution(format!(
-                            "sum/avg over non-numeric value {other}"
-                        )))
-                    }
-                }
-                count += 1;
-            }
-            if count == 0 {
-                return Ok(Value::Null);
-            }
-            let total = sum_f + sum_i as f64;
-            match func {
-                WindowFuncKind::Sum => {
-                    if is_float {
-                        Ok(Value::Double(total))
-                    } else {
-                        i64::try_from(sum_i).map(Value::Int).map_err(|_| {
-                            Error::Execution("sum overflow in window aggregate".into())
-                        })
-                    }
-                }
-                WindowFuncKind::Avg => Ok(Value::Double(total / count as f64)),
-                _ => unreachable!(),
-            }
-        }
-    }
+    ev.eval_partitions(ev.partitions(), &QueryBudget::unlimited())
 }
 
 #[cfg(test)]
@@ -1155,6 +904,7 @@ mod tests {
     use super::*;
     use crate::batch::schema_ref;
     use crate::schema::{Field, Schema};
+    use crate::value::Value;
 
     /// epc-sorted reads: (epc, rtime, loc)
     fn reads() -> Batch {
@@ -1446,7 +1196,7 @@ mod tests {
         .unwrap();
         // Whole-partition frame: every row enters the accumulator once and
         // never leaves — e1: 3 ops, e2: 2 — independent of how many rows
-        // each frame spans (the naive path would visit 3x3 + 2x2 = 13).
+        // each frame spans (recomputing each frame would visit 3x3 + 2x2 = 13).
         assert_eq!(work, 5);
     }
 

@@ -1,36 +1,32 @@
-//! Normalized-key hash machinery vs the retained `Vec<Value>` oracle.
+//! Normalized-key hash machinery vs the `Vec<Value>`-keyed reference.
 //!
 //! The vectorized hash path (batch key encoding + [`RawKeyTable`]) must be
 //! *transparent*: for any plan built from joins, GROUP BY aggregation, and
-//! DISTINCT, running with `rowwise_hash == false` produces rows identical
-//! to the `HashMap<Vec<Value>, _>` oracle (`rowwise_hash == true`) at every
-//! chunk size, every selection density the filters induce, and every NULL
-//! mix — and the hash path stays parallelism-invariant at P ∈ {1, 2, 8}
-//! with identical deterministic operator metrics. A direct adversarial
-//! test drives [`RawKeyTable`] with distinct keys sharing one 64-bit hash
-//! and checks that memcmp disambiguates while the collision counter ticks.
+//! DISTINCT, the engine produces rows identical to the
+//! `HashMap<Vec<Value>, _>` operators of `dc-oracle` at every chunk size,
+//! every selection density the filters induce, and every NULL mix — and the
+//! hash path stays parallelism-invariant at P ∈ {1, 2, 8} with identical
+//! deterministic operator metrics. A direct adversarial test drives
+//! [`RawKeyTable`] with distinct keys sharing one 64-bit hash and checks
+//! that memcmp disambiguates while the collision counter ticks.
 
+use dc_oracle::rows_of;
+use dc_relational::join::hash_join;
 use dc_relational::physical::DEFAULT_CHUNK_ROWS;
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// 0 is the materialized oracle; the rest are morsel sizes.
+/// 0 is one unbounded chunk; the rest are morsel sizes.
 const CHUNK_SIZES: [usize; 4] = [0, 1, 7, DEFAULT_CHUNK_ROWS];
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
 const CASES: u64 = 48;
 
-fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
-    (0..b.num_rows()).map(|i| b.row(i)).collect()
-}
-
-/// The oracle spends no hash-kernel work, so those counters are zeroed
-/// before comparing; everything else must match exactly.
-fn sans_hash(mut s: ExecStats) -> ExecStats {
-    s.hash_ops = 0;
-    s.hash_collisions = 0;
-    s.probe_memcmps = 0;
-    s.key_bytes_encoded = 0;
+/// The chunk-bookkeeping counters differ across chunk sizes by design;
+/// every other counter (the hash-kernel ones included) must match.
+fn sans_chunking(mut s: ExecStats) -> ExecStats {
+    s.batches_processed = 0;
+    s.selection_avoided_copies = 0;
     s
 }
 
@@ -234,24 +230,22 @@ fn random_hash_plan(rng: &mut StdRng) -> LogicalPlan {
 }
 
 /// The normalized-key path produces rows identical to the `Vec<Value>`
-/// oracle at every chunk size, with all non-hash work counters equal. The
-/// oracle never spends hash-kernel work; the vectorized path always does
-/// once the build side is non-empty.
+/// oracle at every chunk size, with all work counters — hash-kernel ones
+/// included — equal across chunk sizes. The hash path engages whenever a
+/// hash operator sees input.
 #[test]
-fn hash_path_matches_rowwise_oracle_on_random_plans() {
-    check("hash path vs rowwise oracle", |rng| {
+fn hash_path_matches_oracle_on_random_plans() {
+    check("hash path vs Vec<Value> oracle", |rng| {
         let cat = random_catalog(rng);
         let plan = random_hash_plan(rng);
+        let expected = rows_of(
+            &dc_oracle::execute(&plan, &cat)
+                .unwrap_or_else(|e| panic!("oracle failed: {e}\n{}", plan.display_indent())),
+        );
+        let mut baseline: Option<ExecStats> = None;
         for &chunk in &CHUNK_SIZES {
-            let base = ExecOptions::with_parallelism(1).with_chunk_rows(chunk);
-            let mut oracle = Executor::with_options(&cat, base.with_rowwise_hash(true));
-            let expected = oracle.execute(&plan).unwrap_or_else(|e| {
-                panic!(
-                    "oracle failed at chunk_rows={chunk}: {e}\n{}",
-                    plan.display_indent()
-                )
-            });
-            let mut vectorized = Executor::with_options(&cat, base.with_rowwise_hash(false));
+            let opts = ExecOptions::with_parallelism(1).with_chunk_rows(chunk);
+            let mut vectorized = Executor::with_options(&cat, opts);
             let got = vectorized.execute(&plan).unwrap_or_else(|e| {
                 panic!(
                     "hash path failed at chunk_rows={chunk}: {e}\n{}",
@@ -260,22 +254,60 @@ fn hash_path_matches_rowwise_oracle_on_random_plans() {
             });
             assert_eq!(
                 rows_of(&got),
-                rows_of(&expected),
+                expected,
                 "rows differ at chunk_rows={chunk}\n{}",
                 plan.display_indent()
             );
+            let stats = *baseline.get_or_insert(vectorized.stats);
             assert_eq!(
-                oracle.stats.hash_ops, 0,
-                "the rowwise oracle must not touch the hash kernels"
-            );
-            assert_eq!(
-                sans_hash(vectorized.stats),
-                sans_hash(oracle.stats),
-                "non-hash work counters differ at chunk_rows={chunk}\n{}",
+                sans_chunking(vectorized.stats),
+                sans_chunking(stats),
+                "work counters differ at chunk_rows={chunk}\n{}",
                 plan.display_indent()
             );
         }
     });
+}
+
+/// A wide batch of `n` rows with int, str, and NULL-bearing key columns.
+fn wide(n: usize, null_every: usize, salt: i64) -> Batch {
+    let schema = schema_ref(Schema::new(vec![
+        Field::new("k", DataType::Int),
+        Field::new("s", DataType::Str),
+    ]));
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            let k = if null_every > 0 && i % null_every == 0 {
+                Value::Null
+            } else {
+                Value::Int((i as i64 * salt) % 97)
+            };
+            vec![k, Value::str(format!("s{}", i % 13))]
+        })
+        .collect();
+    Batch::from_rows(schema, &rows).unwrap()
+}
+
+/// `hash_join` called directly on compound (Int, Str) keys with NULLs on
+/// either side: rows identical to the oracle's, one probe per left row, and
+/// the hash kernels engaged whenever there is a row to hash.
+#[test]
+fn hash_join_matches_oracle_on_wide_keys() {
+    let budget = QueryBudget::unlimited();
+    for jt in [JoinType::Inner, JoinType::LeftSemi] {
+        for (l, r) in [
+            (wide(200, 7, 3), wide(40, 0, 5)),
+            (wide(50, 0, 1), wide(50, 3, 1)),
+            (wide(0, 0, 1), wide(10, 0, 1)),
+        ] {
+            let keys = [Expr::col("k"), Expr::col("s")];
+            let (got, work) = hash_join(&l, &r, &keys, &keys, jt, &budget).unwrap();
+            let expected = dc_oracle::join(&l, &r, &keys, &keys, jt).unwrap();
+            assert_eq!(rows_of(&got), rows_of(&expected), "{jt}");
+            assert_eq!(work.probes, l.num_rows() as u64, "{jt} probes");
+            assert!(work.hash.hash_ops > 0);
+        }
+    }
 }
 
 /// The hash path stays parallelism-invariant: rows, merged stats (hash

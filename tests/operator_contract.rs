@@ -1,0 +1,292 @@
+//! The operator contract, swept: one plan holding all 12 physical operators
+//! runs at every chunk size × parallelism × abort position.
+//!
+//! Every run is `Ok` or a typed `Error::Aborted`; the metrics tree it leaves
+//! behind is well formed (the reference run's tree, or a prefix of it when
+//! the run stopped early) and accounts for exactly the rows charged to the
+//! row budget; and an immediate unbudgeted re-run returns the reference
+//! rows, so an abort corrupts nothing.
+
+use dc_oracle::rows_of;
+use dc_relational::prelude::*;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::Duration;
+
+const CHUNK_ROWS: [usize; 4] = [0, 1, 7, 1024];
+const PARALLELISMS: [usize; 2] = [1, 2];
+
+/// r(epc, rtime, loc): 48 reads of 6 tags at 4 locations, some with a NULL
+/// location; d(gln, site): 3 of the 4 locations, two of them at one site.
+fn catalog() -> Catalog {
+    let reads = schema_ref(Schema::new(vec![
+        Field::new("epc", DataType::Str),
+        Field::new("rtime", DataType::Int),
+        Field::new("loc", DataType::Str),
+    ]));
+    let rows: Vec<Vec<Value>> = (0..48i64)
+        .map(|i| {
+            vec![
+                Value::str(format!("e{}", (i * 7) % 6)),
+                Value::Int((i * 37) % 101),
+                if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::str(format!("loc{}", (i * 5) % 4))
+                },
+            ]
+        })
+        .collect();
+    let dims = schema_ref(Schema::new(vec![
+        Field::new("gln", DataType::Str),
+        Field::new("site", DataType::Str),
+    ]));
+    let dim_rows = [("loc0", "north"), ("loc1", "north"), ("loc2", "south")]
+        .map(|(g, s)| vec![Value::str(g), Value::str(s)]);
+    let cat = Catalog::new();
+    cat.register(Table::new("r", Batch::from_rows(reads, &rows).unwrap()));
+    cat.register(Table::new("d", Batch::from_rows(dims, &dim_rows).unwrap()));
+    cat
+}
+
+/// Limit ← Distinct ← Union of
+///   Aggregate ← HashJoin(Window ← [Sort] ← Filter ← Scan r, Scan d) and
+///   Project ← SubqueryAlias ← SemiJoin(Scan r, Scan d).
+fn plan() -> LogicalPlan {
+    let running_count = WindowExpr {
+        func: WindowFuncKind::Count,
+        arg: None,
+        frame: Frame::rows(FrameBound::UnboundedPreceding, FrameBound::CurrentRow),
+        alias: "n".into(),
+    };
+    let per_site = LogicalPlan::scan("r")
+        .filter(Expr::col("rtime").lt(Expr::lit(90i64)))
+        .window(
+            vec![Expr::col("epc")],
+            vec![SortKey::asc(Expr::col("rtime"))],
+            vec![running_count],
+        )
+        .join(
+            LogicalPlan::scan("d"),
+            vec![Expr::col("loc")],
+            vec![Expr::col("gln")],
+            JoinType::Inner,
+        )
+        .aggregate(
+            vec![(Expr::col("site"), "site".into())],
+            vec![AggExpr {
+                func: AggFunc::Sum(Expr::col("n")),
+                alias: "total".into(),
+            }],
+        );
+    let per_read = LogicalPlan::scan_as("r", "x")
+        .join(
+            LogicalPlan::scan("d"),
+            vec![Expr::col("x.loc")],
+            vec![Expr::col("gln")],
+            JoinType::LeftSemi,
+        )
+        .alias("v")
+        .project(vec![
+            (Expr::col("v.loc"), "site".into()),
+            (Expr::col("v.rtime"), "total".into()),
+        ]);
+    LogicalPlan::Union {
+        inputs: vec![per_site, per_read],
+    }
+    .distinct()
+    .limit(20)
+}
+
+const OPERATORS: [&str; 12] = [
+    "AggregateExec",
+    "DistinctExec",
+    "FilterExec",
+    "HashJoinExec",
+    "LimitExec",
+    "ProjectExec",
+    "ScanExec",
+    "SemiJoinExec",
+    "SortExec",
+    "SubqueryAliasExec",
+    "UnionExec",
+    "WindowExec",
+];
+
+fn walk<'m>(m: &'m OperatorMetrics, out: &mut Vec<&'m OperatorMetrics>) {
+    out.push(m);
+    for c in &m.children {
+        walk(c, out);
+    }
+}
+
+fn nodes(m: &OperatorMetrics) -> Vec<&OperatorMetrics> {
+    let mut out = Vec::new();
+    walk(m, &mut out);
+    out
+}
+
+/// Rows charged to the row budget, read back from the tree: every operator
+/// is charged exactly the rows it emitted.
+fn rows_charged(m: &OperatorMetrics) -> u64 {
+    nodes(m).iter().map(|n| n.rows_out).sum()
+}
+
+/// `got` is `full` cut short: the same operator at every node it has, its
+/// children a leading run of `full`'s.
+fn is_prefix_of(got: &OperatorMetrics, full: &OperatorMetrics) -> bool {
+    got.label == full.label
+        && got.children.len() <= full.children.len()
+        && got
+            .children
+            .iter()
+            .zip(&full.children)
+            .all(|(g, f)| is_prefix_of(g, f))
+}
+
+/// Chunk size moves only the chunk-bookkeeping counters.
+fn sans_chunking(mut m: DeterministicMetrics) -> DeterministicMetrics {
+    m.batches_processed = 0;
+    m.selection_avoided_copies = 0;
+    m.children = m.children.into_iter().map(sans_chunking).collect();
+    m
+}
+
+fn run(
+    cat: &Catalog,
+    options: ExecOptions,
+    budget: QueryBudget,
+) -> (Result<Batch>, Option<OperatorMetrics>) {
+    let mut ex = Executor::with_budget(cat, options, budget);
+    let out = ex.execute(&plan());
+    (out, ex.metrics)
+}
+
+#[test]
+fn the_plan_holds_every_physical_operator() {
+    let cat = catalog();
+    let (out, metrics) = run(&cat, ExecOptions::default(), QueryBudget::unlimited());
+    let mut names: Vec<String> = nodes(&metrics.unwrap())
+        .iter()
+        .map(|n| n.name.clone())
+        .collect();
+    names.sort();
+    names.dedup();
+    assert_eq!(names, OPERATORS);
+    // The limit really cuts, and the reference agrees on which rows survive.
+    let out = out.unwrap();
+    assert_eq!(out.num_rows(), 20);
+    assert_eq!(
+        rows_of(&out),
+        rows_of(&dc_oracle::execute(&plan(), &cat).unwrap())
+    );
+}
+
+#[test]
+fn every_abort_position_leaves_a_well_formed_tree_and_a_clean_rerun() {
+    let cat = catalog();
+    let expected = rows_of(&dc_oracle::execute(&plan(), &cat).unwrap());
+    let mut across_configs: Option<DeterministicMetrics> = None;
+    for chunk_rows in CHUNK_ROWS {
+        let mut across_p: Option<DeterministicMetrics> = None;
+        for p in PARALLELISMS {
+            let options = ExecOptions::with_parallelism(p).with_chunk_rows(chunk_rows);
+            let at = format!("chunk_rows={chunk_rows} P={p}");
+
+            let (out, full) = run(&cat, options, QueryBudget::unlimited());
+            assert_eq!(rows_of(&out.unwrap()), expected, "{at}");
+            let full = full.expect("an executed plan has metrics");
+            let det = full.deterministic();
+            assert_eq!(*across_p.get_or_insert(det.clone()), det, "{at}");
+            let norm = sans_chunking(det);
+            assert_eq!(*across_configs.get_or_insert(norm.clone()), norm, "{at}");
+
+            let total = rows_charged(&full);
+            assert!(total > 100, "{at}: the sweep should have positions to hit");
+            for k in 0..=total + 1 {
+                let (out, tree) = run(&cat, options, QueryBudget::unlimited().with_row_limit(k));
+                let tree = tree.expect("a row budget trips inside the plan, never before it");
+                let at = format!("{at} row_limit={k}");
+                assert!(is_prefix_of(&tree, &full), "{at}: malformed tree");
+                match out {
+                    // Within budget: nothing changes, down to the counters.
+                    Ok(batch) => {
+                        assert!(k >= total, "{at}: charged {total} rows but did not abort");
+                        assert_eq!(rows_of(&batch), expected, "{at}");
+                        assert_eq!(tree.deterministic(), full.deterministic(), "{at}");
+                    }
+                    // Over budget: the tree holds the rows charged up to and
+                    // including the chunk that tripped it — each row once.
+                    Err(Error::Aborted(AbortReason::RowLimitExceeded)) => {
+                        assert!(k < total, "{at}: aborted within budget");
+                        let charged = rows_charged(&tree);
+                        assert!(k < charged && charged <= total, "{at}: charged {charged}");
+                    }
+                    Err(e) => panic!("{at}: not a typed abort: {e}"),
+                }
+                let (again, _) = run(&cat, options, QueryBudget::unlimited());
+                assert_eq!(rows_of(&again.unwrap()), expected, "{at}: re-run");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_budget_tripped_before_the_plan_starts_enters_no_operator() {
+    let cat = catalog();
+    let expected = rows_of(&dc_oracle::execute(&plan(), &cat).unwrap());
+    let expired = QueryBudget::unlimited().with_deadline(Duration::ZERO);
+    std::thread::sleep(Duration::from_millis(2));
+    let cases = [
+        (
+            QueryBudget::unlimited().with_cancel(Arc::new(AtomicBool::new(true))),
+            AbortReason::Cancelled,
+        ),
+        (expired, AbortReason::DeadlineExceeded),
+    ];
+    for chunk_rows in CHUNK_ROWS {
+        for p in PARALLELISMS {
+            let options = ExecOptions::with_parallelism(p).with_chunk_rows(chunk_rows);
+            for (budget, reason) in &cases {
+                let (out, tree) = run(&cat, options, budget.clone());
+                match out {
+                    Err(Error::Aborted(r)) => assert_eq!(r, *reason),
+                    other => panic!("expected {reason:?}, got {:?}", other.map(|b| b.num_rows())),
+                }
+                assert!(tree.is_none(), "no operator was entered");
+                let (again, _) = run(&cat, options, QueryBudget::unlimited());
+                assert_eq!(rows_of(&again.unwrap()), expected);
+            }
+        }
+    }
+}
+
+/// The error path the hand-rolled streams used to unwind by hand: a
+/// projection whose output schema cannot be derived fails in `open`, after
+/// its child was opened. The failed subtree still attaches, child included,
+/// with no rows charged.
+#[test]
+fn project_open_failure_keeps_the_opened_child_in_the_tree() {
+    let cat = catalog();
+    let bad = LogicalPlan::scan("r")
+        .filter(Expr::col("rtime").lt(Expr::lit(50i64)))
+        .project(vec![(Expr::col("no_such_column"), "x".into())])
+        .limit(5);
+    for chunk_rows in CHUNK_ROWS {
+        let options = ExecOptions::default().with_chunk_rows(chunk_rows);
+        let mut ex = Executor::with_options(&cat, options);
+        let err = ex.execute(&bad).unwrap_err();
+        assert!(!matches!(err, Error::Aborted(_)), "{err}");
+        let tree = ex.metrics.expect("the failed plan still reports its tree");
+        let names: Vec<&str> = nodes(&tree).iter().map(|n| n.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["LimitExec", "ProjectExec", "FilterExec", "ScanExec"],
+            "chunk_rows={chunk_rows}"
+        );
+        assert_eq!(rows_charged(&tree), 0);
+        // The scan fetched its rows while opening; nothing was pulled.
+        assert_eq!(tree.children[0].children[0].children[0].rows_in, 48);
+        assert!(nodes(&tree).iter().all(|n| n.batches_processed == 0));
+    }
+}

@@ -5,19 +5,16 @@
 //! order) and the merged [`ExecStats`] — including window work, sort
 //! counts, and `partitions_executed` — are equal to the serial run. This
 //! suite checks that for every repro workload and for randomly generated
-//! window plans.
+//! window plans, whose rows are also held to the `dc-oracle` interpreter's.
 
 use dc_bench::harness::setup_with_parallelism;
 use dc_core::Strategy;
+use dc_oracle::rows_of;
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
-
-fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
-    (0..b.num_rows()).map(|i| b.row(i)).collect()
-}
 
 /// Every repro workload (q1/q2/q2' × every strategy) produces byte-identical
 /// batches and identical stats at parallelism 1, 2, and 8.
@@ -244,18 +241,19 @@ fn random_window_plan(rng: &mut StdRng) -> LogicalPlan {
 
 const CHUNK_ROWS: [usize; 4] = [0, 1, 7, 1024];
 
-/// Random window plans produce byte-identical batches at every parallelism
-/// × chunk size — the typed column fragments of the parallel runs stitch to
-/// exactly the serial column, whether the input arrives materialized
-/// (`chunk_rows` 0) or as re-joined 1-, 7- or 1024-row chunks — and
-/// identical stats and operator metrics across parallelism at each chunk
-/// size (chunk size itself only moves the per-chunk counters).
+/// Random window plans produce the reference interpreter's rows at every
+/// parallelism × chunk size — the typed column fragments of the parallel
+/// runs stitch to exactly the serial column, whether the input arrives as
+/// one unbounded chunk (`chunk_rows` 0) or as re-joined 1-, 7- or 1024-row
+/// chunks — and identical stats and operator metrics across parallelism at
+/// each chunk size (chunk size itself only moves the per-chunk counters).
 #[test]
 fn random_plans_equivalent_across_parallelism_and_chunk_size() {
     check("parallel window equivalence", |rng| {
         let cat = random_catalog(rng);
         let plan = random_window_plan(rng);
-        let mut rows_and_ops: Option<(Vec<Vec<Value>>, u64)> = None;
+        let expected = rows_of(&dc_oracle::execute(&plan, &cat).unwrap());
+        let mut window_ops: Option<u64> = None;
         for &chunk_rows in &CHUNK_ROWS {
             let mut baseline: Option<(ExecStats, Option<DeterministicMetrics>)> = None;
             for &p in &PARALLELISMS {
@@ -263,11 +261,12 @@ fn random_plans_equivalent_across_parallelism_and_chunk_size() {
                 let mut ex = Executor::with_options(&cat, options);
                 let batch = ex.execute(&plan).unwrap();
                 let at = format!("P={p} chunk_rows={chunk_rows}");
-                let got = (rows_of(&batch), ex.stats.window_accumulator_ops);
-                match &rows_and_ops {
-                    None => rows_and_ops = Some(got),
-                    Some(first) => assert_eq!(&got, first, "rows or window ops differ at {at}"),
-                }
+                assert_eq!(rows_of(&batch), expected, "rows differ at {at}");
+                let ops = *window_ops.get_or_insert(ex.stats.window_accumulator_ops);
+                assert_eq!(
+                    ex.stats.window_accumulator_ops, ops,
+                    "window ops differ at {at}"
+                );
                 let metrics = ex.metrics.as_ref().map(|m| m.deterministic());
                 match &baseline {
                     None => baseline = Some((ex.stats, metrics)),

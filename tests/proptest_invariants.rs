@@ -222,7 +222,7 @@ fn implied_bounds_sound() {
                 .and(Expr::col("rtime").lt(Expr::lit(t2))));
         let table = cat.get("caser").unwrap();
         let batch = table.data();
-        let sat = pred.filter_indices(batch).unwrap();
+        let sat = dc_oracle::filter_rows(&pred, batch).unwrap();
         for (ci, interval) in deferred_cleansing::relational::constraint::implied_bounds_resolved(
             &pred,
             batch.schema(),
@@ -230,7 +230,7 @@ fn implied_bounds_sound() {
             for conj in
                 interval.to_constraints(&ColumnRef::new(batch.schema().field(ci).name.clone()))
             {
-                let keep = conj.to_expr().filter_indices(batch).unwrap();
+                let keep = dc_oracle::filter_rows(&conj.to_expr(), batch).unwrap();
                 for i in &sat {
                     assert!(
                         keep.contains(i),

@@ -1,33 +1,29 @@
-//! Chunked execution vs the materialized oracle, and typed kernels vs the
-//! per-row `Value` oracle.
+//! Chunked execution vs the reference interpreter, and typed kernels vs the
+//! per-row `Value` evaluator (both in `dc-oracle`).
 //!
-//! The vectorized pipeline must be *transparent*: for any plan, running in
-//! 1-, 7-, or 1024-row morsels produces batches byte-identical to the fully
-//! materialized path (`chunk_rows == 0`), with identical work counters
-//! (modulo the chunk-bookkeeping counters themselves, and limit plans,
-//! where early exit legitimately does less upstream work). Likewise
+//! The vectorized pipeline must be *transparent*: for any plan, running as
+//! one unbounded chunk or in 1-, 7-, or 1024-row morsels produces rows
+//! identical to [`dc_oracle::execute`], with work counters identical across
+//! chunk sizes (modulo the chunk-bookkeeping counters themselves, and limit
+//! plans, where early exit legitimately does less upstream work). Likewise
 //! [`Expr::evaluate`] (typed kernels, selection-aware) must agree with
-//! [`Expr::evaluate_rowwise`] (the retained `Value`-boxing oracle) on every
-//! expression shape, selection density, and NULL mix — and stay
-//! parallelism-invariant at P ∈ {1, 2, 8}.
+//! [`dc_oracle::evaluate`] on every expression shape, selection density, and
+//! NULL mix — and stay parallelism-invariant at P ∈ {1, 2, 8}.
 
+use dc_oracle::rows_of;
 use dc_relational::expr::filter_chunk;
 use dc_relational::physical::DEFAULT_CHUNK_ROWS;
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// 0 is the materialized oracle; the rest are morsel sizes.
+/// 0 is one unbounded chunk; the rest are morsel sizes.
 const CHUNK_SIZES: [usize; 4] = [0, 1, 7, DEFAULT_CHUNK_ROWS];
 const PARALLELISMS: [usize; 3] = [1, 2, 8];
 const CASES: u64 = 48;
 
-fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
-    (0..b.num_rows()).map(|i| b.row(i)).collect()
-}
-
 /// The chunk-bookkeeping counters differ across chunk sizes by design;
-/// every other counter must match the materialized run exactly.
+/// every other counter must match across chunk sizes exactly.
 fn normalized(mut s: ExecStats) -> ExecStats {
     s.batches_processed = 0;
     s.selection_avoided_copies = 0;
@@ -222,15 +218,19 @@ fn random_plan(rng: &mut StdRng) -> (LogicalPlan, bool) {
     (plan, limited)
 }
 
-/// Chunked execution at every morsel size produces batches byte-identical
-/// to the materialized oracle, with identical work counters (limit plans
-/// excepted: early exit does less upstream work, never more).
+/// Execution at every chunk size produces rows identical to the reference
+/// interpreter, with identical work counters across chunk sizes (limit
+/// plans excepted: early exit does less upstream work, never more).
 #[test]
-fn chunked_matches_materialized_on_random_plans() {
-    check("chunked vs materialized", |rng| {
+fn chunked_matches_reference_on_random_plans() {
+    check("chunked vs reference", |rng| {
         let cat = random_catalog(rng);
         let (plan, limited) = random_plan(rng);
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats)> = None;
+        let expected = rows_of(
+            &dc_oracle::execute(&plan, &cat)
+                .unwrap_or_else(|e| panic!("reference failed: {e}\n{}", plan.display_indent())),
+        );
+        let mut baseline: Option<ExecStats> = None;
         for &chunk in &CHUNK_SIZES {
             let opts = ExecOptions::with_parallelism(1).with_chunk_rows(chunk);
             let mut ex = Executor::with_options(&cat, opts);
@@ -240,24 +240,20 @@ fn chunked_matches_materialized_on_random_plans() {
                     plan.display_indent()
                 )
             });
-            match &baseline {
-                None => baseline = Some((rows_of(&batch), ex.stats)),
-                Some((rows, stats)) => {
-                    assert_eq!(
-                        &rows_of(&batch),
-                        rows,
-                        "rows differ at chunk_rows={chunk}\n{}",
-                        plan.display_indent()
-                    );
-                    if !limited {
-                        assert_eq!(
-                            normalized(ex.stats),
-                            normalized(*stats),
-                            "work counters differ at chunk_rows={chunk}\n{}",
-                            plan.display_indent()
-                        );
-                    }
-                }
+            assert_eq!(
+                rows_of(&batch),
+                expected,
+                "rows differ at chunk_rows={chunk}\n{}",
+                plan.display_indent()
+            );
+            let stats = *baseline.get_or_insert(ex.stats);
+            if !limited {
+                assert_eq!(
+                    normalized(ex.stats),
+                    normalized(stats),
+                    "work counters differ at chunk_rows={chunk}\n{}",
+                    plan.display_indent()
+                );
             }
         }
     });
@@ -280,8 +276,8 @@ fn random_chunk(rng: &mut StdRng) -> Batch {
 /// Typed-kernel evaluation agrees with the per-row `Value` oracle on every
 /// expression shape, selection density, and NULL mix.
 #[test]
-fn kernels_match_rowwise_oracle_on_random_exprs() {
-    check("kernel vs rowwise oracle", |rng| {
+fn kernels_match_oracle_on_random_exprs() {
+    check("kernel vs per-row oracle", |rng| {
         let chunk = random_chunk(rng);
         let expr = if rng.gen_bool(0.5) {
             random_predicate(rng, 2)
@@ -289,7 +285,7 @@ fn kernels_match_rowwise_oracle_on_random_exprs() {
             random_scalar(rng)
         };
         let kernel = expr.evaluate(&chunk);
-        let oracle = expr.evaluate_rowwise(&chunk);
+        let oracle = dc_oracle::evaluate(&expr, &chunk);
         match (&kernel, &oracle) {
             (Ok(k), Ok(o)) => {
                 assert_eq!(k.len(), o.len(), "lengths differ for {expr}");
@@ -324,13 +320,13 @@ fn filter_chunk_matches_compacted_oracle() {
             Ok(o) => o,
             Err(_) => {
                 assert!(
-                    pred.evaluate_rowwise(&chunk).is_err(),
+                    dc_oracle::evaluate(&pred, &chunk).is_err(),
                     "kernel filter failed but the oracle succeeds for {pred}"
                 );
                 return;
             }
         };
-        let col = pred.evaluate_rowwise(&chunk).expect("oracle eval");
+        let col = dc_oracle::evaluate(&pred, &chunk).expect("oracle eval");
         let sel = chunk.selection();
         let expected: Vec<u32> = (0..col.len())
             .filter(|&k| !col.is_null(k) && col.value(k) == Value::Bool(true))

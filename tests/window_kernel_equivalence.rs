@@ -2,8 +2,8 @@
 //!
 //! The typed sliding-window kernels (`WindowEval::eval_partition`, which
 //! write straight into typed columns) must produce **byte-identical** values
-//! to the per-row `Value` recomputation oracle (`eval_partition_naive`) for
-//! every aggregate, argument type, frame shape, and NULL mix — and the
+//! to the per-row `Value` recomputation oracle (`dc_oracle::NaiveWindow`)
+//! for every aggregate, argument type, frame shape, and NULL mix — and the
 //! whole-plan results must stay identical at any parallelism. The oracle is
 //! the pre-optimization semantics, so these properties pin the kernels down
 //! exactly. The accumulator-ops counter has no oracle to compare against;
@@ -13,6 +13,7 @@
 //! The offline build has no proptest; each property runs seeded random
 //! cases from the vendored `rand` shim (failing seeds are printed).
 
+use dc_oracle::NaiveWindow;
 use dc_relational::prelude::*;
 use dc_relational::sort::sort_batch;
 use dc_relational::window::WindowEval;
@@ -138,6 +139,13 @@ fn random_exprs(rng: &mut StdRng, units_rows: bool) -> Vec<WindowExpr> {
         .collect()
 }
 
+/// The oracle over the suite's window shape: `PARTITION BY epc ORDER BY
+/// rtime`, the same arguments every `WindowEval::prepare` here gets.
+fn naive<'a>(batch: &Batch, exprs: &'a [WindowExpr]) -> NaiveWindow<'a> {
+    NaiveWindow::prepare(batch, &[Expr::col("epc")], Some(&Expr::col("rtime")), exprs)
+        .expect("prepare oracle")
+}
+
 /// The typed kernels' output for one partition, read back as the scalar
 /// rows the oracle produces, plus the accumulator-ops count.
 fn typed(ev: &WindowEval<'_>, range: (usize, usize)) -> Result<(Vec<Vec<Value>>, u64)> {
@@ -157,9 +165,11 @@ fn typed_kernels_match_naive_oracle() {
         let order_key = Expr::col("rtime");
         let ev = WindowEval::prepare(&batch, &[Expr::col("epc")], Some(&order_key), &exprs)
             .expect("prepare");
+        let oracle = naive(&batch, &exprs);
+        assert_eq!(ev.partitions(), oracle.partitions());
         for &range in ev.partitions() {
             let (got, _) = typed(&ev, range).expect("typed");
-            let (naive, _) = ev.eval_partition_naive(range).expect("naive");
+            let (naive, _) = oracle.eval_partition(range).expect("naive");
             assert_eq!(
                 got,
                 naive,
@@ -170,7 +180,7 @@ fn typed_kernels_match_naive_oracle() {
         // One call over all partitions stitches the same values and counts
         // the same ops as partition-at-a-time calls.
         let (whole, whole_ops) = ev
-            .eval_partitions(ev.partitions(), || Ok(()))
+            .eval_partitions(ev.partitions(), &QueryBudget::unlimited())
             .expect("typed");
         let mut ops = 0;
         let mut rows: Vec<Vec<Value>> = vec![Vec::new(); exprs.len()];
@@ -277,7 +287,7 @@ fn range_null_peer_group_edge_case() {
             )
             .unwrap();
             let (inc, _) = typed(&ev, (0, 5)).unwrap();
-            let (naive, _) = ev.eval_partition_naive((0, 5)).unwrap();
+            let (naive, _) = naive(&batch, &exprs).eval_partition((0, 5)).unwrap();
             assert_eq!(inc, naive, "{func:?} over {frame:?}");
             // NULL-key rows aggregate their peer group only: for sum over
             // the two NULL rows that is always 107, whatever the bounds.
@@ -437,9 +447,11 @@ fn exhaustive_table_matches_oracle_and_pins_ops() {
                     WindowEval::prepare(&batch, &[Expr::col("epc")], Some(&Expr::col("rtime")), we)
                         .unwrap();
                 assert_eq!(ev.partitions().len(), 6);
+                let oracle = naive(&batch, we);
+                assert_eq!(ev.partitions(), oracle.partitions());
                 for &range in ev.partitions() {
                     let what = format!("{} partition {range:?}", we[0]);
-                    match (typed(&ev, range), ev.eval_partition_naive(range)) {
+                    match (typed(&ev, range), oracle.eval_partition(range)) {
                         (Ok((got, o)), Ok((naive, _))) => {
                             assert_eq!(got, naive, "{what}");
                             ops += o;
@@ -513,7 +525,9 @@ fn sum_corners_i128_running_sum_and_double_recompute() {
         )
         .unwrap();
         let got = typed(&ev, (0, 6)).map(|(v, _)| v[0].clone());
-        let naive = ev.eval_partition_naive((0, 6)).map(|(v, _)| v[0].clone());
+        let naive = naive(&batch, &exprs)
+            .eval_partition((0, 6))
+            .map(|(v, _)| v[0].clone());
         (got, naive)
     };
     // Entering the whole-partition frame row by row passes 2·i64::MAX; the
