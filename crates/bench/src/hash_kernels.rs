@@ -1,7 +1,9 @@
 //! Microbench for the vectorized hash machinery of
 //! [`dc_relational::hash`]: batch key encoding + [`RawKeyTable`] lookups
 //! behind join, GROUP BY aggregation, and DISTINCT, versus the
-//! `Vec<Value>`-keyed reference operators of `dc-oracle`.
+//! `Vec<Value>`-keyed reference operators of `dc-oracle`. Every end-to-end
+//! case must return the oracle's rows; the wide n-to-1 join must also hand
+//! its probe-side columns through without copying a cell.
 //!
 //! The interesting numbers are not wall-clock (printed as colour only)
 //! but the deterministic [`HashStats`] counters and the encoder's
@@ -116,6 +118,46 @@ fn dim_batch(rows: usize, seed: u64) -> Batch {
     Batch::new(dim_schema(), vec![dk.finish(), gln.finish()]).expect("dim batch")
 }
 
+/// Payload columns on the probe side of the wide n-to-1 join case.
+const WIDE_PAYLOADS: usize = 5;
+
+/// `rows` probe rows for the wide join: a foreign key `fk` into
+/// [`reference_batch`] — every value present there — and [`WIDE_PAYLOADS`]
+/// `Str` columns the join only carries along.
+fn wide_fact_batch(rows: usize, seed: u64) -> Batch {
+    let mut rng = Rng(seed | 1);
+    let keys = (rows / 8).max(1) as u64;
+    let mut fields = vec![Field::new("fk", DataType::Int)];
+    let mut fk = ColumnBuilder::new(DataType::Int, rows);
+    for _ in 0..rows {
+        fk.push(&Value::Int((rng.next() % keys) as i64)).unwrap();
+    }
+    let mut cols = vec![fk.finish()];
+    for p in 0..WIDE_PAYLOADS {
+        fields.push(Field::new(format!("p{p}"), DataType::Str));
+        let mut payload = ColumnBuilder::new(DataType::Str, rows);
+        for _ in 0..rows {
+            payload
+                .push(&Value::str(format!("payload-{p}-{:05}", rng.next() % 4096)))
+                .unwrap();
+        }
+        cols.push(payload.finish());
+    }
+    Batch::new(schema_ref(Schema::new(fields)), cols).expect("wide fact batch")
+}
+
+/// The reference table of the wide join: one row per key `0..rows / 8`.
+fn reference_batch(rows: usize) -> Batch {
+    let n = (rows / 8).max(1);
+    let mut dk = ColumnBuilder::new(DataType::Int, n);
+    let mut gln = ColumnBuilder::new(DataType::Str, n);
+    for i in 0..n {
+        dk.push(&Value::Int(i as i64)).unwrap();
+        gln.push(&Value::str(format!("urn:epc:{i:06}"))).unwrap();
+    }
+    Batch::new(dim_schema(), vec![dk.finish(), gln.finish()]).expect("reference batch")
+}
+
 /// Time `op` over `iters` repetitions, returning (last result, total ms).
 fn timed<T>(iters: usize, mut op: impl FnMut() -> T) -> (T, f64) {
     let t = Instant::now();
@@ -134,6 +176,8 @@ fn timed<T>(iters: usize, mut op: impl FnMut() -> T) -> (T, f64) {
 pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
     let fact = fact_batch(rows, 0x5eed_2006);
     let dim = dim_batch(rows, 0x00d1_ce00);
+    let wide = wide_fact_batch(rows, 0x0f00_d1e5);
+    let reference = reference_batch(rows);
     let budget = QueryBudget::unlimited();
     let mut points = Vec::new();
 
@@ -172,55 +216,102 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
         });
     }
 
-    // End-to-end consumers: the engine's entry point — (output rows, key
+    // End-to-end consumers: the engine's entry point — (output, key
     // lookups, hash work) — against the oracle's `Vec<Value>`-keyed
-    // reference, which has only output rows to report.
-    type Engine<'a> = Box<dyn Fn() -> (u64, u64, HashStats) + 'a>;
-    type Oracle<'a> = Box<dyn Fn() -> u64 + 'a>;
-    let join = |left: &'static str, right: &'static str| -> (Engine<'_>, Oracle<'_>) {
-        let (fact, dim, budget) = (&fact, &dim, &budget);
+    // reference, which has only its output to report.
+    type Engine<'a> = Box<dyn Fn() -> (Batch, u64, HashStats) + 'a>;
+    type Oracle<'a> = Box<dyn Fn() -> Batch + 'a>;
+    fn join<'a>(
+        probe: &'a Batch,
+        build: &'a Batch,
+        (left, right): (&'static str, &'static str),
+        budget: &'a QueryBudget,
+    ) -> (Engine<'a>, Oracle<'a>) {
         let (left, right) = ([Expr::col(left)], [Expr::col(right)]);
         let (l, r) = (left.clone(), right.clone());
         let engine = move || {
-            let (out, work) = hash_join(fact, dim, &l, &r, JoinType::Inner, budget).unwrap();
-            let lookups = dim.num_rows() as u64 + work.probes;
-            (out.num_rows() as u64, lookups, work.hash)
+            let (out, work) =
+                hash_join(probe, build, &l, &r, JoinType::Inner, None, budget).unwrap();
+            let lookups = build.num_rows() as u64 + work.probes;
+            (out, lookups, work.hash)
         };
-        let oracle = move || {
-            let out = dc_oracle::join(fact, dim, &left, &right, JoinType::Inner);
-            out.unwrap().num_rows() as u64
-        };
+        let oracle = move || dc_oracle::join(probe, build, &left, &right, JoinType::Inner).unwrap();
         (Box::new(engine), Box::new(oracle))
+    }
+    fn aggregate<'a>(
+        input: &'a Batch,
+        group_by: &'a [(Expr, String)],
+        aggs: Vec<AggExpr>,
+        budget: &'a QueryBudget,
+    ) -> (Engine<'a>, Oracle<'a>) {
+        let rows = input.num_rows() as u64;
+        let reference = aggs.clone();
+        let engine = move || {
+            let mut stats = HashStats::default();
+            let out = hash_aggregate(input, group_by, &aggs, budget, &mut stats).unwrap();
+            (out, rows, stats)
+        };
+        let oracle = move || dc_oracle::aggregate(input, group_by, &reference).unwrap();
+        (Box::new(engine), Box::new(oracle))
+    }
+    let agg = |func: AggFunc, alias: &str| AggExpr {
+        func,
+        alias: alias.into(),
     };
-    let group_by = [(Expr::col("epc"), "epc".to_string())];
-    let aggs = [
-        AggExpr {
-            func: AggFunc::CountStar,
-            alias: "n".into(),
-        },
-        AggExpr {
-            func: AggFunc::Sum(Expr::col("w")),
-            alias: "s".into(),
-        },
-    ];
+    let by_epc = [(Expr::col("epc"), "epc".to_string())];
+    let by_k = [(Expr::col("k"), "k".to_string())];
     let join_rows = (fact.num_rows() + dim.num_rows()) as u64;
     let fact_rows = fact.num_rows() as u64;
     let cases: Vec<(&'static str, u64, (Engine<'_>, Oracle<'_>))> = vec![
-        ("join_int", join_rows, join("k", "dk")),
-        ("join_str", join_rows, join("epc", "gln")),
+        (
+            "join_int",
+            join_rows,
+            join(&fact, &dim, ("k", "dk"), &budget),
+        ),
+        (
+            "join_str",
+            join_rows,
+            join(&fact, &dim, ("epc", "gln"), &budget),
+        ),
+        (
+            "join_wide_fk",
+            (wide.num_rows() + reference.num_rows()) as u64,
+            join(&wide, &reference, ("fk", "dk"), &budget),
+        ),
         (
             "group_by_str",
             fact_rows,
-            (
-                Box::new(|| {
-                    let mut stats = HashStats::default();
-                    let out = hash_aggregate(&fact, &group_by, &aggs, &mut stats).unwrap();
-                    (out.num_rows() as u64, fact_rows, stats)
-                }),
-                Box::new(|| {
-                    let out = dc_oracle::aggregate(&fact, &group_by, &aggs);
-                    out.unwrap().num_rows() as u64
-                }),
+            aggregate(
+                &fact,
+                &by_epc,
+                vec![
+                    agg(AggFunc::CountStar, "n"),
+                    agg(AggFunc::Sum(Expr::col("w")), "s"),
+                ],
+                &budget,
+            ),
+        ),
+        (
+            "count_distinct_str",
+            fact_rows,
+            aggregate(
+                &fact,
+                &by_k,
+                vec![agg(AggFunc::CountDistinct(Expr::col("epc")), "tags")],
+                &budget,
+            ),
+        ),
+        (
+            "min_max_str",
+            fact_rows,
+            aggregate(
+                &fact,
+                &by_k,
+                vec![
+                    agg(AggFunc::Min(Expr::col("epc")), "lo"),
+                    agg(AggFunc::Max(Expr::col("epc")), "hi"),
+                ],
+                &budget,
             ),
         ),
         (
@@ -229,21 +320,32 @@ pub fn hash_kernel_ablation(rows: usize, iters: usize) -> Vec<HashKernelPoint> {
             (
                 Box::new(|| {
                     let mut stats = HashStats::default();
-                    let out = distinct(&fact, &mut stats).unwrap();
-                    (out.num_rows() as u64, fact_rows, stats)
+                    let out = distinct(&fact, &budget, &mut stats).unwrap();
+                    (out, fact_rows, stats)
                 }),
-                Box::new(|| dc_oracle::distinct(&fact).num_rows() as u64),
+                Box::new(|| dc_oracle::distinct(&fact)),
             ),
         ),
     ];
     for (label, rows_in, (engine, oracle)) in cases {
-        let (vec_out, vectorized_ms) = timed(iters, engine);
-        let (oracle_rows, oracle_ms) = timed(iters, oracle);
-        assert_eq!(
-            vec_out.0, oracle_rows,
-            "{label}: vectorized and oracle output row counts diverge"
+        let ((out, lookups, stats), vectorized_ms) = timed(iters, engine);
+        let (expect, oracle_ms) = timed(iters, oracle);
+        // Row order is part of the contract, so the columns compare as
+        // they are (row by row, nothing materialized).
+        assert!(
+            out.schema() == expect.schema() && out.columns() == expect.columns(),
+            "{label}: vectorized and oracle outputs diverge"
         );
-        let (out_rows, lookups, stats) = vec_out;
+        if label == "join_wide_fk" {
+            // Every probe row has exactly one match, so the probe side's
+            // output is its input: the join may not have copied a cell.
+            let copied: usize = (0..wide.num_columns())
+                .filter(|&c| !std::ptr::eq(out.column(c).data(), wide.column(c).data()))
+                .map(|c| out.column(c).len())
+                .sum();
+            assert_eq!(copied, 0, "{label}: probe-side cells copied");
+        }
+        let out_rows = out.num_rows() as u64;
         points.push(HashKernelPoint {
             label,
             rows: rows_in,

@@ -6,14 +6,17 @@
 //! (SQL `GROUP BY` semantics); aggregate arguments skip NULLs.
 
 use crate::batch::Batch;
-use crate::column::{Column, ColumnBuilder};
+use crate::column::{with_native, Column, ColumnBuilder, ColumnData, Native};
 use crate::error::{Error, Result};
 use crate::expr::Expr;
 use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
+use crate::join::BUDGET_CHECK_INTERVAL;
+use crate::physical::QueryBudget;
 use crate::schema::{Field, Schema};
-use crate::value::{DataType, Value};
-use std::collections::HashSet;
+use crate::value::DataType;
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Aggregate function applied per group.
@@ -71,151 +74,234 @@ pub struct AggExpr {
     pub alias: String,
 }
 
-/// Per-group accumulator state.
-enum AggState {
-    Count(i64),
-    Distinct(HashSet<Value>),
-    SumInt(i64, bool), // (sum, saw_any)
-    SumF64(f64, bool),
-    /// Integer-argument average: exact i128 sum, divided once at finish.
-    /// Order-independent, which is what lets incremental maintenance
-    /// reproduce it from add/subtract deltas bit-for-bit.
-    AvgInt(i128, i64),
-    Avg(f64, i64),
-    MinMax(Option<Value>),
+/// `0..n` cut into blocks of [`BUDGET_CHECK_INTERVAL`] rows, the budget
+/// checked before each: a pass over a large input notices cancellation and
+/// deadlines from inside its loop, as the join's build and probe do.
+fn checked_blocks(
+    n: usize,
+    budget: &QueryBudget,
+) -> impl Iterator<Item = Result<Range<usize>>> + '_ {
+    (0..n).step_by(BUDGET_CHECK_INTERVAL).map(move |start| {
+        budget.check()?;
+        Ok(start..n.min(start + BUDGET_CHECK_INTERVAL))
+    })
 }
 
-impl AggState {
-    fn new(func: &AggFunc, arg_type: Option<DataType>) -> AggState {
-        match func {
-            AggFunc::CountStar | AggFunc::Count(_) => AggState::Count(0),
-            AggFunc::CountDistinct(_) => AggState::Distinct(HashSet::new()),
-            AggFunc::Sum(_) => match arg_type {
-                Some(DataType::Double) => AggState::SumF64(0.0, false),
-                _ => AggState::SumInt(0, false),
-            },
-            AggFunc::Avg(_) => match arg_type {
-                Some(DataType::Int) => AggState::AvgInt(0, 0),
-                _ => AggState::Avg(0.0, 0),
-            },
-            AggFunc::Min(_) | AggFunc::Max(_) => AggState::MinMax(None),
-        }
-    }
+/// The rows of one aggregation pass: `slots[i]` is row `i`'s group, one of
+/// `groups` dense first-seen ordinals.
+struct Grouping<'a> {
+    slots: &'a [u32],
+    groups: usize,
+    budget: &'a QueryBudget,
+}
 
-    fn update(&mut self, func: &AggFunc, v: Option<Value>) -> Result<()> {
-        match (self, func) {
-            (AggState::Count(c), AggFunc::CountStar) => *c += 1,
-            (AggState::Count(c), AggFunc::Count(_)) => {
-                if v.is_some() {
-                    *c += 1;
+impl Grouping<'_> {
+    /// Call `f(row, slot)` for every row whose `arg` is not NULL (every row
+    /// when there is no argument), in input order.
+    fn for_each_value(
+        &self,
+        arg: Option<&Column>,
+        mut f: impl FnMut(usize, usize) -> Result<()>,
+    ) -> Result<()> {
+        let nullable = arg.filter(|c| c.has_nulls());
+        for block in checked_blocks(self.slots.len(), self.budget) {
+            for i in block? {
+                if nullable.is_none_or(|c| !c.is_null(i)) {
+                    f(i, self.slots[i] as usize)?;
                 }
             }
-            (AggState::Distinct(s), AggFunc::CountDistinct(_)) => {
-                if let Some(v) = v {
-                    s.insert(v);
-                }
-            }
-            (AggState::SumInt(s, any), AggFunc::Sum(_)) => {
-                if let Some(v) = v {
-                    let x = v.as_int().ok_or_else(|| {
-                        Error::Execution(format!("sum over non-integer value {v}"))
-                    })?;
-                    *s = s
-                        .checked_add(x)
-                        .ok_or_else(|| Error::Execution("sum overflow".into()))?;
-                    *any = true;
-                }
-            }
-            (AggState::SumF64(s, any), AggFunc::Sum(_)) => {
-                if let Some(v) = v {
-                    *s += v.as_double().ok_or_else(|| {
-                        Error::Execution(format!("sum over non-numeric value {v}"))
-                    })?;
-                    *any = true;
-                }
-            }
-            (AggState::AvgInt(s, n), AggFunc::Avg(_)) => {
-                if let Some(v) = v {
-                    *s += v.as_int().ok_or_else(|| {
-                        Error::Execution(format!("avg over non-integer value {v}"))
-                    })? as i128;
-                    *n += 1;
-                }
-            }
-            (AggState::Avg(s, n), AggFunc::Avg(_)) => {
-                if let Some(v) = v {
-                    *s += v.as_double().ok_or_else(|| {
-                        Error::Execution(format!("avg over non-numeric value {v}"))
-                    })?;
-                    *n += 1;
-                }
-            }
-            (AggState::MinMax(best), AggFunc::Min(_)) => {
-                if let Some(v) = v {
-                    let replace = best.as_ref().is_none_or(|b| v.total_cmp(b).is_lt());
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
-            }
-            (AggState::MinMax(best), AggFunc::Max(_)) => {
-                if let Some(v) = v {
-                    let replace = best.as_ref().is_none_or(|b| v.total_cmp(b).is_gt());
-                    if replace {
-                        *best = Some(v);
-                    }
-                }
-            }
-            _ => return Err(Error::Internal("aggregate state/function mismatch".into())),
         }
         Ok(())
     }
 
-    fn finish(self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Distinct(s) => Value::Int(s.len() as i64),
-            AggState::SumInt(s, any) => {
-                if any {
-                    Value::Int(s)
-                } else {
-                    Value::Null
-                }
+    /// `count(*)` / `count(arg)`: one `i64` per group.
+    fn count(&self, arg: Option<&Column>) -> Result<Column> {
+        let mut counts = vec![0i64; self.groups];
+        self.for_each_value(arg, |_, slot| {
+            counts[slot] += 1;
+            Ok(())
+        })?;
+        Ok(Column::from_data(ColumnData::Int(counts)))
+    }
+
+    /// `count(distinct arg)`: a second normalized-key table over the
+    /// `(slot, arg)` pair; a pair seen for the first time counts one for
+    /// its group. Its hashing is private to the aggregate: the operator's
+    /// [`HashStats`] describe the group lookup, not what an aggregate does
+    /// with its values.
+    fn count_distinct(&self, arg: &Column) -> Result<Column> {
+        let n = self.slots.len();
+        let slot_col = Column::from_data(ColumnData::Int(
+            self.slots.iter().map(|&s| i64::from(s)).collect(),
+        ));
+        let mut private = HashStats::default();
+        let pairs = encode_keys(
+            &[slot_col, arg.clone()],
+            None,
+            n,
+            NullKeys::Match,
+            &mut private,
+        )?;
+        // Sized for every pair being new: growing would re-place them all.
+        let mut seen = RawKeyTable::with_capacity(n);
+        let mut counts = vec![0i64; self.groups];
+        self.for_each_value(Some(arg), |i, slot| {
+            if seen.insert(pairs.hash(i), pairs.key(i), &mut private)?.1 {
+                counts[slot] += 1;
             }
-            AggState::SumF64(s, any) => {
-                if any {
-                    Value::Double(s)
-                } else {
-                    Value::Null
-                }
+            Ok(())
+        })?;
+        Ok(Column::from_data(ColumnData::Int(counts)))
+    }
+
+    /// `sum(arg)`: `i64` with overflow checked, or `f64`; NULL for a group
+    /// without a value. Any value of another type is an error.
+    fn sum(&self, arg: &Column) -> Result<Column> {
+        let mut any = vec![false; self.groups];
+        if let Some(vals) = arg.int_values() {
+            let mut sums = vec![0i64; self.groups];
+            self.for_each_value(Some(arg), |i, slot| {
+                sums[slot] = sums[slot]
+                    .checked_add(vals[i])
+                    .ok_or_else(|| Error::Execution("sum overflow".into()))?;
+                any[slot] = true;
+                Ok(())
+            })?;
+            Ok(nullable_column(DataType::Int, sums, &any))
+        } else if let Some(vals) = arg.double_values() {
+            let mut sums = vec![0f64; self.groups];
+            self.for_each_value(Some(arg), |i, slot| {
+                sums[slot] += vals[i];
+                any[slot] = true;
+                Ok(())
+            })?;
+            Ok(nullable_column(DataType::Double, sums, &any))
+        } else {
+            self.reject_values("sum over non-integer", arg)?;
+            Ok(null_column(arg.data_type(), self.groups))
+        }
+    }
+
+    /// `avg(arg)`: integers sum exactly in `i128` and divide once at the
+    /// end — order-independent, which is what lets incremental maintenance
+    /// reproduce it from add/subtract deltas bit-for-bit; doubles sum in
+    /// input order.
+    fn avg(&self, arg: &Column) -> Result<Column> {
+        let mut counts = vec![0i64; self.groups];
+        let means: Vec<f64> = if let Some(vals) = arg.int_values() {
+            let mut sums = vec![0i128; self.groups];
+            self.for_each_value(Some(arg), |i, slot| {
+                sums[slot] += i128::from(vals[i]);
+                counts[slot] += 1;
+                Ok(())
+            })?;
+            let mean = |(s, n): (&i128, &i64)| *s as f64 / *n as f64;
+            sums.iter().zip(&counts).map(mean).collect()
+        } else if let Some(vals) = arg.double_values() {
+            let mut sums = vec![0f64; self.groups];
+            self.for_each_value(Some(arg), |i, slot| {
+                sums[slot] += vals[i];
+                counts[slot] += 1;
+                Ok(())
+            })?;
+            sums.iter()
+                .zip(&counts)
+                .map(|(s, n)| s / *n as f64)
+                .collect()
+        } else {
+            self.reject_values("avg over non-numeric", arg)?;
+            return Ok(null_column(DataType::Double, self.groups));
+        };
+        let any: Vec<bool> = counts.iter().map(|&n| n > 0).collect();
+        Ok(nullable_column(DataType::Double, means, &any))
+    }
+
+    /// `min(arg)` / `max(arg)` by the native comparison of the element
+    /// type (`better` is how a replacing value compares to the one it
+    /// replaces, so the earliest of equal extremes is kept). Tracks the row
+    /// of each group's extreme; values are cloned once per group at the end.
+    fn extreme<T: Native>(&self, arg: &Column, better: Ordering) -> Result<Column> {
+        let vals: &[T] = arg.values().expect("element type picked from the column");
+        let mut best: Vec<Option<usize>> = vec![None; self.groups];
+        self.for_each_value(Some(arg), |i, slot| {
+            if best[slot].is_none_or(|b| vals[i].total_cmp(&vals[b]) == better) {
+                best[slot] = Some(i);
             }
-            AggState::AvgInt(s, n) => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(s as f64 / n as f64)
-                }
+            Ok(())
+        })?;
+        let mut out = ColumnBuilder::new(arg.data_type(), self.groups);
+        for b in best {
+            match b {
+                Some(i) => out.push_native(vals[i].clone()),
+                None => out.push_null(),
             }
-            AggState::Avg(s, n) => {
-                if n == 0 {
-                    Value::Null
+        }
+        Ok(out.finish())
+    }
+
+    /// A numeric aggregate over a non-numeric column fails on its first
+    /// value; over NULLs alone it is NULL like any other.
+    fn reject_values(&self, what: &str, arg: &Column) -> Result<()> {
+        self.for_each_value(Some(arg), |i, _| {
+            Err(Error::Execution(format!("{what} value {}", arg.value(i))))
+        })
+    }
+
+    fn aggregate(&self, func: &AggFunc, arg: Option<&Column>) -> Result<Column> {
+        let arg = || arg.ok_or_else(|| Error::Internal(format!("{func} without an argument")));
+        match func {
+            AggFunc::CountStar => self.count(None),
+            AggFunc::Count(_) => self.count(Some(arg()?)),
+            AggFunc::CountDistinct(_) => self.count_distinct(arg()?),
+            AggFunc::Sum(_) => self.sum(arg()?),
+            AggFunc::Avg(_) => self.avg(arg()?),
+            AggFunc::Min(_) | AggFunc::Max(_) => {
+                let better = if matches!(func, AggFunc::Min(_)) {
+                    Ordering::Less
                 } else {
-                    Value::Double(s / n as f64)
-                }
+                    Ordering::Greater
+                };
+                let arg = arg()?;
+                with_native!(arg.data_type(), T => self.extreme::<T>(arg, better))
             }
-            AggState::MinMax(best) => best.unwrap_or(Value::Null),
         }
     }
 }
 
+/// One value of type `dt` per group, NULL where `any` is false.
+fn nullable_column<T: Native>(dt: DataType, vals: Vec<T>, any: &[bool]) -> Column {
+    let mut out = ColumnBuilder::new(dt, vals.len());
+    for (v, &valid) in vals.into_iter().zip(any) {
+        if valid {
+            out.push_native(v);
+        } else {
+            out.push_null();
+        }
+    }
+    out.finish()
+}
+
+/// `rows` NULLs of type `dt`.
+fn null_column(dt: DataType, rows: usize) -> Column {
+    let mut out = ColumnBuilder::new(dt, rows);
+    out.append_nulls(rows);
+    out.finish()
+}
+
 /// Execute a hash aggregation. Output columns are the group expressions
 /// (named by their aliases) followed by the aggregates; groups come out in
-/// first-seen order. Group lookup goes through the normalized-key table of
-/// [`crate::hash`]; its work is added to `hash`.
+/// first-seen order.
+///
+/// One pass assigns every row its group slot through the normalized-key
+/// table of [`crate::hash`] (its work is added to `hash`); then each
+/// aggregate runs on its own over the argument's native slice into a typed
+/// vector indexed by slot. `budget` is checked every
+/// `BUDGET_CHECK_INTERVAL` rows of each of those passes.
 pub fn hash_aggregate(
     input: &Batch,
     group_by: &[(Expr, String)],
     aggs: &[AggExpr],
+    budget: &QueryBudget,
     hash: &mut HashStats,
 ) -> Result<Batch> {
     let n = input.num_rows();
@@ -227,93 +313,67 @@ pub fn hash_aggregate(
         .iter()
         .map(|a| a.func.arg().map(|e| e.evaluate(input)).transpose())
         .collect::<Result<_>>()?;
-    let arg_types: Vec<Option<DataType>> = arg_cols
-        .iter()
-        .map(|c| c.as_ref().map(Column::data_type))
-        .collect();
-    let new_states = || -> Vec<AggState> {
-        aggs.iter()
-            .zip(&arg_types)
-            .map(|(a, t)| AggState::new(&a.func, *t))
-            .collect()
-    };
 
     // Group lookup: slot index = first-seen order. `rep_rows[slot]` is the
     // first input row of each group — the group-key output columns gather
     // straight from the evaluated key columns, so key values are never
     // re-materialized from the table.
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    let mut rep_rows: Vec<usize> = Vec::new();
     let keys = encode_keys(&group_cols, None, n, NullKeys::Match, hash)?;
     let mut table = RawKeyTable::with_capacity(n.min(1024));
-    for i in 0..n {
-        let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
-        if fresh {
-            states.push(new_states());
-            rep_rows.push(i);
-        }
-        for ((state, agg), arg) in states[slot].iter_mut().zip(aggs).zip(&arg_cols) {
-            let v = arg.as_ref().filter(|c| !c.is_null(i)).map(|c| c.value(i));
-            state.update(&agg.func, v)?;
+    let mut slots: Vec<u32> = Vec::with_capacity(n);
+    let mut rep_rows: Vec<usize> = Vec::new();
+    for block in checked_blocks(n, budget) {
+        for i in block? {
+            let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash)?;
+            if fresh {
+                rep_rows.push(i);
+            }
+            slots.push(slot as u32);
         }
     }
+    let grouping = Grouping {
+        slots: &slots,
+        // Global aggregation over an empty input yields one all-default row.
+        groups: rep_rows.len().max(usize::from(group_by.is_empty())),
+        budget,
+    };
 
-    // Global aggregation over an empty input yields one all-default row.
-    if states.is_empty() && group_by.is_empty() {
-        states.push(new_states());
-    }
-
-    // Output schema.
+    // Group-key columns gather from the evaluated key columns; an empty
+    // input has no column to take the type from and asks the expression.
     let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
+    let mut cols: Vec<Column> = Vec::with_capacity(group_by.len() + aggs.len());
     for ((e, alias), c) in group_by.iter().zip(&group_cols) {
-        let dt = if n == 0 {
-            e.data_type(input.schema()).unwrap_or(DataType::Int)
+        let col = if n == 0 {
+            ColumnBuilder::new(e.data_type(input.schema())?, 0).finish()
         } else {
-            c.data_type()
+            c.take(&rep_rows)
         };
-        fields.push(Field::new(alias.clone(), dt));
+        fields.push(Field::new(alias.clone(), col.data_type()));
+        cols.push(col);
     }
-    for a in aggs {
+    for (a, arg) in aggs.iter().zip(&arg_cols) {
         fields.push(Field::new(
             a.alias.clone(),
             a.func.output_type(input.schema())?,
         ));
+        cols.push(grouping.aggregate(&a.func, arg.as_ref())?);
     }
-    let schema = Arc::new(Schema::new(fields));
-
-    // Group-key columns gather from the evaluated key columns (empty inputs
-    // fall back to an empty column of the schema type); aggregate columns
-    // are built from the finished accumulators, slots in first-seen order.
-    let mut cols: Vec<Column> = Vec::with_capacity(schema.fields().len());
-    for (c, f) in group_cols.iter().zip(schema.fields()) {
-        if n == 0 {
-            cols.push(ColumnBuilder::new(f.data_type, 0).finish());
-        } else {
-            cols.push(c.take(&rep_rows));
-        }
-    }
-    for (a, f) in (0..aggs.len()).zip(&schema.fields()[group_by.len()..]) {
-        let mut b = ColumnBuilder::new(f.data_type, states.len());
-        for slot_states in &mut states {
-            // `finish` consumes; replace with a placeholder we never read.
-            let s = std::mem::replace(&mut slot_states[a], AggState::Count(0));
-            b.push(&s.finish())?;
-        }
-        cols.push(b.finish());
-    }
-    Batch::new(schema, cols)
+    Batch::new(Arc::new(Schema::new(fields)), cols)
 }
 
 /// DISTINCT over whole rows, keeping each row's first occurrence in input
-/// order. Hash-kernel work is added to `hash`.
-pub fn distinct(input: &Batch, hash: &mut HashStats) -> Result<Batch> {
+/// order. Hash-kernel work is added to `hash`; `budget` is checked every
+/// `BUDGET_CHECK_INTERVAL` rows.
+pub fn distinct(input: &Batch, budget: &QueryBudget, hash: &mut HashStats) -> Result<Batch> {
     let n = input.num_rows();
     let mut keep = Vec::new();
     let keys = encode_keys(input.columns(), input.selection(), n, NullKeys::Match, hash)?;
     let mut table = RawKeyTable::with_capacity(n.min(1024));
-    for i in 0..n {
-        if table.insert(keys.hash(i), keys.key(i), hash).1 {
-            keep.push(i);
+    for block in checked_blocks(n, budget) {
+        for i in block? {
+            if table.insert(keys.hash(i), keys.key(i), hash)?.1 {
+                keep.push(i);
+            }
         }
     }
     Ok(input.take(&keep))
@@ -323,10 +383,17 @@ pub fn distinct(input: &Batch, hash: &mut HashStats) -> Result<Batch> {
 mod tests {
     use super::*;
     use crate::batch::schema_ref;
+    use crate::value::Value;
 
     /// `hash_aggregate` with the hash-work counters discarded.
     fn aggregate(input: &Batch, group_by: &[(Expr, String)], aggs: &[AggExpr]) -> Result<Batch> {
-        hash_aggregate(input, group_by, aggs, &mut HashStats::default())
+        hash_aggregate(
+            input,
+            group_by,
+            aggs,
+            &QueryBudget::unlimited(),
+            &mut HashStats::default(),
+        )
     }
 
     fn batch() -> Batch {
@@ -458,6 +525,24 @@ mod tests {
     }
 
     #[test]
+    fn empty_input_reports_a_group_key_without_a_type() {
+        // No row to take the key's type from, and the expression has none
+        // (Str + Int): an error, not a silent Int column.
+        let untyped = Expr::binary(
+            Expr::col("mfr"),
+            crate::expr::BinaryOp::Plus,
+            Expr::lit(1i64),
+        );
+        let b = batch().take(&[]);
+        assert!(
+            untyped.evaluate(&b).is_ok(),
+            "nothing to evaluate, nothing fails"
+        );
+        let err = aggregate(&b, &[(untyped, "k".into())], &[]).unwrap_err();
+        assert!(matches!(err, Error::Plan(_)), "{err:?}");
+    }
+
+    #[test]
     fn null_group_keys_group_together() {
         let schema = schema_ref(Schema::new(vec![Field::new("k", DataType::Str)]));
         let b = Batch::from_rows(
@@ -479,6 +564,53 @@ mod tests {
     }
 
     #[test]
+    fn tripped_budget_aborts_inside_the_slot_pass_and_every_accumulator_pass() {
+        use crate::error::AbortReason;
+        // Neither function checks the budget anywhere but inside its row
+        // loops, so an abort at all is an abort from inside them.
+        let expired = QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let cancelled = QueryBudget::unlimited()
+            .with_cancel(Arc::new(std::sync::atomic::AtomicBool::new(true)));
+        let x = || Expr::col("t");
+        let funcs = [
+            AggFunc::CountStar,
+            AggFunc::Count(x()),
+            AggFunc::CountDistinct(x()),
+            AggFunc::Sum(x()),
+            AggFunc::Avg(x()),
+            AggFunc::Min(x()),
+            AggFunc::Max(x()),
+        ];
+        let b = batch();
+        for (budget, reason) in [
+            (&expired, AbortReason::DeadlineExceeded),
+            (&cancelled, AbortReason::Cancelled),
+        ] {
+            let aborted = |r: Result<usize>| match r {
+                Err(Error::Aborted(got)) => assert_eq!(got, reason),
+                other => panic!("expected {reason:?}, got {other:?}"),
+            };
+            let mut hash = HashStats::default();
+            aborted(hash_aggregate(&b, &[], &[], budget, &mut hash).map(|b| b.num_rows()));
+            aborted(distinct(&b, budget, &mut hash).map(|b| b.num_rows()));
+            // The slot pass done, each accumulator pass checks on its own.
+            let arg = b.column_by_name("t").unwrap();
+            let grouping = Grouping {
+                slots: &[0, 0, 0, 1],
+                groups: 2,
+                budget,
+            };
+            for func in &funcs {
+                aborted(grouping.aggregate(func, Some(arg)).map(|c| c.len()));
+            }
+        }
+        // An empty input has no block to check.
+        let none = b.take(&[]);
+        assert!(distinct(&none, &expired, &mut HashStats::default()).is_ok());
+    }
+
+    #[test]
     fn distinct_rows() {
         let schema = schema_ref(Schema::new(vec![Field::new("k", DataType::Str)]));
         let b = Batch::from_rows(
@@ -491,7 +623,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let d = distinct(&b, &mut HashStats::default()).unwrap();
+        let d = distinct(&b, &QueryBudget::unlimited(), &mut HashStats::default()).unwrap();
         assert_eq!(d.num_rows(), 2);
     }
 }

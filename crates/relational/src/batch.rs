@@ -273,6 +273,21 @@ impl Batch {
         }
     }
 
+    /// Keep only the columns at `positions`, in that order. O(1) per kept
+    /// column: payloads and the selection vector are shared, not copied.
+    pub fn project(&self, positions: &[usize]) -> Batch {
+        let fields = positions
+            .iter()
+            .map(|&i| self.schema.field(i).clone())
+            .collect();
+        Batch {
+            schema: Arc::new(Schema::new(fields)),
+            columns: positions.iter().map(|&i| self.columns[i].clone()).collect(),
+            rows: self.rows,
+            selection: self.selection.clone(),
+        }
+    }
+
     /// Replace the schema (must have identical types) — used to re-qualify
     /// fields when a table is aliased. Preserves any selection vector.
     pub fn with_schema(&self, schema: SchemaRef) -> Result<Batch> {
@@ -502,6 +517,21 @@ mod tests {
         // take() through a selection resolves logical indices.
         let t = b.take(&[1]);
         assert_eq!(t.row(0), vec![Value::str("e1"), Value::Int(10)]);
+    }
+
+    #[test]
+    fn project_shares_columns_and_keeps_the_selection() {
+        let b = sample().with_selection(vec![2, 0]);
+        let p = b.project(&[1, 0, 1]);
+        assert_eq!(p.schema().field(0).name, "rtime");
+        assert_eq!(p.num_rows(), 2);
+        assert_eq!(
+            p.row(0),
+            vec![Value::Int(30), Value::str("e1"), Value::Int(30)]
+        );
+        assert!(std::ptr::eq(p.column(1).data(), b.column(0).data()));
+        // No column still carries the rows.
+        assert_eq!(sample().project(&[]).num_rows(), 3);
     }
 
     #[test]

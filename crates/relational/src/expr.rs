@@ -302,27 +302,32 @@ impl Expr {
 
     /// All column references in this expression.
     pub fn referenced_columns(&self, out: &mut Vec<ColumnRef>) {
+        self.for_each_column(&mut |c| out.push(c.clone()));
+    }
+
+    /// Visit every column reference in this expression, left to right.
+    pub fn for_each_column<'a>(&'a self, f: &mut impl FnMut(&'a ColumnRef)) {
         match self {
-            Expr::Column(c) => out.push(c.clone()),
+            Expr::Column(c) => f(c),
             Expr::Literal(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
+                left.for_each_column(f);
+                right.for_each_column(f);
             }
-            Expr::Not(e) => e.referenced_columns(out),
-            Expr::IsNull { expr, .. } => expr.referenced_columns(out),
-            Expr::InList { expr, .. } | Expr::InSet { expr, .. } => expr.referenced_columns(out),
-            Expr::CountIf(inner) => inner.referenced_columns(out),
+            Expr::Not(e) => e.for_each_column(f),
+            Expr::IsNull { expr, .. } => expr.for_each_column(f),
+            Expr::InList { expr, .. } | Expr::InSet { expr, .. } => expr.for_each_column(f),
+            Expr::CountIf(inner) => inner.for_each_column(f),
             Expr::Case {
                 branches,
                 else_expr,
             } => {
                 for (c, r) in branches {
-                    c.referenced_columns(out);
-                    r.referenced_columns(out);
+                    c.for_each_column(f);
+                    r.for_each_column(f);
                 }
                 if let Some(e) = else_expr {
-                    e.referenced_columns(out);
+                    e.for_each_column(f);
                 }
             }
         }

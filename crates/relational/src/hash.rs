@@ -360,29 +360,30 @@ pub fn encode_keys(
                     let nullable = c.has_nulls();
                     for (k, o) in offsets[1..].iter_mut().enumerate() {
                         let i = phys(sel, k);
-                        *o += if nullable && c.is_null(i) {
+                        let len = if nullable && c.is_null(i) {
                             1
                         } else {
-                            1 + 4 + vals[i].len() as u32
+                            1 + 4 + vals[i].len()
                         };
+                        *o = grown(*o, len)?;
                     }
                 }
                 other => {
-                    let w = fixed_width(other).expect("non-str is fixed width") as u32;
-                    if c.has_nulls() {
-                        for (k, o) in offsets[1..].iter_mut().enumerate() {
-                            *o += if c.is_null(phys(sel, k)) { 1 } else { w };
-                        }
-                    } else {
-                        for o in &mut offsets[1..] {
-                            *o += w;
-                        }
+                    let w = fixed_width(other).expect("non-str is fixed width");
+                    let nullable = c.has_nulls();
+                    for (k, o) in offsets[1..].iter_mut().enumerate() {
+                        let len = if nullable && c.is_null(phys(sel, k)) {
+                            1
+                        } else {
+                            w
+                        };
+                        *o = grown(*o, len)?;
                     }
                 }
             }
         }
         for k in 1..=rows {
-            offsets[k] += offsets[k - 1];
+            offsets[k] = grown(offsets[k - 1], offsets[k] as usize)?;
         }
         let total = offsets[rows] as usize;
         let mut bytes = vec![0u8; total];
@@ -522,6 +523,27 @@ pub fn encode_value_row(values: &[Value], out: &mut Vec<u8>) -> u64 {
 
 const EMPTY_BUCKET: u32 = u32::MAX;
 
+/// `offset + len` as an offset into a normalized-key arena, which addresses
+/// its bytes with `u32`s: an error, not a wrap-around, past 4 GiB.
+fn grown(offset: u32, len: usize) -> Result<u32> {
+    u32::try_from(len)
+        .ok()
+        .and_then(|len| offset.checked_add(len))
+        .ok_or_else(|| {
+            Error::Execution(
+                "normalized keys exceed the 4 GiB a key arena addresses (u32 offsets)".into(),
+            )
+        })
+}
+
+/// The `(start, len)` entry of a `len`-byte key appended to an arena that
+/// holds `used` bytes.
+fn arena_range(used: usize, len: usize) -> Result<(u32, u32)> {
+    let start = grown(0, used)?;
+    let end = grown(start, len)?;
+    Ok((start, end - start))
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TableEntry {
     hash: u64,
@@ -585,7 +607,11 @@ impl RawKeyTable {
             return false;
         }
         stats.probe_memcmps += 1;
-        if &self.arena[e.start as usize..(e.start + e.len) as usize] == key {
+        // The empty key (global aggregation) is settled by its length: a
+        // zero-length memcmp at the empty arena's dangling address costs
+        // ~100 ns where the libc routine probes it with a masked load.
+        let stored = &self.arena[e.start as usize..(e.start + e.len) as usize];
+        if stored.len() == key.len() && (key.is_empty() || stored == key) {
             true
         } else {
             stats.hash_collisions += 1;
@@ -594,8 +620,14 @@ impl RawKeyTable {
     }
 
     /// Find-or-insert. Returns `(slot, inserted)`; slots are dense and
-    /// first-insert ordered.
-    pub fn insert(&mut self, hash: u64, key: &[u8], stats: &mut HashStats) -> (usize, bool) {
+    /// first-insert ordered. Fails, inserting nothing, when the key would
+    /// take the arena past the 4 GiB its `u32` offsets address.
+    pub fn insert(
+        &mut self,
+        hash: u64,
+        key: &[u8],
+        stats: &mut HashStats,
+    ) -> Result<(usize, bool)> {
         if (self.entries.len() + 1) * 8 > self.buckets.len() * 7 {
             self.grow();
         }
@@ -604,19 +636,15 @@ impl RawKeyTable {
         loop {
             let slot = self.buckets[b];
             if slot == EMPTY_BUCKET {
-                let start = self.arena.len() as u32;
+                let (start, len) = arena_range(self.arena.len(), key.len())?;
                 self.arena.extend_from_slice(key);
                 let idx = self.entries.len() as u32;
-                self.entries.push(TableEntry {
-                    hash,
-                    start,
-                    len: key.len() as u32,
-                });
+                self.entries.push(TableEntry { hash, start, len });
                 self.buckets[b] = idx;
-                return (idx as usize, true);
+                return Ok((idx as usize, true));
             }
             if self.entry_matches(slot, hash, key, stats) {
-                return (slot as usize, false);
+                return Ok((slot as usize, false));
             }
             b = (b + 1) & mask;
         }
@@ -813,13 +841,19 @@ mod tests {
     fn table_insert_get_roundtrip_counts_memcmps() {
         let mut t = RawKeyTable::with_capacity(4);
         let mut st = HashStats::default();
-        let (s0, fresh0) = t.insert(hash_value(&Value::Int(1)), b"k1", &mut st);
-        let (s1, fresh1) = t.insert(hash_value(&Value::Int(2)), b"k2", &mut st);
+        let (s0, fresh0) = t
+            .insert(hash_value(&Value::Int(1)), b"k1", &mut st)
+            .unwrap();
+        let (s1, fresh1) = t
+            .insert(hash_value(&Value::Int(2)), b"k2", &mut st)
+            .unwrap();
         assert!(fresh0 && fresh1);
         assert_eq!((s0, s1), (0, 1));
         // Re-insert: one memcmp (the match), no collision.
         let before = st.probe_memcmps;
-        let (s, fresh) = t.insert(hash_value(&Value::Int(1)), b"k1", &mut st);
+        let (s, fresh) = t
+            .insert(hash_value(&Value::Int(1)), b"k1", &mut st)
+            .unwrap();
         assert!(!fresh);
         assert_eq!(s, 0);
         assert_eq!(st.probe_memcmps, before + 1);
@@ -833,8 +867,8 @@ mod tests {
         // Fabricate a full 64-bit collision: distinct keys, same hash.
         let mut t = RawKeyTable::with_capacity(4);
         let mut st = HashStats::default();
-        let (a, fa) = t.insert(42, b"alpha", &mut st);
-        let (b, fb) = t.insert(42, b"beta", &mut st);
+        let (a, fa) = t.insert(42, b"alpha", &mut st).unwrap();
+        let (b, fb) = t.insert(42, b"beta", &mut st).unwrap();
         assert!(fa && fb);
         assert_ne!(a, b);
         assert_eq!(st.hash_collisions, 1, "insert of beta collided with alpha");
@@ -848,6 +882,26 @@ mod tests {
     }
 
     #[test]
+    fn offsets_past_the_arena_limit_are_errors_not_wraparound() {
+        // Fabricated offsets stand in for 4 GiB of keys.
+        assert_eq!(grown(u32::MAX - 9, 9).unwrap(), u32::MAX);
+        for (offset, len) in [
+            (u32::MAX - 9, 10),
+            (0, u32::MAX as usize + 1),
+            (7, usize::MAX),
+        ] {
+            let err = grown(offset, len).unwrap_err();
+            assert!(
+                matches!(&err, Error::Execution(m) if m.contains("4 GiB")),
+                "{offset} + {len}: {err:?}"
+            );
+        }
+        assert_eq!(arena_range(100, 28).unwrap(), (100, 28));
+        assert!(arena_range(u32::MAX as usize - 4, 5).is_err());
+        assert!(arena_range(u32::MAX as usize + 1, 0).is_err());
+    }
+
+    #[test]
     fn table_growth_preserves_entries_and_counters() {
         let mut t = RawKeyTable::with_capacity(0);
         let mut st = HashStats::default();
@@ -855,7 +909,7 @@ mod tests {
         // Only 13 distinct hashes for 1000 keys ⇒ heavy deliberate
         // collisions; every key must still be found after multiple growths.
         for (i, k) in keys.iter().enumerate() {
-            t.insert(mix(i as u64 % 13), k, &mut st);
+            t.insert(mix(i as u64 % 13), k, &mut st).unwrap();
         }
         assert_eq!(t.len(), 1000);
         for (i, k) in keys.iter().enumerate() {

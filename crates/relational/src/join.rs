@@ -4,6 +4,19 @@
 //! (locations, steps, products) and use semi-joins to restrict the set of
 //! EPC sequences before cleansing (join-back rewrite, §5.3). NULL keys never
 //! match, per SQL semantics.
+//!
+//! # What a join copies
+//!
+//! The match lists are computed first; what is gathered follows from them:
+//!
+//! * **Inner, every probe row matched exactly one build row** (an n-to-1
+//!   reference join whose foreign keys are all present): the probe side's
+//!   output *is* its input, so its columns are shared, not gathered; only
+//!   the build side is gathered.
+//! * **Inner, otherwise**: both sides are gathered, but only the columns in
+//!   [`JoinEmit`] — a column nothing above the join reads is never touched.
+//! * **Left-semi**: the left batch is returned under a selection vector (all
+//!   of it, as it came, when every row matched); no column is gathered.
 
 use crate::batch::Batch;
 use crate::column::Column;
@@ -16,7 +29,7 @@ use std::sync::Arc;
 /// Rows between cooperative budget checkpoints inside the build and probe
 /// loops. Large joins must notice cancellation/deadlines promptly instead of
 /// only at operator boundaries.
-const BUDGET_CHECK_INTERVAL: usize = 1024;
+pub(crate) const BUDGET_CHECK_INTERVAL: usize = 1024;
 
 /// Supported join types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +58,43 @@ pub struct JoinWork {
     pub hash: HashStats,
 }
 
-/// Assemble the inner-join output from gathered row indices.
-fn emit_inner(left: &Batch, right: &Batch, li: &[usize], ri: &[usize]) -> Result<Batch> {
-    let lt = left.take(li);
+/// The input columns an inner join emits, as positions in the left and the
+/// right input's schema; the output schema is the chosen left fields then
+/// the chosen right fields. Key expressions are evaluated on the full
+/// inputs, so a key column need not be emitted. An emit list that names no
+/// column at all emits the first left column, to carry the row count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinEmit {
+    pub left: Vec<usize>,
+    pub right: Vec<usize>,
+}
+
+/// Assemble the inner-join output from the match lists: `li[k]` / `ri[k]`
+/// are the left / right logical rows of output row `k`, `li` ascending.
+fn emit_inner(
+    left: &Batch,
+    right: &Batch,
+    li: &[usize],
+    ri: &[usize],
+    emit: Option<&JoinEmit>,
+) -> Result<Batch> {
+    let (left, right) = match emit {
+        // A batch carries its row count in its columns: when nothing above
+        // reads any (`count(*)`), the first left column stands in.
+        Some(e) if e.left.is_empty() && e.right.is_empty() => {
+            (left.project(&[0]), right.project(&[]))
+        }
+        Some(e) => (left.project(&e.left), right.project(&e.right)),
+        None => (left.clone(), right.clone()),
+    };
+    // `li` ascending and as long as the probe side, each row once: it is
+    // 0, 1, 2, … and the probe side passes through.
+    let every_row_once = li.len() == left.num_rows() && li.iter().enumerate().all(|(k, &i)| i == k);
+    let lt = if every_row_once {
+        left.flatten()
+    } else {
+        left.take(li)
+    };
     let rt = right.take(ri);
     let schema = Arc::new(lt.schema().join(rt.schema()));
     let mut cols = lt.columns().to_vec();
@@ -62,15 +109,18 @@ fn emit_inner(left: &Batch, right: &Batch, li: &[usize], ri: &[usize]) -> Result
 /// tables): a normalized-key build table ([`crate::hash`]) with CSR match
 /// lists — per-key build rows stay in ascending order, so matches come out
 /// in right-input order — probed hash-first, with a memcmp only on a
-/// candidate collision. `budget` is checked every `BUDGET_CHECK_INTERVAL`
-/// rows inside both the build and the probe loop. Returns the joined batch
-/// and the work performed.
+/// candidate collision. An inner join emits the columns named by `emit`
+/// (`None`: every column of both inputs); a semi-join emits the left batch
+/// under a selection vector and ignores `emit`. `budget` is checked every
+/// `BUDGET_CHECK_INTERVAL` rows inside both the build and the probe loop.
+/// Returns the joined batch and the work performed.
 pub fn hash_join(
     left: &Batch,
     right: &Batch,
     left_keys: &[Expr],
     right_keys: &[Expr],
     join_type: JoinType,
+    emit: Option<&JoinEmit>,
     budget: &QueryBudget,
 ) -> Result<(Batch, JoinWork)> {
     if left_keys.len() != right_keys.len() || left_keys.is_empty() {
@@ -101,7 +151,7 @@ pub fn hash_join(
             slot_of_row.push(NO_SLOT);
             continue;
         }
-        let (slot, fresh) = table.insert(rkeys.hash(i), rkeys.key(i), &mut hash);
+        let (slot, fresh) = table.insert(rkeys.hash(i), rkeys.key(i), &mut hash)?;
         if fresh {
             counts.push(0);
         }
@@ -149,10 +199,13 @@ pub fn hash_join(
                     }
                 }
             }
-            emit_inner(left, right, &li, &ri)?
+            emit_inner(left, right, &li, &ri, emit)?
         }
         JoinType::LeftSemi => {
-            let mut li = Vec::new();
+            // Survivors as physical rows of `left`, resolved through the
+            // selection it may already carry.
+            let sel = left.selection();
+            let mut survivors: Vec<u32> = Vec::new();
             for i in 0..ln {
                 if i % BUDGET_CHECK_INTERVAL == 0 {
                     budget.check()?;
@@ -162,10 +215,10 @@ pub fn hash_join(
                     continue;
                 }
                 if table.get(lkeys.hash(i), lkeys.key(i), &mut hash).is_some() {
-                    li.push(i);
+                    survivors.push(sel.map_or(i as u32, |s| s[i]));
                 }
             }
-            left.take(&li)
+            left.clone().with_survivors(survivors)
         }
     };
     Ok((batch, JoinWork { probes, hash }))
@@ -187,7 +240,8 @@ mod tests {
         join_type: JoinType,
     ) -> Result<(Batch, u64)> {
         let budget = QueryBudget::unlimited();
-        let (batch, work) = hash_join(left, right, left_keys, right_keys, join_type, &budget)?;
+        let (batch, work) =
+            hash_join(left, right, left_keys, right_keys, join_type, None, &budget)?;
         Ok((batch, work.probes))
     }
 
@@ -354,7 +408,7 @@ mod tests {
         for jt in [JoinType::Inner, JoinType::LeftSemi] {
             let (l, r) = (wide(200, 7, 3), wide(40, 0, 5));
             let keys = [Expr::col("k"), Expr::col("s")];
-            let (_, work) = hash_join(&l, &r, &keys, &keys, jt, &budget).unwrap();
+            let (_, work) = hash_join(&l, &r, &keys, &keys, jt, None, &budget).unwrap();
             assert_eq!(work.probes, 200, "{jt}: NULL-keyed rows are probed too");
             assert!(work.hash.hash_ops > 0);
         }
@@ -369,7 +423,7 @@ mod tests {
         let l = wide(100, 0, 1);
         let r = wide(100, 0, 1);
         let keys = [Expr::col("k")];
-        let err = hash_join(&l, &r, &keys, &keys, JoinType::Inner, &budget).unwrap_err();
+        let err = hash_join(&l, &r, &keys, &keys, JoinType::Inner, None, &budget).unwrap_err();
         assert!(matches!(err, Error::Aborted(_)), "{err:?}");
     }
 }

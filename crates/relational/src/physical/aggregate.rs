@@ -32,7 +32,7 @@ impl PhysicalOperator for PhysicalAggregate {
         // Each input row is hashed into a group once.
         ctx.metrics.add_comparisons(b.num_rows() as u64);
         let mut hash = HashStats::default();
-        let out = hash_aggregate(&b, &self.group_by, &self.aggs, &mut hash)?;
+        let out = hash_aggregate(&b, &self.group_by, &self.aggs, &ctx.budget, &mut hash)?;
         ctx.stats.add_hash(&hash);
         ctx.metrics.add_hash(&hash);
         Ok(materialized(out))

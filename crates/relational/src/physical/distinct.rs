@@ -24,7 +24,7 @@ impl PhysicalOperator for PhysicalDistinct {
         // Each input row is hashed against the seen-set once.
         ctx.metrics.add_comparisons(b.num_rows() as u64);
         let mut hash = HashStats::default();
-        let out = distinct(&b, &mut hash)?;
+        let out = distinct(&b, &ctx.budget, &mut hash)?;
         ctx.stats.add_hash(&hash);
         ctx.metrics.add_hash(&hash);
         Ok(materialized(out))

@@ -1,9 +1,11 @@
-//! Inner hash join (build right, probe left).
+//! Inner hash join (build right, probe left), emitting only the input
+//! columns that are read above it.
 
 use super::{collect_input, materialized, ChunkStream, ExecContext, PhysicalOperator};
 use crate::error::Result;
-use crate::expr::Expr;
-use crate::join::{hash_join, JoinType};
+use crate::expr::{ColumnRef, Expr};
+use crate::join::{hash_join, JoinEmit, JoinType};
+use crate::schema::{Field, Schema};
 
 #[derive(Debug)]
 pub struct PhysicalHashJoin {
@@ -11,6 +13,21 @@ pub struct PhysicalHashJoin {
     pub right: Box<dyn PhysicalOperator>,
     pub left_keys: Vec<Expr>,
     pub right_keys: Vec<Expr>,
+    /// The column references read above the join: only input columns one of
+    /// them can mean are emitted. `None`: every column of both inputs.
+    pub emit: Option<Vec<ColumnRef>>,
+}
+
+/// Positions of the fields of `schema` that some reference in `refs` can
+/// mean.
+fn read_positions(schema: &Schema, refs: &[ColumnRef]) -> Vec<usize> {
+    let read = |f: &Field| {
+        refs.iter()
+            .any(|r| f.matches(r.qualifier.as_deref(), &r.name))
+    };
+    (0..schema.len())
+        .filter(|&i| read(schema.field(i)))
+        .collect()
 }
 
 impl PhysicalOperator for PhysicalHashJoin {
@@ -25,7 +42,12 @@ impl PhysicalOperator for PhysicalHashJoin {
             .zip(&self.right_keys)
             .map(|(l, r)| format!("{l} = {r}"))
             .collect();
-        format!("HashJoinExec: on [{}]", pairs.join(", "))
+        let mut s = format!("HashJoinExec: on [{}]", pairs.join(", "));
+        if let Some(refs) = &self.emit {
+            let names: Vec<String> = refs.iter().map(ColumnRef::flat_name).collect();
+            s.push_str(&format!(" emit=[{}]", names.join(", ")));
+        }
+        s
     }
 
     fn children(&self) -> Vec<&dyn PhysicalOperator> {
@@ -35,12 +57,17 @@ impl PhysicalOperator for PhysicalHashJoin {
     fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
         let l = collect_input(self.left.as_ref(), ctx)?;
         let r = collect_input(self.right.as_ref(), ctx)?;
+        let emit = self.emit.as_ref().map(|refs| JoinEmit {
+            left: read_positions(l.schema(), refs),
+            right: read_positions(r.schema(), refs),
+        });
         let (out, work) = hash_join(
             &l,
             &r,
             &self.left_keys,
             &self.right_keys,
             JoinType::Inner,
+            emit.as_ref(),
             &ctx.budget,
         )?;
         ctx.stats.join_probes += work.probes;

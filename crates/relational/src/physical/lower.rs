@@ -15,6 +15,22 @@
 //!   unsorted one gets an explicit [`PhysicalSort`] on (partition keys,
 //!   order keys) inserted in front. The physical window operator itself
 //!   never sorts.
+//! * **Required columns** — the column references a node's parent reads
+//!   are threaded down the tree (`Required`), so a [`PhysicalScan`] emits
+//!   only the table columns something above it reads (its pushed-down
+//!   filter still sees the whole table) and a [`PhysicalHashJoin`] gathers
+//!   only those. The logical plan is not rewritten. Four places pin their
+//!   child's full schema: the root (the caller gets the columns the plan
+//!   declares), `Union` inputs and `Distinct` (both positional: every
+//!   column is part of the row), and `SubqueryAlias` (it renames every
+//!   column, so the names read above it say nothing about the names
+//!   below). `Project` and `Aggregate` read exactly what their expressions
+//!   reference; `Filter`, `Sort`, `Window`, `Limit` and the joins pass
+//!   their parent's needs on and add their own. References are matched by
+//!   name with the rule expression evaluation resolves them by, and every
+//!   field a reference *could* mean is kept — so a reference that is
+//!   ambiguous, or unresolvable, fails during execution exactly as it
+//!   does over the unpruned schema.
 
 use super::aggregate::PhysicalAggregate;
 use super::distinct::PhysicalDistinct;
@@ -30,16 +46,83 @@ use super::union::PhysicalUnion;
 use super::window::PhysicalWindow;
 use super::PhysicalOperator;
 use crate::error::Result;
-use crate::expr::{split_conjuncts, Expr};
+use crate::expr::{split_conjuncts, ColumnRef, Expr};
 use crate::index::ScanBound;
 use crate::join::JoinType;
 use crate::plan::{window_sort_keys, LogicalPlan};
-use crate::schema::Schema;
+use crate::schema::{Field, Schema};
 use crate::table::{Catalog, Table};
 use crate::value::Value;
 
+/// The columns of a node's output that are read above it, as the distinct
+/// column references (borrowed from the plan) evaluated there; `None` pins
+/// the node's full schema.
+type Required<'p> = Option<Vec<&'p ColumnRef>>;
+
+/// What a node's child must deliver: everything `required` of the node
+/// itself (its output carries the child's columns through) plus what the
+/// node's own `exprs` read.
+fn passing_on<'p>(
+    required: &Required<'p>,
+    exprs: impl IntoIterator<Item = &'p Expr>,
+) -> Required<'p> {
+    let mut refs = required.clone()?;
+    for e in exprs {
+        e.for_each_column(&mut |c| {
+            if !refs.contains(&c) {
+                refs.push(c);
+            }
+        });
+    }
+    Some(refs)
+}
+
+/// What the child of a node with a schema of its own must deliver: the
+/// columns the node's `exprs` read, nothing else.
+fn reading<'p>(exprs: impl IntoIterator<Item = &'p Expr>) -> Required<'p> {
+    passing_on(&Some(Vec::new()), exprs)
+}
+
+/// The columns of `table` (bare names, table order) a scan under `alias`
+/// must emit for `refs` to resolve above it; `None` when that is all of
+/// them.
+fn scan_columns(table: &Table, alias: Option<&str>, refs: &[&ColumnRef]) -> Option<Vec<String>> {
+    let read = |f: &Field| {
+        refs.iter().any(|r| match alias {
+            // Under an alias a field answers to that qualifier alone.
+            Some(a) => {
+                f.name.eq_ignore_ascii_case(&r.name)
+                    && r.qualifier
+                        .as_deref()
+                        .is_none_or(|q| q.eq_ignore_ascii_case(a))
+            }
+            None => f.matches(r.qualifier.as_deref(), &r.name),
+        })
+    };
+    let fields = table.schema().fields();
+    let mut kept: Vec<String> = fields
+        .iter()
+        .filter(|f| read(f))
+        .map(|f| f.name.clone())
+        .collect();
+    if kept.is_empty() {
+        // `count(*)` reads no column, but a batch carries its row count in
+        // its columns.
+        kept.extend(fields.first().map(|f| f.name.clone()));
+    }
+    (kept.len() < fields.len()).then_some(kept)
+}
+
 /// Lower a logical plan to an executable physical operator tree.
 pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOperator>> {
+    lower_node(plan, catalog, None)
+}
+
+fn lower_node<'p>(
+    plan: &'p LogicalPlan,
+    catalog: &Catalog,
+    required: Required<'p>,
+) -> Result<Box<dyn PhysicalOperator>> {
     Ok(match plan {
         LogicalPlan::Scan {
             table,
@@ -47,6 +130,7 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
             filter,
         } => {
             let t = catalog.get(table)?;
+            let columns = required.and_then(|refs| scan_columns(&t, alias.as_deref(), &refs));
             let candidates = match filter {
                 Some(f) => {
                     // The scan's output schema (possibly requalified by the
@@ -65,18 +149,23 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
                 alias: alias.clone(),
                 filter: filter.clone(),
                 candidates,
+                columns,
             })
         }
         LogicalPlan::Filter { input, predicate } => Box::new(PhysicalFilter {
-            input: lower(input, catalog)?,
+            input: lower_node(input, catalog, passing_on(&required, [predicate]))?,
             predicate: predicate.clone(),
         }),
         LogicalPlan::Project { input, exprs } => Box::new(PhysicalProject {
-            input: lower(input, catalog)?,
+            input: lower_node(input, catalog, reading(exprs.iter().map(|(e, _)| e)))?,
             exprs: exprs.clone(),
         }),
         LogicalPlan::Sort { input, keys } => Box::new(PhysicalSort {
-            input: lower(input, catalog)?,
+            input: lower_node(
+                input,
+                catalog,
+                passing_on(&required, keys.iter().map(|k| &k.expr)),
+            )?,
             keys: keys.clone(),
             run_hint_table: table_order_source(input),
         }),
@@ -87,7 +176,11 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
             exprs,
             presorted,
         } => {
-            let mut child = lower(input, catalog)?;
+            let reads = partition_by
+                .iter()
+                .chain(order_by.iter().map(|k| &k.expr))
+                .chain(exprs.iter().filter_map(|we| we.arg.as_ref()));
+            let mut child = lower_node(input, catalog, passing_on(&required, reads))?;
             if !presorted {
                 // The optimizer did not find a shared order: make the sort
                 // an explicit physical operator (same counter semantics as
@@ -118,14 +211,20 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
             right_keys,
             join_type,
         } => {
-            let l = lower(left, catalog)?;
-            let r = lower(right, catalog)?;
+            let l = lower_node(left, catalog, passing_on(&required, left_keys))?;
+            let r = match join_type {
+                JoinType::Inner => passing_on(&required, right_keys),
+                // A semi-join emits no right column: the keys are all it reads.
+                JoinType::LeftSemi => reading(right_keys),
+            };
+            let r = lower_node(right, catalog, r)?;
             match join_type {
                 JoinType::Inner => Box::new(PhysicalHashJoin {
                     left: l,
                     right: r,
                     left_keys: left_keys.clone(),
                     right_keys: right_keys.clone(),
+                    emit: required.map(|refs| refs.into_iter().cloned().collect()),
                 }),
                 JoinType::LeftSemi => Box::new(PhysicalSemiJoin {
                     left: l,
@@ -139,26 +238,32 @@ pub fn lower(plan: &LogicalPlan, catalog: &Catalog) -> Result<Box<dyn PhysicalOp
             input,
             group_by,
             aggs,
-        } => Box::new(PhysicalAggregate {
-            input: lower(input, catalog)?,
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        }),
+        } => {
+            let reads = group_by
+                .iter()
+                .map(|(e, _)| e)
+                .chain(aggs.iter().filter_map(|a| a.func.arg()));
+            Box::new(PhysicalAggregate {
+                input: lower_node(input, catalog, reading(reads))?,
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+            })
+        }
         LogicalPlan::Distinct { input } => Box::new(PhysicalDistinct {
-            input: lower(input, catalog)?,
+            input: lower_node(input, catalog, None)?,
         }),
         LogicalPlan::Union { inputs } => Box::new(PhysicalUnion {
             inputs: inputs
                 .iter()
-                .map(|p| lower(p, catalog))
+                .map(|p| lower_node(p, catalog, None))
                 .collect::<Result<_>>()?,
         }),
         LogicalPlan::Limit { input, fetch } => Box::new(PhysicalLimit {
-            input: lower(input, catalog)?,
+            input: lower_node(input, catalog, required)?,
             fetch: *fetch,
         }),
         LogicalPlan::SubqueryAlias { input, alias } => Box::new(PhysicalSubqueryAlias {
-            input: lower(input, catalog)?,
+            input: lower_node(input, catalog, None)?,
             alias: alias.clone(),
         }),
     })

@@ -11,6 +11,10 @@
 //! * redundant-sort elimination (a window whose input is already ordered
 //!   lowers *without* a [`sort::PhysicalSort`] in front; one is inserted
 //!   otherwise — the physical window operator itself never sorts),
+//! * required columns (a [`scan::PhysicalScan`] emits, and a
+//!   [`hash_join::PhysicalHashJoin`] gathers, only the columns read above
+//!   them; root, `Union` inputs, `Distinct` and `SubqueryAlias` pin their
+//!   child's full schema),
 //! * partition-parallel window evaluation ([`window::PhysicalWindow`]
 //!   splits the cleansing path's `PARTITION BY` (cluster-key) partitions
 //!   into consecutive runs across a scoped thread pool when

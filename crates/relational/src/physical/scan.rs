@@ -36,6 +36,10 @@ pub struct PhysicalScan {
     pub filter: Option<Expr>,
     /// Candidate index accesses in deterministic (column-position) order.
     pub candidates: Vec<IndexCandidate>,
+    /// The table columns (bare names, table order) something above the scan
+    /// reads — all it emits. `None`: every column. The filter is evaluated
+    /// on the table's columns either way.
+    pub columns: Option<Vec<String>>,
 }
 
 impl PhysicalOperator for PhysicalScan {
@@ -55,6 +59,9 @@ impl PhysicalOperator for PhysicalScan {
         if let Some(f) = &self.filter {
             s.push_str(&format!(" filter={f}"));
         }
+        if let Some(cols) = &self.columns {
+            s.push_str(&format!(" columns=[{}]", cols.join(", ")));
+        }
         s
     }
 
@@ -63,8 +70,21 @@ impl PhysicalOperator for PhysicalScan {
     }
 
     fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
+        let t = ctx.catalog.get(&self.table)?;
+        let base = self.fetch_base(&t, ctx)?;
+        let out = match &self.columns {
+            Some(names) => {
+                let positions: Vec<usize> = names
+                    .iter()
+                    .map(|n| t.schema().index_of(None, n))
+                    .collect::<Result<_>>()?;
+                base.project(&positions)
+            }
+            None => base.clone(),
+        };
         Ok(Box::new(ScanStream {
-            base: self.fetch_base(ctx)?,
+            base,
+            out,
             filter: self.filter.as_ref(),
             pos: 0,
         }))
@@ -72,11 +92,10 @@ impl PhysicalOperator for PhysicalScan {
 }
 
 impl PhysicalScan {
-    /// Fetch the (index/segment-narrowed) base rows under the output
-    /// schema and record the fetch counters. The residual filter is applied
-    /// on top by `ScanStream`, chunk by chunk.
-    fn fetch_base(&self, ctx: &mut ExecContext<'_>) -> Result<Batch> {
-        let t = ctx.catalog.get(&self.table)?;
+    /// Fetch the (index/segment-narrowed) base rows, every table column
+    /// under the scan's qualifier, and record the fetch counters. The
+    /// residual filter is applied on top by `ScanStream`, chunk by chunk.
+    fn fetch_base(&self, t: &Table, ctx: &mut ExecContext<'_>) -> Result<Batch> {
         let out_schema: Arc<Schema> = match &self.alias {
             Some(a) => Arc::new(t.schema().with_qualifier(a)),
             None => t.schema().clone(),
@@ -95,7 +114,7 @@ impl PhysicalScan {
         // matching rows. The decision (and its counters) is a pure function
         // of plan + data — recorded before the access-path choice so the
         // counters describe prunability regardless of which path runs.
-        let survivors = prune_segments(&t, &self.candidates);
+        let survivors = prune_segments(t, &self.candidates);
         let total_segs = t.segments().len();
         if !self.candidates.is_empty() && total_segs > 0 {
             let scanned = survivors.len() as u64;
@@ -106,7 +125,7 @@ impl PhysicalScan {
             ctx.metrics.add_segments(total_segs as u64, pruned, scanned);
         }
 
-        let base = match best_index_access(&t, &self.candidates) {
+        let base = match best_index_access(t, &self.candidates) {
             Some(rows) => {
                 ctx.stats.index_scans += 1;
                 ctx.stats.rows_scanned += rows.len() as u64;
@@ -137,27 +156,34 @@ impl PhysicalScan {
 }
 
 /// Streaming scan: the (narrowed) base rows are fetched once at open; each
-/// `next_chunk` serves a zero-copy slice, applying the residual filter as a
-/// selection vector instead of gathering survivor columns.
+/// `next_chunk` serves a zero-copy slice of the emitted columns, applying
+/// the residual filter — evaluated on the same rows of the full-width base
+/// — as a selection vector instead of gathering survivor columns.
 struct ScanStream<'a> {
     base: Batch,
+    /// The emitted columns of `base`, row for row.
+    out: Batch,
     filter: Option<&'a Expr>,
     pos: usize,
 }
 
 impl ChunkStream for ScanStream<'_> {
     fn schema(&self) -> SchemaRef {
-        self.base.schema().clone()
+        self.out.schema().clone()
     }
 
     fn next_chunk(&mut self, ctx: &mut ExecContext<'_>) -> Result<Option<Batch>> {
-        let Some(mut chunk) = next_slice(&self.base, &mut self.pos, ctx.options.chunk_rows) else {
+        let start = self.pos;
+        let Some(mut chunk) = next_slice(&self.out, &mut self.pos, ctx.options.chunk_rows) else {
             return Ok(None);
         };
         if let Some(pred) = self.filter {
-            let survivors = filter_chunk(pred, &chunk)?.selected;
+            let rows = self.base.slice(start, chunk.num_rows());
+            let survivors = filter_chunk(pred, &rows)?.selected;
             chunk = chunk.with_survivors(survivors);
-            ctx.record_avoided_copies(chunk.num_columns() as u64);
+            // Counted over the table's columns, pruned or not: the filter
+            // ran over all of them.
+            ctx.record_avoided_copies(rows.num_columns() as u64);
         }
         Ok(Some(chunk))
     }

@@ -42,6 +42,7 @@ impl PhysicalOperator for PhysicalSemiJoin {
             &self.left_keys,
             &self.right_keys,
             JoinType::LeftSemi,
+            None,
             &ctx.budget,
         )?;
         ctx.stats.join_probes += work.probes;

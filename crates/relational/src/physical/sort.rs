@@ -86,9 +86,13 @@ impl PhysicalSort {
                 let Expr::Column(c) = &k.expr else {
                     return None;
                 };
-                // The scan's output is positionally identical to the table,
-                // whatever qualifier the plan put on the column names.
-                b.schema().index_of(c.qualifier.as_deref(), &c.name).ok()
+                // The scan may emit a subset of the table's columns under
+                // another qualifier; the bare name finds the table's own.
+                let i = b.schema().index_of(c.qualifier.as_deref(), &c.name).ok()?;
+                table
+                    .schema()
+                    .index_of(None, &b.schema().field(i).name)
+                    .ok()
             })
             .collect::<Option<_>>()?;
         table.segment_runs(&cols)

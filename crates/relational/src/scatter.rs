@@ -37,6 +37,7 @@ use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
 use crate::expr::Expr;
 use crate::hash::{encode_keys, HashStats, NullKeys, RawKeyTable};
+use crate::physical::QueryBudget;
 use crate::plan::LogicalPlan;
 use crate::schema::{Field, Schema};
 use crate::sort::{sort_batch, sort_batch_runs, SortKey};
@@ -433,7 +434,7 @@ pub fn gather(parts: &[Batch], steps: &[GatherStep]) -> Result<(Batch, GatherOut
                 merged
             }
             GatherStep::Reaggregate(spec) => reaggregate(&batch, spec, &mut outcome.hash)?,
-            GatherStep::Distinct => distinct(&batch, &mut outcome.hash)?,
+            GatherStep::Distinct => distinct(&batch, &QueryBudget::unlimited(), &mut outcome.hash)?,
             GatherStep::Project { exprs } => {
                 let cols: Vec<_> = exprs
                     .iter()
@@ -518,7 +519,7 @@ fn reaggregate(batch: &Batch, spec: &Reaggregate, hash: &mut HashStats) -> Resul
     let keys = encode_keys(&gcols, batch.selection(), n, NullKeys::Match, hash)?;
     let mut table = RawKeyTable::with_capacity(n.min(1024));
     for i in 0..n {
-        let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash);
+        let (slot, fresh) = table.insert(keys.hash(i), keys.key(i), hash)?;
         if fresh {
             accs.push(new_accs(batch.schema()));
             rep_rows.push(i);

@@ -80,14 +80,14 @@ impl GroupTable {
     }
 
     /// Accumulators for `key`, inserting a zeroed slot if unseen.
-    fn upsert(&mut self, key: &RowKey, p_len: usize) -> &mut [i128] {
+    fn upsert(&mut self, key: &RowKey, p_len: usize) -> Result<&mut [i128]> {
         let h = self.encode(key);
-        let (slot, fresh) = self.table.insert(h, &self.key_buf, &mut self.stats);
+        let (slot, fresh) = self.table.insert(h, &self.key_buf, &mut self.stats)?;
         if fresh {
             self.keys.push(key.clone());
             self.accs.push(vec![0; p_len]);
         }
-        &mut self.accs[slot]
+        Ok(&mut self.accs[slot])
     }
 
     fn get(&mut self, key: &RowKey) -> Option<&[i128]> {
@@ -582,7 +582,7 @@ fn apply_partials(
             )));
         }
         let key = RowKey(row[..g_len].to_vec());
-        let acc = groups.upsert(&key, p_len);
+        let acc = groups.upsert(&key, p_len)?;
         for (slot, v) in row[g_len..].iter().enumerate() {
             let x = match v {
                 Value::Null => 0,

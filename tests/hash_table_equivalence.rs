@@ -11,7 +11,8 @@
 //! that memcmp disambiguates while the collision counter ticks.
 
 use dc_oracle::rows_of;
-use dc_relational::join::hash_join;
+use dc_relational::agg::hash_aggregate;
+use dc_relational::join::{hash_join, JoinEmit};
 use dc_relational::physical::DEFAULT_CHUNK_ROWS;
 use dc_relational::prelude::*;
 use rand::rngs::StdRng;
@@ -301,13 +302,332 @@ fn hash_join_matches_oracle_on_wide_keys() {
             (wide(0, 0, 1), wide(10, 0, 1)),
         ] {
             let keys = [Expr::col("k"), Expr::col("s")];
-            let (got, work) = hash_join(&l, &r, &keys, &keys, jt, &budget).unwrap();
+            let (got, work) = hash_join(&l, &r, &keys, &keys, jt, None, &budget).unwrap();
             let expected = dc_oracle::join(&l, &r, &keys, &keys, jt).unwrap();
             assert_eq!(rows_of(&got), rows_of(&expected), "{jt}");
             assert_eq!(work.probes, l.num_rows() as u64, "{jt} probes");
             assert!(work.hash.hash_ops > 0);
         }
     }
+}
+
+/// The seven aggregate functions over the argument column `x`.
+fn every_aggregate() -> Vec<AggFunc> {
+    let x = || Expr::col("x");
+    vec![
+        AggFunc::CountStar,
+        AggFunc::Count(x()),
+        AggFunc::CountDistinct(x()),
+        AggFunc::Sum(x()),
+        AggFunc::Avg(x()),
+        AggFunc::Min(x()),
+        AggFunc::Max(x()),
+    ]
+}
+
+/// Row `i`'s argument value of type `dt`: few distinct values, so groups
+/// see repeats and ties; doubles include both zeros and a NaN.
+fn arg_value(dt: DataType, i: usize) -> Value {
+    match dt {
+        DataType::Bool => Value::Bool(i.is_multiple_of(3)),
+        DataType::Int => Value::Int([5, -3, 5, 40, 0, -3, 17][i % 7]),
+        DataType::Double => Value::Double([0.5, -0.0, 0.0, f64::NAN, -7.25, 0.5][i % 6]),
+        DataType::Str => Value::str(["pear", "fig", "", "pear", "apple"][i % 5]),
+    }
+}
+
+/// Function × argument type × NULL mix × grouping shape, every cell against
+/// `dc_oracle::aggregate`: the same rows in the same (first-seen) order
+/// under the same schema, or an error on both sides (`sum`/`avg` over a
+/// non-numeric value).
+#[test]
+fn aggregate_table_matches_oracle() {
+    let budget = QueryBudget::unlimited();
+    type NullMix = fn(usize) -> bool;
+    let null_mixes: [(&str, NullMix); 3] = [
+        ("no NULLs", |_| false),
+        ("some NULLs", |i| i % 4 == 1),
+        ("all NULL", |_| true),
+    ];
+    // (name, rows, group key of row i; `None` = no GROUP BY).
+    type Key = Option<fn(usize) -> Value>;
+    let shapes: [(&str, usize, Key); 6] = [
+        ("global", 23, None),
+        ("one group", 23, Some(|_| Value::str("k"))),
+        (
+            "many groups",
+            23,
+            Some(|i| Value::str(format!("k{}", (i * 5) % 7))),
+        ),
+        (
+            "NULL group key",
+            23,
+            Some(|i| match i % 3 {
+                0 => Value::Null,
+                r => Value::str(format!("k{r}")),
+            }),
+        ),
+        ("empty input", 0, Some(|i| Value::str(format!("k{i}")))),
+        ("empty input, global", 0, None),
+    ];
+    let mut cells = 0;
+    let mut type_errors = 0;
+    for dt in [
+        DataType::Bool,
+        DataType::Int,
+        DataType::Double,
+        DataType::Str,
+    ] {
+        for (mix, is_null) in null_mixes {
+            for (shape, n, key) in &shapes {
+                let schema = schema_ref(Schema::new(vec![
+                    Field::new("g", DataType::Str),
+                    Field::new("x", dt),
+                ]));
+                let rows: Vec<Vec<Value>> = (0..*n)
+                    .map(|i| {
+                        let g = key.map_or(Value::Null, |k| k(i));
+                        let x = if is_null(i) {
+                            Value::Null
+                        } else {
+                            arg_value(dt, i)
+                        };
+                        vec![g, x]
+                    })
+                    .collect();
+                let input = Batch::from_rows(schema, &rows).unwrap();
+                let group_by: Vec<(Expr, String)> = key
+                    .iter()
+                    .map(|_| (Expr::col("g"), "g".to_string()))
+                    .collect();
+                for func in every_aggregate() {
+                    let at = format!("{func} over {dt}, {mix}, {shape}");
+                    let aggs = [AggExpr {
+                        func,
+                        alias: "a".into(),
+                    }];
+                    let mut stats = HashStats::default();
+                    let got = hash_aggregate(&input, &group_by, &aggs, &budget, &mut stats);
+                    let expected = dc_oracle::aggregate(&input, &group_by, &aggs);
+                    cells += 1;
+                    match (got, expected) {
+                        (Ok(got), Ok(expected)) => {
+                            assert_eq!(got.schema(), expected.schema(), "{at}");
+                            assert_eq!(rows_of(&got), rows_of(&expected), "{at}");
+                        }
+                        (Err(Error::Execution(_)), Err(Error::Execution(_))) => type_errors += 1,
+                        (got, expected) => panic!(
+                            "{at}: engine {:?} vs oracle {:?}",
+                            got.map(|b| rows_of(&b)),
+                            expected.map(|b| rows_of(&b))
+                        ),
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 4 * 3 * 6 * 7);
+    // sum and avg over Bool and Str fail wherever a group holds a value:
+    // 2 functions x 2 types x 2 NULL mixes x 4 non-empty shapes.
+    assert_eq!(type_errors, 2 * 2 * 2 * 4);
+}
+
+/// Integer sums are overflow-checked per group; an overflowing group fails
+/// the aggregation on both sides, and `avg` of the same values does not
+/// overflow (it sums in 128 bits).
+#[test]
+fn aggregate_sum_overflow_matches_oracle() {
+    let schema = schema_ref(Schema::new(vec![
+        Field::new("g", DataType::Int),
+        Field::new("x", DataType::Int),
+    ]));
+    let rows =
+        [(1, i64::MAX), (2, 7), (1, 1), (2, -7)].map(|(g, x)| vec![Value::Int(g), Value::Int(x)]);
+    let input = Batch::from_rows(schema, &rows).unwrap();
+    let group_by = [(Expr::col("g"), "g".to_string())];
+    let run = |func: AggFunc| {
+        let aggs = [AggExpr {
+            func,
+            alias: "a".into(),
+        }];
+        let got = hash_aggregate(
+            &input,
+            &group_by,
+            &aggs,
+            &QueryBudget::unlimited(),
+            &mut HashStats::default(),
+        );
+        (got, dc_oracle::aggregate(&input, &group_by, &aggs))
+    };
+    let (got, expected) = run(AggFunc::Sum(Expr::col("x")));
+    assert!(
+        matches!(got, Err(Error::Execution(ref m)) if m.contains("overflow")),
+        "{got:?}"
+    );
+    assert!(expected.is_err());
+    let (got, expected) = run(AggFunc::Avg(Expr::col("x")));
+    assert_eq!(rows_of(&got.unwrap()), rows_of(&expected.unwrap()));
+}
+
+/// What `hash_join` gathers, case by case, against `dc_oracle::join`
+/// projected to the emitted columns: the probe side passed through when
+/// every probe row matched exactly once (its output columns share the input
+/// payload), gathered otherwise; the probe side arriving under a selection
+/// vector; a semi-join returning its left input under a selection.
+#[test]
+fn join_emit_cases_match_oracle() {
+    let budget = QueryBudget::unlimited();
+    let probe = |keys: &[Option<i64>]| {
+        let schema = schema_ref(Schema::new(vec![
+            Field::qualified("c", "fk", DataType::Int),
+            Field::qualified("c", "epc", DataType::Str),
+            Field::qualified("c", "w", DataType::Double),
+        ]));
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                vec![
+                    k.map_or(Value::Null, Value::Int),
+                    Value::str(format!("e{i}")),
+                    Value::Double(i as f64 / 4.0),
+                ]
+            })
+            .collect();
+        Batch::from_rows(schema, &rows).unwrap()
+    };
+    let build = |keys: &[Option<i64>]| {
+        let schema = schema_ref(Schema::new(vec![
+            Field::qualified("l", "k", DataType::Int),
+            Field::qualified("l", "site", DataType::Str),
+        ]));
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                vec![
+                    k.map_or(Value::Null, Value::Int),
+                    Value::str(format!("s{i}")),
+                ]
+            })
+            .collect();
+        Batch::from_rows(schema, &rows).unwrap()
+    };
+    let some = |ks: &[i64]| ks.iter().map(|&k| Some(k)).collect::<Vec<_>>();
+    let fk_complete = probe(&some(&[2, 0, 1, 2, 2, 0]));
+    // (name, probe side, build keys, does the probe side pass through?)
+    let cases: Vec<(&str, Batch, Vec<Option<i64>>, bool)> = vec![
+        ("FK-complete", fk_complete.clone(), some(&[0, 1, 2]), true),
+        ("partial match", fk_complete.clone(), some(&[0, 2]), false),
+        (
+            "1-to-many build keys",
+            fk_complete.clone(),
+            some(&[0, 1, 2, 1]),
+            false,
+        ),
+        (
+            "NULL keys on both sides",
+            probe(&[Some(0), None, Some(1), None]),
+            vec![Some(0), None, Some(1)],
+            false,
+        ),
+        (
+            "probe side under a selection, all of it matching",
+            fk_complete.with_selection(vec![4, 1, 2]),
+            some(&[0, 1, 2]),
+            false, // a reordering selection is gathered once, by `flatten`
+        ),
+        (
+            "probe side under an all-rows selection",
+            fk_complete.with_selection(vec![0, 1, 2, 3, 4, 5]),
+            some(&[0, 1, 2]),
+            true,
+        ),
+        ("empty probe side", probe(&[]), some(&[0, 1]), true),
+        ("empty build side", fk_complete.clone(), vec![], false),
+    ];
+    let (lk, rk) = ([Expr::col("c.fk")], [Expr::col("l.k")]);
+    // Every column, then a narrow emit list that leaves out both keys.
+    let emits = [
+        None,
+        Some(JoinEmit {
+            left: vec![2, 1],
+            right: vec![1],
+        }),
+        Some(JoinEmit {
+            left: vec![],
+            right: vec![1],
+        }),
+    ];
+    for (name, left, build_keys, passes_through) in &cases {
+        let right = build(build_keys);
+        let oracle = dc_oracle::join(left, &right, &lk, &rk, JoinType::Inner).unwrap();
+        for emit in &emits {
+            let at = format!("{name}, emit {emit:?}");
+            let (got, work) = hash_join(
+                left,
+                &right,
+                &lk,
+                &rk,
+                JoinType::Inner,
+                emit.as_ref(),
+                &budget,
+            )
+            .unwrap();
+            let (lcols, rcols): (Vec<usize>, Vec<usize>) = match emit {
+                Some(e) => (e.left.clone(), e.right.clone()),
+                None => ((0..3).collect(), (0..2).collect()),
+            };
+            let expect_cols: Vec<usize> = lcols
+                .iter()
+                .copied()
+                .chain(rcols.iter().map(|c| 3 + c))
+                .collect();
+            assert_eq!(
+                rows_of(&got),
+                rows_of(&oracle.project(&expect_cols)),
+                "{at}"
+            );
+            assert_eq!(got.schema(), oracle.project(&expect_cols).schema(), "{at}");
+            assert_eq!(work.probes, left.num_rows() as u64, "{at}");
+            for (out, &c) in lcols.iter().enumerate() {
+                let shared = std::ptr::eq(got.column(out).data(), left.column(c).data());
+                assert_eq!(shared, *passes_through, "{at}: probe column {c}");
+            }
+        }
+        // The semi-join keeps the left schema and order, shares every
+        // column, and resolves its survivors through the selection.
+        let (semi, _) =
+            hash_join(left, &right, &lk, &rk, JoinType::LeftSemi, None, &budget).unwrap();
+        let oracle = dc_oracle::join(left, &right, &lk, &rk, JoinType::LeftSemi).unwrap();
+        assert_eq!(rows_of(&semi), rows_of(&oracle), "{name}: semi");
+        assert_eq!(semi.schema(), left.schema(), "{name}: semi");
+        for c in 0..3 {
+            assert!(
+                std::ptr::eq(semi.column(c).data(), left.column(c).data()),
+                "{name}: semi"
+            );
+        }
+    }
+    // An emit list naming no column still carries the row count, in the
+    // first left column.
+    let nothing = JoinEmit {
+        left: vec![],
+        right: vec![],
+    };
+    let right = build(&some(&[0, 2]));
+    let (got, _) = hash_join(
+        &fk_complete,
+        &right,
+        &lk,
+        &rk,
+        JoinType::Inner,
+        Some(&nothing),
+        &budget,
+    )
+    .unwrap();
+    let oracle = dc_oracle::join(&fk_complete, &right, &lk, &rk, JoinType::Inner).unwrap();
+    assert_eq!(rows_of(&got), rows_of(&oracle.project(&[0])));
 }
 
 /// The hash path stays parallelism-invariant: rows, merged stats (hash
@@ -356,7 +676,7 @@ fn equal_hash_distinct_keys_disambiguate_by_memcmp() {
     const H: u64 = 0xdead_beef_cafe_f00d;
     let keys: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i, i ^ 0x55, 7, i]).collect();
     for (i, k) in keys.iter().enumerate() {
-        let (slot, fresh) = table.insert(H, k, &mut stats);
+        let (slot, fresh) = table.insert(H, k, &mut stats).unwrap();
         assert!(fresh, "key {i} wrongly matched an earlier key");
         assert_eq!(slot, i, "slots must follow first-insert order");
     }

@@ -9,6 +9,7 @@
 
 use dc_oracle::rows_of;
 use dc_relational::prelude::*;
+use dc_relational::sql::{parse_query, plan_query};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,13 +17,15 @@ use std::time::Duration;
 const CHUNK_ROWS: [usize; 4] = [0, 1, 7, 1024];
 const PARALLELISMS: [usize; 2] = [1, 2];
 
-/// r(epc, rtime, loc): 48 reads of 6 tags at 4 locations, some with a NULL
-/// location; d(gln, site): 3 of the 4 locations, two of them at one site.
+/// r(epc, rtime, loc, reader): 48 reads of 6 tags at 4 locations, some with
+/// a NULL location; d(gln, site): 3 of the 4 locations, two of them at one
+/// site; i(epc, product, descr): 5 of the 6 tags.
 fn catalog() -> Catalog {
     let reads = schema_ref(Schema::new(vec![
         Field::new("epc", DataType::Str),
         Field::new("rtime", DataType::Int),
         Field::new("loc", DataType::Str),
+        Field::new("reader", DataType::Str),
     ]));
     let rows: Vec<Vec<Value>> = (0..48i64)
         .map(|i| {
@@ -34,6 +37,7 @@ fn catalog() -> Catalog {
                 } else {
                     Value::str(format!("loc{}", (i * 5) % 4))
                 },
+                Value::str(format!("reader{}", i % 3)),
             ]
         })
         .collect();
@@ -43,9 +47,24 @@ fn catalog() -> Catalog {
     ]));
     let dim_rows = [("loc0", "north"), ("loc1", "north"), ("loc2", "south")]
         .map(|(g, s)| vec![Value::str(g), Value::str(s)]);
+    let info = schema_ref(Schema::new(vec![
+        Field::new("epc", DataType::Str),
+        Field::new("product", DataType::Str),
+        Field::new("descr", DataType::Str),
+    ]));
+    let info_rows: Vec<Vec<Value>> = (0..5)
+        .map(|t| {
+            vec![
+                Value::str(format!("e{t}")),
+                Value::str(format!("product{}", t % 2)),
+                Value::str(format!("tag number {t}")),
+            ]
+        })
+        .collect();
     let cat = Catalog::new();
     cat.register(Table::new("r", Batch::from_rows(reads, &rows).unwrap()));
     cat.register(Table::new("d", Batch::from_rows(dims, &dim_rows).unwrap()));
+    cat.register(Table::new("i", Batch::from_rows(info, &info_rows).unwrap()));
     cat
 }
 
@@ -289,4 +308,186 @@ fn project_open_failure_keeps_the_opened_child_in_the_tree() {
         assert_eq!(tree.children[0].children[0].children[0].rows_in, 48);
         assert!(nodes(&tree).iter().all(|n| n.batches_processed == 0));
     }
+}
+
+/// Lowering hands every operator only the columns read above it. Each case
+/// names the labels the physical plan must (and must not) carry, and runs
+/// against the reference interpreter, which knows nothing of pruning.
+#[test]
+fn only_the_columns_a_plan_reads_are_scanned_and_joined() {
+    let cat = catalog();
+    let col = |name: &str| (Expr::col(name), name.to_string());
+    let tags = || {
+        LogicalPlan::scan_as("r", "c").join(
+            LogicalPlan::scan_as("i", "i"),
+            vec![Expr::col("c.epc")],
+            vec![Expr::col("i.epc")],
+            JoinType::Inner,
+        )
+    };
+    let prev_time = WindowExpr {
+        func: WindowFuncKind::Max,
+        arg: Some(Expr::col("rtime")),
+        frame: Frame::rows(FrameBound::Preceding(1), FrameBound::Preceding(1)),
+        alias: "prev".into(),
+    };
+    let renamed = LogicalPlan::scan("i").project(vec![
+        (Expr::col("descr"), "a".into()),
+        (Expr::lit(7i64), "b".into()),
+        (Expr::col("product"), "c".into()),
+        (Expr::col("epc"), "d".into()),
+    ]);
+    // (name, plan, labels present, labels absent)
+    let cases: Vec<(&str, LogicalPlan, Vec<&str>, Vec<&str>)> = vec![
+        (
+            "a column only the scan filter reads is not emitted",
+            LogicalPlan::Scan {
+                table: "r".into(),
+                alias: None,
+                filter: Some(Expr::col("rtime").lt(Expr::lit(50i64))),
+            }
+            .project(vec![col("epc")]),
+            vec!["filter=(rtime < 50) columns=[epc]"],
+            vec![],
+        ),
+        (
+            "c.epc read, i.epc only a join key",
+            tags().project(vec![col("c.epc"), col("i.product")]),
+            vec![
+                "emit=[c.epc, i.product]",
+                "ScanExec: r AS c columns=[epc]",
+                "ScanExec: i AS i columns=[epc, product]",
+            ],
+            vec![],
+        ),
+        (
+            "i.epc read, c.epc only a join key",
+            tags().project(vec![col("i.epc"), col("c.rtime")]),
+            vec![
+                "emit=[i.epc, c.rtime]",
+                "ScanExec: r AS c columns=[epc, rtime]",
+                "ScanExec: i AS i columns=[epc]",
+            ],
+            vec![],
+        ),
+        (
+            "count(*) reads no column and still counts rows",
+            tags().aggregate(
+                vec![],
+                vec![AggExpr {
+                    func: AggFunc::CountStar,
+                    alias: "n".into(),
+                }],
+            ),
+            vec!["emit=[]", "ScanExec: r AS c columns=[epc]"],
+            vec![],
+        ),
+        (
+            "Union inputs stay full-width and positional",
+            LogicalPlan::Union {
+                inputs: vec![LogicalPlan::scan("r"), renamed],
+            }
+            .project(vec![col("rtime")]),
+            vec!["ScanExec: r\n"],
+            vec!["ScanExec: r columns"],
+        ),
+        (
+            "Distinct sees whole rows",
+            LogicalPlan::scan("r")
+                .project(vec![col("epc"), col("loc")])
+                .distinct()
+                .project(vec![col("epc")]),
+            vec!["ScanExec: r columns=[epc, loc]"],
+            vec![],
+        ),
+        (
+            "Distinct directly over a scan pins it",
+            LogicalPlan::scan("d").distinct().project(vec![col("site")]),
+            vec!["ScanExec: d\n"],
+            vec!["columns="],
+        ),
+        (
+            "a cleansing chain under a join",
+            LogicalPlan::scan("r")
+                .window(
+                    vec![Expr::col("epc")],
+                    vec![SortKey::asc(Expr::col("rtime"))],
+                    vec![prev_time],
+                )
+                .filter(Expr::IsNull {
+                    expr: Box::new(Expr::col("prev")),
+                    negated: true,
+                })
+                .project(vec![
+                    col("epc"),
+                    col("loc"),
+                    (
+                        Expr::binary(Expr::col("rtime"), BinaryOp::Minus, Expr::col("prev")),
+                        "gap".into(),
+                    ),
+                ])
+                .join(
+                    LogicalPlan::scan("d"),
+                    vec![Expr::col("loc")],
+                    vec![Expr::col("gln")],
+                    JoinType::Inner,
+                )
+                .aggregate(
+                    vec![col("site")],
+                    vec![AggExpr {
+                        func: AggFunc::Sum(Expr::col("gap")),
+                        alias: "total".into(),
+                    }],
+                ),
+            vec!["emit=[site, gap]", "ScanExec: r columns=[epc, rtime, loc]"],
+            vec![],
+        ),
+        (
+            "SELECT * reads every column",
+            plan_query(
+                &parse_query("select * from r where rtime < 50").unwrap(),
+                &cat,
+            )
+            .unwrap(),
+            vec![],
+            vec!["columns="],
+        ),
+        (
+            "the root keeps every column",
+            LogicalPlan::scan("r").filter(Expr::col("rtime").lt(Expr::lit(50i64))),
+            vec!["ScanExec: r\n"],
+            vec!["columns="],
+        ),
+    ];
+    for (name, plan, present, absent) in &cases {
+        let physical = display_physical(lower(plan, &cat).unwrap().as_ref());
+        for label in present {
+            assert!(
+                physical.contains(label),
+                "{name}: no '{label}' in\n{physical}"
+            );
+        }
+        for label in absent {
+            assert!(
+                !physical.contains(label),
+                "{name}: '{label}' in\n{physical}"
+            );
+        }
+        let expected = rows_of(&dc_oracle::execute(plan, &cat).unwrap());
+        assert!(!expected.is_empty(), "{name}: a case should return rows");
+        for chunk_rows in CHUNK_ROWS {
+            let options = ExecOptions::default().with_chunk_rows(chunk_rows);
+            let got = Executor::with_options(&cat, options).execute(plan).unwrap();
+            assert_eq!(rows_of(&got), expected, "{name} chunk_rows={chunk_rows}");
+        }
+    }
+
+    // A reference two inputs could answer stays ambiguous although lowering
+    // kept only the columns it names — on both sides, so neither was lost.
+    let ambiguous = tags().project(vec![col("epc")]);
+    let physical = display_physical(lower(&ambiguous, &cat).unwrap().as_ref());
+    assert!(physical.contains("r AS c columns=[epc]") && physical.contains("i AS i columns=[epc]"));
+    let err = Executor::new(&cat).execute(&ambiguous).unwrap_err();
+    assert!(err.to_string().contains("ambiguous"), "{err}");
+    assert!(dc_oracle::execute(&ambiguous, &cat).is_err());
 }

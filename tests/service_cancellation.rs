@@ -54,30 +54,37 @@ fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
 
 const SQL: &str = "select epc, rtime from caser where rtime < 90000";
 
+/// The aggregation and DISTINCT passes check the budget too.
+const AGG_SQL: &str = "select biz_loc, count(distinct epc) as tags, max(rtime) as last_seen \
+    from caser where rtime < 90000 group by biz_loc order by biz_loc";
+const DISTINCT_SQL: &str = "select distinct epc, biz_loc from caser where rtime < 90000";
+
 #[test]
 fn zero_deadline_aborts_then_rerun_matches_uncancelled() {
     let svc = QueryService::start(big_system(3000), ServiceConfig::default());
 
-    // Deadline anchored at submit time: a zero deadline is already expired
-    // when the worker dispatches, so the abort is deterministic.
-    let err = svc
-        .execute(QueryRequest::new("app", SQL).with_deadline(Duration::ZERO))
-        .unwrap_err();
-    match &err {
-        ServiceError::Aborted { reason, service } => {
-            assert_eq!(*reason, AbortReason::DeadlineExceeded);
-            assert_eq!(service.abort_reason, Some(AbortReason::DeadlineExceeded));
+    for (aborted, sql) in [SQL, AGG_SQL, DISTINCT_SQL].into_iter().enumerate() {
+        // Deadline anchored at submit time: a zero deadline is already
+        // expired when the worker dispatches, so the abort is deterministic.
+        let err = svc
+            .execute(QueryRequest::new("app", sql).with_deadline(Duration::ZERO))
+            .unwrap_err();
+        match &err {
+            ServiceError::Aborted { reason, service } => {
+                assert_eq!(*reason, AbortReason::DeadlineExceeded);
+                assert_eq!(service.abort_reason, Some(AbortReason::DeadlineExceeded));
+            }
+            other => panic!("expected deadline abort, got: {other}"),
         }
-        other => panic!("expected deadline abort, got: {other}"),
-    }
-    assert_eq!(svc.counters().aborted, 1);
+        assert_eq!(svc.counters().aborted, aborted as u64 + 1);
 
-    // The immediate re-run without a budget succeeds and matches a fresh
-    // serial run on the same (unchanged, epoch-0) data.
-    let resp = svc.execute(QueryRequest::new("app", SQL)).unwrap();
-    let serial = big_system(3000).query("app", SQL).unwrap();
-    assert_eq!(rows_of(&resp.batch), rows_of(&serial));
-    assert_eq!(resp.service.snapshot_epoch, 0);
+        // The immediate re-run without a budget succeeds and matches a
+        // fresh serial run on the same (unchanged, epoch-0) data.
+        let resp = svc.execute(QueryRequest::new("app", sql)).unwrap();
+        let serial = big_system(3000).query("app", sql).unwrap();
+        assert_eq!(rows_of(&resp.batch), rows_of(&serial), "{sql}");
+        assert_eq!(resp.service.snapshot_epoch, 0);
+    }
 }
 
 #[test]
@@ -154,15 +161,17 @@ fn cancel_token_trips_mid_execution() {
     let cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
     cancel.store(true, std::sync::atomic::Ordering::Relaxed);
     let budget = QueryBudget::unlimited().with_cancel(Arc::clone(&cancel));
-    let err = sys
-        .query_with_budget("app", SQL, Strategy::Auto, budget)
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        deferred_cleansing::relational::error::Error::Aborted(AbortReason::Cancelled)
-    ));
-    // The system stays healthy after the abort.
-    assert!(sys.query("app", SQL).is_ok());
+    for sql in [SQL, AGG_SQL, DISTINCT_SQL] {
+        let err = sys
+            .query_with_budget("app", sql, Strategy::Auto, budget.clone())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            deferred_cleansing::relational::error::Error::Aborted(AbortReason::Cancelled)
+        ));
+        // The system stays healthy after the abort.
+        assert!(sys.query("app", sql).is_ok());
+    }
 }
 
 #[test]
