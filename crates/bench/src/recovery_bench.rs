@@ -18,7 +18,7 @@ use dc_json::Json;
 use dc_log::LogDir;
 use dc_relational::batch::Batch;
 use dc_relational::prelude::Value;
-use dc_service::{DurableOptions, QueryRequest, QueryService, ServiceConfig};
+use dc_service::{DurableOptions, QueryRequest, QueryService, ServiceConfig, ShardConfig};
 use dc_storage::{ZoneBound, ZonePredicate};
 use std::path::Path;
 use std::time::Instant;
@@ -108,8 +108,13 @@ fn run_point(scale: usize, seed: u64, appends: usize, scratch: &Path) -> Recover
         workers: 1,
         ..ServiceConfig::default()
     };
-    let svc = QueryService::start_durable(env.system, config(), DurableOptions::new(&dir))
-        .expect("durable service");
+    let svc = QueryService::start_sharded_durable(
+        env.system,
+        config(),
+        ShardConfig::new(1, ""),
+        DurableOptions::new(&dir),
+    )
+    .expect("durable service");
     for _ in 0..appends {
         svc.append("caser", seed_batch.clone()).expect("append");
     }

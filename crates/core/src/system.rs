@@ -9,7 +9,6 @@
 
 use dc_json::Json;
 use dc_relational::batch::Batch;
-use dc_relational::delta;
 use dc_relational::error::Result;
 use dc_relational::exec::{ExecStats, Executor};
 use dc_relational::explain::{logical_to_json, physical_to_json};
@@ -17,7 +16,6 @@ use dc_relational::physical::{display_physical, lower, ExecOptions, OperatorMetr
 use dc_relational::plan::LogicalPlan;
 use dc_relational::sql::{parse_query, plan_query, plan_sql};
 use dc_relational::table::{Catalog, CatalogRef};
-use dc_relational::value::Value;
 use dc_rewrite::{
     CacheStats, Candidate, CleanseCache, DecisionTrace, Executed, RewriteEngine, Rewritten,
     Strategy,
@@ -60,16 +58,32 @@ pub struct QueryReport {
 }
 
 impl QueryReport {
-    /// The rewrite decision trace of this run.
-    pub fn decision_trace(&self) -> DecisionTrace {
-        DecisionTrace {
-            strategy: self.strategy.clone(),
-            chosen: self.chosen.clone(),
-            candidates: self.candidates.clone(),
-            expanded_condition: self.expanded_condition.clone(),
-            context_condition: self.context_condition.clone(),
-            notes: self.notes.clone(),
-        }
+    /// Split a finished run into its rows and its report. The rewrite is
+    /// consumed, so the decision it carries is moved, never cloned;
+    /// `strategy` is the label the rewrite ran under (`"Auto"`, `"Dirty"`, …).
+    pub fn from_run(
+        strategy: &str,
+        rewritten: Rewritten,
+        run: Executed,
+        elapsed: Duration,
+        parallelism: usize,
+    ) -> (Batch, QueryReport) {
+        let report = QueryReport {
+            strategy: strategy.to_string(),
+            chosen: rewritten.chosen,
+            candidates: rewritten.candidates,
+            expanded_condition: rewritten.expanded_condition.map(|e| e.to_string()),
+            context_condition: rewritten.context_condition.map(|e| e.to_string()),
+            notes: rewritten.notes,
+            stats: run.stats,
+            elapsed,
+            plan: rewritten.plan.display_indent(),
+            result_rows: run.batch.num_rows(),
+            window_eval_nanos: run.window_eval_nanos,
+            parallelism,
+            metrics: run.metrics,
+        };
+        (run.batch, report)
     }
 }
 
@@ -221,27 +235,6 @@ impl DeferredCleansingSystem {
         self.cleanse_cache.as_ref().map(CleanseCache::stats)
     }
 
-    /// Execute a rewritten plan against `catalog` under `budget`, routing
-    /// through the cleansed-sequence cache when it is enabled and the
-    /// rewrite produced a cacheable join-back plan. The cache is shared
-    /// across catalog snapshots: entries are validated against the covering
-    /// segments of the *probing* snapshot's reads table, so a query running
-    /// against an older epoch can never be served rows cleansed from a
-    /// newer one (and vice versa).
-    fn run_rewritten_at(
-        &self,
-        catalog: &Catalog,
-        rewritten: &Rewritten,
-        budget: QueryBudget,
-    ) -> Result<Executed> {
-        match &self.cleanse_cache {
-            Some(cache) if rewritten.cache_spec.is_some() => {
-                rewritten.execute_cached_with_budget(catalog, self.exec_options, cache, budget)
-            }
-            _ => rewritten.execute_with_budget(catalog, self.exec_options, budget),
-        }
-    }
-
     /// Set the number of worker threads for partition-parallel cleansing.
     /// Results and work counters are identical at any parallelism.
     pub fn set_parallelism(&mut self, parallelism: usize) {
@@ -281,6 +274,13 @@ impl DeferredCleansingSystem {
         self.engine.write().register_derived_input(name, plan);
     }
 
+    /// Names of the registered derived rule inputs (sorted). Their plans
+    /// live only in this system's rewrite engine: a copy of the system
+    /// built from its catalog and rules JSON does not carry them.
+    pub fn derived_inputs(&self) -> Vec<String> {
+        self.engine.read().derived_input_names()
+    }
+
     /// Run a query for an application over cleansed data (Figure 1,
     /// steps 3–6), using the cost-based strategy choice.
     pub fn query(&self, application: &str, sql: &str) -> Result<Batch> {
@@ -296,13 +296,7 @@ impl DeferredCleansingSystem {
         sql: &str,
         strategy: Strategy,
     ) -> Result<(Batch, QueryReport)> {
-        self.query_snapshot(
-            &self.catalog,
-            application,
-            sql,
-            strategy,
-            QueryBudget::unlimited(),
-        )
+        self.query_with_budget(application, sql, strategy, QueryBudget::unlimited())
     }
 
     /// [`DeferredCleansingSystem::query_with_strategy`] under a
@@ -320,11 +314,10 @@ impl DeferredCleansingSystem {
 
     /// Run an application query against an explicit catalog snapshot —
     /// planning, rewriting, and executing all see `catalog`, not the
-    /// system's own. This is the service layer's entry point: the snapshot
-    /// is immutable for the duration of the call, so concurrent appends to
-    /// the live catalog never tear a running query. Rules, the rewrite
-    /// engine, and the cleansed-sequence cache are shared (all are
-    /// internally synchronized).
+    /// system's own. The snapshot is immutable for the duration of the
+    /// call, so concurrent appends to the live catalog never tear a running
+    /// query. Rules, the rewrite engine, and the cleansed-sequence cache
+    /// are shared (all are internally synchronized).
     pub fn query_snapshot(
         &self,
         catalog: &Catalog,
@@ -334,29 +327,8 @@ impl DeferredCleansingSystem {
         budget: QueryBudget,
     ) -> Result<(Batch, QueryReport)> {
         let start = Instant::now();
-        let user_plan = plan_query(&parse_query(sql)?, catalog)?;
-        let rules = self.rules.rules_for(application);
-        let rewritten = self
-            .engine
-            .read()
-            .rewrite_plan(&user_plan, &rules, catalog, strategy)?;
-        let run = self.run_rewritten_at(catalog, &rewritten, budget)?;
-        let report = QueryReport {
-            strategy: format!("{strategy:?}"),
-            chosen: rewritten.chosen,
-            candidates: rewritten.candidates,
-            expanded_condition: rewritten.expanded_condition.map(|e| e.to_string()),
-            context_condition: rewritten.context_condition.map(|e| e.to_string()),
-            notes: rewritten.notes,
-            stats: run.stats,
-            elapsed: start.elapsed(),
-            plan: rewritten.plan.display_indent(),
-            result_rows: run.batch.num_rows(),
-            window_eval_nanos: run.window_eval_nanos,
-            parallelism: self.exec_options.parallelism,
-            metrics: run.metrics,
-        };
-        Ok((run.batch, report))
+        let rewritten = self.rewrite_snapshot(catalog, application, sql, strategy)?;
+        self.run_to_report(catalog, rewritten, strategy, budget, start)
     }
 
     /// [`Self::query_snapshot`] starting from an already-built user plan
@@ -373,59 +345,36 @@ impl DeferredCleansingSystem {
         budget: QueryBudget,
     ) -> Result<(Batch, QueryReport)> {
         let start = Instant::now();
-        let rules = self.rules.rules_for(application);
-        let rewritten = self
-            .engine
-            .read()
-            .rewrite_plan(user_plan, &rules, catalog, strategy)?;
-        let run = self.run_rewritten_at(catalog, &rewritten, budget)?;
-        let report = QueryReport {
-            strategy: format!("{strategy:?}"),
-            chosen: rewritten.chosen,
-            candidates: rewritten.candidates,
-            expanded_condition: rewritten.expanded_condition.map(|e| e.to_string()),
-            context_condition: rewritten.context_condition.map(|e| e.to_string()),
-            notes: rewritten.notes,
-            stats: run.stats,
-            elapsed: start.elapsed(),
-            plan: rewritten.plan.display_indent(),
-            result_rows: run.batch.num_rows(),
-            window_eval_nanos: run.window_eval_nanos,
-            parallelism: self.exec_options.parallelism,
-            metrics: run.metrics,
-        };
-        Ok((run.batch, report))
+        let rewritten = self.rewrite_plan_snapshot(catalog, application, user_plan, strategy)?;
+        self.run_to_report(catalog, rewritten, strategy, budget, start)
     }
 
-    /// Re-cleanse-by-ckey entry point: run `sql` for `application` against
-    /// `catalog`, but with every scan of `table` restricted to rows whose
-    /// `column` value is in `keys`. Because cleansing rules partition
-    /// sequences by the cluster key, restricting the reads table to a key
-    /// set commutes with cleansing, so this computes exactly the slice of
-    /// the full answer owned by `keys` — the unit of work incremental
-    /// maintenance re-executes per append.
-    #[allow(clippy::too_many_arguments)]
-    pub fn query_snapshot_scoped(
+    /// The second half of every query: execute `rewritten` and fold the
+    /// rewrite and the run into one report.
+    fn run_to_report(
         &self,
         catalog: &Catalog,
-        application: &str,
-        sql: &str,
-        table: &str,
-        column: &str,
-        keys: &[Value],
+        rewritten: Rewritten,
         strategy: Strategy,
         budget: QueryBudget,
+        start: Instant,
     ) -> Result<(Batch, QueryReport)> {
-        let user_plan = plan_query(&parse_query(sql)?, catalog)?;
-        let scoped = delta::scope_plan(&user_plan, table, column, keys);
-        self.query_plan_snapshot(catalog, application, &scoped, strategy, budget)
+        let run = self.execute_rewritten_snapshot(catalog, &rewritten, budget)?;
+        Ok(QueryReport::from_run(
+            &format!("{strategy:?}"),
+            rewritten,
+            run,
+            start.elapsed(),
+            self.exec_options.parallelism,
+        ))
     }
 
     /// Parse, plan, and rewrite an application query against an explicit
-    /// catalog snapshot *without executing it*. The scatter-gather
-    /// coordinator uses this to rewrite once and fan the same rewritten
-    /// plan out to every shard (shard catalogs share one schema, so a plan
-    /// rewritten against any of them is valid on all).
+    /// catalog snapshot *without executing it* — the first of the two
+    /// steps every query path takes ([`Self::execute_rewritten_snapshot`]
+    /// is the second). The service rewrites once and hands the same
+    /// rewritten plan to every shard (shard catalogs share one schema, so
+    /// a plan rewritten against any of them is valid on all).
     pub fn rewrite_snapshot(
         &self,
         catalog: &Catalog,
@@ -434,39 +383,46 @@ impl DeferredCleansingSystem {
         strategy: Strategy,
     ) -> Result<Rewritten> {
         let user_plan = plan_query(&parse_query(sql)?, catalog)?;
+        self.rewrite_plan_snapshot(catalog, application, &user_plan, strategy)
+    }
+
+    /// [`Self::rewrite_snapshot`] for a caller that already holds the
+    /// planned user query.
+    pub fn rewrite_plan_snapshot(
+        &self,
+        catalog: &Catalog,
+        application: &str,
+        user_plan: &LogicalPlan,
+        strategy: Strategy,
+    ) -> Result<Rewritten> {
         let rules = self.rules.rules_for(application);
         self.engine
             .read()
-            .rewrite_plan(&user_plan, &rules, catalog, strategy)
+            .rewrite_plan(user_plan, &rules, catalog, strategy)
     }
 
     /// Execute an already-rewritten plan against an explicit catalog
     /// snapshot under a budget, routing through this system's
-    /// cleansed-sequence cache when enabled and the rewrite is cacheable.
-    /// Pairs with [`Self::rewrite_snapshot`]: a shard executor runs the
-    /// coordinator's rewritten plan against its own shard snapshot while
-    /// keeping its own shard-local cache.
+    /// cleansed-sequence cache when it is enabled and the rewrite produced
+    /// a cacheable join-back plan. The cache is shared across catalog
+    /// snapshots: entries are validated against the covering segments of
+    /// the *probing* snapshot's reads table, so a query running against an
+    /// older epoch can never be served rows cleansed from a newer one (and
+    /// vice versa). A shard executor runs the coordinator's rewritten plan
+    /// against its own shard snapshot while keeping its own shard-local
+    /// cache.
     pub fn execute_rewritten_snapshot(
         &self,
         catalog: &Catalog,
         rewritten: &Rewritten,
         budget: QueryBudget,
     ) -> Result<Executed> {
-        self.run_rewritten_at(catalog, rewritten, budget)
-    }
-
-    /// [`Self::execute_rewritten_snapshot`] with the cleansed-sequence
-    /// cache bypassed. Used when `catalog` is a transient merged view (the
-    /// coordinator's unshardable fallback): its tables are rebuilt per
-    /// call, so their segment ids could falsely validate against entries
-    /// cached from this system's own durable catalog.
-    pub fn execute_rewritten_snapshot_uncached(
-        &self,
-        catalog: &Catalog,
-        rewritten: &Rewritten,
-        budget: QueryBudget,
-    ) -> Result<Executed> {
-        rewritten.execute_with_budget(catalog, self.exec_options, budget)
+        match &self.cleanse_cache {
+            Some(cache) if rewritten.cache_spec.is_some() => {
+                rewritten.execute_cached_with_budget(catalog, self.exec_options, cache, budget)
+            }
+            _ => rewritten.execute_with_budget(catalog, self.exec_options, budget),
+        }
     }
 
     /// Run a query directly on the (dirty) data — the paper's baseline `q`.
@@ -476,28 +432,27 @@ impl DeferredCleansingSystem {
         Executor::with_options(&self.catalog, self.exec_options).execute(&plan)
     }
 
-    /// [`DeferredCleansingSystem::query_dirty`] with an execution report.
+    /// [`DeferredCleansingSystem::query_dirty`] with an execution report:
+    /// the identity rewrite through the same run → report step.
     pub fn query_dirty_with_report(&self, sql: &str) -> Result<(Batch, QueryReport)> {
         let start = Instant::now();
-        let plan = plan_sql(sql, &self.catalog)?;
-        let mut executor = Executor::with_options(&self.catalog, self.exec_options);
-        let batch = executor.execute(&plan)?;
-        let report = QueryReport {
-            strategy: "Dirty".into(),
+        let dirty = Rewritten {
+            plan: plan_sql(sql, &self.catalog)?,
             chosen: "dirty (no cleansing)".into(),
             candidates: vec![],
             expanded_condition: None,
             context_condition: None,
             notes: vec![],
-            stats: executor.stats,
-            elapsed: start.elapsed(),
-            plan: plan.display_indent(),
-            result_rows: batch.num_rows(),
-            window_eval_nanos: executor.window_eval_nanos,
-            parallelism: self.exec_options.parallelism,
-            metrics: executor.metrics,
+            cache_spec: None,
         };
-        Ok((batch, report))
+        let run = dirty.execute(&self.catalog, self.exec_options)?;
+        Ok(QueryReport::from_run(
+            "Dirty",
+            dirty,
+            run,
+            start.elapsed(),
+            self.exec_options.parallelism,
+        ))
     }
 
     /// EXPLAIN: the rewritten plan an application query would execute,
@@ -521,55 +476,47 @@ impl DeferredCleansingSystem {
         strategy: Strategy,
         analyze: bool,
     ) -> Result<ExplainReport> {
-        self.explain_snapshot(
-            &self.catalog,
-            application,
-            sql,
-            strategy,
-            analyze,
-            QueryBudget::unlimited(),
-        )
+        let rewritten = self.rewrite_snapshot(&self.catalog, application, sql, strategy)?;
+        let run = if analyze {
+            let budget = QueryBudget::unlimited();
+            Some(self.execute_rewritten_snapshot(&self.catalog, &rewritten, budget)?)
+        } else {
+            None
+        };
+        self.explain_rewritten(&self.catalog, strategy, rewritten, run)
     }
 
-    /// [`Self::explain_report`] against an explicit catalog snapshot and
-    /// under a [`QueryBudget`] — the service layer's EXPLAIN ANALYZE entry
-    /// point (analyze-mode execution is budget-checked like a real query).
-    pub fn explain_snapshot(
+    /// The one place an [`ExplainReport`] is built: the decision trace and
+    /// plans of `rewritten`, plus — when `run` is the execution of that
+    /// rewrite — its operator metrics, row count and cache activity. The
+    /// service passes the run it already paid for, so EXPLAIN ANALYZE there
+    /// rewrites and executes exactly once.
+    pub fn explain_rewritten(
         &self,
         catalog: &Catalog,
-        application: &str,
-        sql: &str,
         strategy: Strategy,
-        analyze: bool,
-        budget: QueryBudget,
+        rewritten: Rewritten,
+        run: Option<Executed>,
     ) -> Result<ExplainReport> {
-        let user_plan = plan_query(&parse_query(sql)?, catalog)?;
-        let rules = self.rules.rules_for(application);
-        let rewritten = self
-            .engine
-            .read()
-            .rewrite_plan(&user_plan, &rules, catalog, strategy)?;
         let trace = rewritten.decision_trace(strategy);
         let physical = lower(&rewritten.plan, catalog)?;
-        let physical_text = display_physical(physical.as_ref());
-        let physical_json = physical_to_json(physical.as_ref());
-        let (metrics, result_rows, cache) = if analyze {
-            let cached = self.cleanse_cache.is_some() && rewritten.cache_spec.is_some();
-            let run = self.run_rewritten_at(catalog, &rewritten, budget)?;
-            let cache = cached.then_some(CacheActivity {
-                hits: run.stats.seq_cache_hits,
-                misses: run.stats.seq_cache_misses,
-                invalidations: run.stats.seq_cache_invalidations,
-            });
-            (run.metrics, Some(run.batch.num_rows()), cache)
-        } else {
-            (None, None, None)
+        let cached = self.cleanse_cache.is_some() && rewritten.cache_spec.is_some();
+        let (metrics, result_rows, cache) = match run {
+            Some(run) => {
+                let cache = cached.then_some(CacheActivity {
+                    hits: run.stats.seq_cache_hits,
+                    misses: run.stats.seq_cache_misses,
+                    invalidations: run.stats.seq_cache_invalidations,
+                });
+                (run.metrics, Some(run.batch.num_rows()), cache)
+            }
+            None => (None, None, None),
         };
         Ok(ExplainReport {
             trace,
             plan: rewritten.plan,
-            physical_text,
-            physical_json,
+            physical_text: display_physical(physical.as_ref()),
+            physical_json: physical_to_json(physical.as_ref()),
             metrics,
             result_rows,
             cache,
@@ -798,7 +745,6 @@ mod tests {
         }
         sum_partitions(m, &mut partitions);
         assert_eq!(partitions, report.stats.partitions_executed);
-        assert_eq!(report.decision_trace().chosen, report.chosen);
     }
 
     #[test]

@@ -47,7 +47,8 @@ use std::collections::BTreeSet;
 
 /// How the catalog is sharded: the cluster-key column and the set of
 /// tables partitioned on it (all other tables are replicated to every
-/// shard).
+/// shard). An empty set — what a one-shard service uses — makes every plan
+/// [`ScatterPlan::SingleShard`].
 #[derive(Debug, Clone)]
 pub struct ShardingSpec {
     /// Unqualified shard-key column name (the rules' cluster key).

@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which rewrite to produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Strategy {
     /// Generate all candidates, pick the cheapest estimate (the default).
     #[default]
@@ -140,6 +140,13 @@ impl RewriteEngine {
     pub fn register_derived_input(&mut self, name: impl Into<String>, plan: LogicalPlan) {
         self.derived_inputs
             .insert(name.into().to_ascii_lowercase(), plan);
+    }
+
+    /// Names of the registered derived inputs, sorted.
+    pub fn derived_input_names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.derived_inputs.keys().cloned().collect();
+        names.sort();
+        names
     }
 
     /// The per-rule context condition for a query shape — the contents of the

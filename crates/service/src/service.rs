@@ -1,6 +1,6 @@
 //! The query service: N workers over immutable snapshots, one ingest path,
-//! and — when sharded — a scatter-gather coordinator over per-shard
-//! catalogs.
+//! and a scatter-gather coordinator over per-shard catalogs. There is one
+//! topology — an unsharded service is the one with N = 1 shards.
 //!
 //! Life of a query:
 //!
@@ -18,9 +18,9 @@
 //! Ingest ([`QueryService::append`]) serializes on its own lock, builds the
 //! next catalog overlay *outside* the publication cell, appends into it, and
 //! publishes with a pointer swap. In-flight queries keep their epochs; the
-//! next dispatch sees the new ones. In a sharded service the append batch is
-//! first split on the cluster key, and only the shards that received rows
-//! publish a new epoch.
+//! next dispatch sees the new ones. The append batch of a partitioned table
+//! is first split on the cluster key, and only the shards that received
+//! rows publish a new epoch.
 //!
 //! ## Scatter-gather
 //!
@@ -40,10 +40,14 @@
 //!   ORDER BY, additive re-aggregation for partials, a final LIMIT cut.
 //!
 //! Plans touching no partitioned table run on shard 0 alone (every shard
-//! replicates dimension tables); plans with no sound decomposition fall
-//! back to executing at the coordinator over a merged view of the shards.
-//! A shard executor lost mid-query surfaces as the typed
-//! [`ServiceError::ShardUnavailable`], never a hang or a panic.
+//! replicates dimension tables), with no thread spawned and nothing
+//! gathered. **With one shard nothing is partitioned**, so that is every
+//! plan: [`QueryService::start`] is `start_sharded` with one shard, the
+//! system it is given serves unchanged, and the arm above is the whole
+//! query path. Plans with no sound decomposition fall back to executing at
+//! the coordinator over a merged view of the shards. A shard executor lost
+//! mid-query surfaces as the typed [`ServiceError::ShardUnavailable`],
+//! never a hang or a panic.
 //!
 //! Workers also **coalesce identical work**: queries with the same epoch
 //! vector, rule-set version, application, SQL, and strategy are guaranteed
@@ -55,7 +59,7 @@
 
 use self::subscribe::{distinct_keys, AppendOutcome, SubEntry};
 use crate::durable::{
-    log_err, split_as_of, DurableOptions, DurableState, DurableStats, StagedAppend,
+    log_err, split_as_of, DurableOptions, DurableState, DurableStats, Recovered, StagedAppend,
 };
 use crate::partition::{partition_catalog, split_batch, table_like, HashPartitioner, Partitioner};
 use crate::queue::{Bounded, PushError};
@@ -67,9 +71,10 @@ use dc_relational::exec::{ExecStats, Executor};
 use dc_relational::physical::OperatorMetrics;
 use dc_relational::plan::LogicalPlan;
 use dc_relational::scatter::{gather, sharding_spec_for, split_scatter, ScatterPlan, ShardingSpec};
-use dc_relational::table::Catalog;
+use dc_relational::sql::{parse_query, plan_query};
+use dc_relational::table::{Catalog, CatalogRef};
 use dc_rewrite::{Executed, Rewritten};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -105,15 +110,16 @@ impl Default for ServiceConfig {
 }
 
 /// How to shard a service: shard count, the cluster-key column that
-/// partitions every key-bearing table, and whether each shard keeps a
-/// (shard-salted) cleansed-sequence cache.
+/// partitions every key-bearing table (with more than one shard), and
+/// whether each shard keeps a (shard-salted) cleansed-sequence cache.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of shards (minimum 1).
     pub shards: usize,
     /// The cluster-key column (the rules' `CLUSTER BY` key, e.g. `epc`).
-    /// Tables carrying this column are partitioned; all others are
-    /// replicated to every shard.
+    /// With two or more shards, tables carrying this column are
+    /// partitioned and all others replicated to every shard; with one
+    /// shard nothing is partitioned.
     pub key: String,
     /// When set, every shard runs its own cleansed-sequence cache of this
     /// capacity, salted with the shard id so entries never alias across
@@ -190,12 +196,10 @@ impl QueryRequest {
 /// time went).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Total appends across all shards at dispatch — the dense epoch itself
-    /// for an unsharded service (one shard), [`EpochVector::total`]
-    /// otherwise.
+    /// Total appends across all shards at dispatch
+    /// ([`EpochVector::total`]) — with one shard, the dense epoch itself.
     pub snapshot_epoch: u64,
-    /// Per-shard epochs the query ran against (one entry per shard; a
-    /// single entry for an unsharded service).
+    /// Per-shard epochs the query ran against (one entry per shard).
     pub epochs: EpochVector,
     /// Time spent queued before a worker picked the job up.
     pub queue_wait: Duration,
@@ -211,9 +215,28 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// The observations of an attempt that has not aborted (so far).
+    fn new(
+        epochs: EpochVector,
+        queue_wait: Duration,
+        exec_time: Duration,
+        worker: usize,
+        coalesced: bool,
+    ) -> Self {
+        ServiceStats {
+            snapshot_epoch: epochs.total(),
+            epochs,
+            queue_wait,
+            exec_time,
+            worker,
+            abort_reason: None,
+            coalesced,
+        }
+    }
+
     /// One SQL-comment line for EXPLAIN ANALYZE output, e.g.
     /// `-- service: epoch=3 queue_wait_us=12 exec_us=480 worker=1`
-    /// (plus ` epochs=1.0.2` when the service is sharded).
+    /// (plus ` epochs=1.0.2` with more than one shard).
     pub fn render_comment(&self) -> String {
         let mut line = format!(
             "-- service: epoch={} queue_wait_us={} exec_us={} worker={}",
@@ -312,13 +335,14 @@ impl From<Error> for ServiceError {
             Error::Aborted(reason) => ServiceError::Aborted {
                 reason,
                 service: ServiceStats {
-                    snapshot_epoch: 0,
-                    epochs: EpochVector::default(),
-                    queue_wait: Duration::ZERO,
-                    exec_time: Duration::ZERO,
-                    worker: 0,
                     abort_reason: Some(reason),
-                    coalesced: false,
+                    ..ServiceStats::new(
+                        EpochVector::default(),
+                        Duration::ZERO,
+                        Duration::ZERO,
+                        0,
+                        false,
+                    )
                 },
             },
             other => ServiceError::Engine(other),
@@ -393,9 +417,9 @@ impl Ticket {
 
     /// Request cooperative cancellation. The running query observes the
     /// flag at its next operator boundary and aborts with
-    /// [`AbortReason::Cancelled`]; a queued query aborts at dispatch. In a
-    /// sharded service the token is shared by every shard executor, so one
-    /// cancel stops the whole fan-out.
+    /// [`AbortReason::Cancelled`]; a queued query aborts at dispatch. The
+    /// token is shared by every shard executor, so one cancel stops the
+    /// whole fan-out.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
     }
@@ -408,24 +432,15 @@ impl Ticket {
 
 /// Identity of an execution whose result is a pure function of service
 /// state: two jobs with equal keys must produce byte-identical batches, so
-/// their executions may be shared. Sharded services key on the full epoch
-/// vector — any shard advancing breaks the match.
+/// their executions may be shared. The key carries the full epoch vector —
+/// any shard advancing breaks the match.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct FlightKey {
     epochs: EpochVector,
     rules_version: u64,
     application: String,
     sql: String,
-    strategy: &'static str,
-}
-
-fn strategy_tag(s: Strategy) -> &'static str {
-    match s {
-        Strategy::Auto => "Auto",
-        Strategy::Expanded => "Expanded",
-        Strategy::JoinBack => "JoinBack",
-        _ => "Other",
-    }
+    strategy: Strategy,
 }
 
 /// One in-flight shared execution: the leader publishes, followers wait.
@@ -477,6 +492,32 @@ enum Role {
     Follower(Arc<Flight>),
 }
 
+impl Shared {
+    /// Join an identical in-flight execution as a follower, or register a
+    /// new one and lead it.
+    fn join_or_lead(&self, key: &FlightKey) -> Role {
+        let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        match map.get(key) {
+            Some(f) => Role::Follower(Arc::clone(f)),
+            None => {
+                let f = Arc::new(Flight::new());
+                map.insert(key.clone(), Arc::clone(&f));
+                Role::Leader(f)
+            }
+        }
+    }
+
+    /// Remove a led flight so later duplicates execute afresh (results are
+    /// only shared between *concurrent* queries; nothing is memoized across
+    /// time).
+    fn release(&self, key: &FlightKey) {
+        self.inflight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(key);
+    }
+}
+
 /// One shard: its own deferred-cleansing system (shard-local catalog,
 /// rules copy, shard-salted cleanse cache) and snapshot publication cell.
 struct ShardState {
@@ -484,35 +525,53 @@ struct ShardState {
     snapshots: SnapshotCell,
 }
 
-/// The ingest router of a sharded service.
+impl ShardState {
+    /// Freeze `system`'s catalog as `epoch`: 0 for a fresh service, the
+    /// recovered shard epoch after a restart.
+    fn at_epoch(system: DeferredCleansingSystem, epoch: u64) -> Self {
+        let frozen = Arc::new(system.catalog().overlay());
+        ShardState {
+            system,
+            snapshots: SnapshotCell::at_epoch(frozen, epoch),
+        }
+    }
+}
+
+/// Which tables are split on the cluster key, and by which function — the
+/// same pair decides the initial partition and every routed append.
 struct Router {
     spec: ShardingSpec,
-    partitioner: Arc<dyn Partitioner>,
+    partitioner: HashPartitioner,
 }
 
-/// What one query execution looked like, shard by shard.
-struct ShardObservation {
-    shard: usize,
-    epoch: u64,
-    rows: u64,
-    segments_scanned: u64,
-    segments_pruned: u64,
+impl Router {
+    /// One shard ⇒ nothing is partitioned: every table counts as
+    /// replicated to the only shard, so every plan is answered by shard 0
+    /// exactly as an unsharded system would answer it. `key` is kept either
+    /// way — it still names the column appends are keyed on.
+    fn new(catalog: &Catalog, key: &str, shards: usize) -> Self {
+        let spec = if shards == 1 {
+            ShardingSpec {
+                key: key.to_string(),
+                partitioned: BTreeSet::new(),
+            }
+        } else {
+            sharding_spec_for(catalog, key)
+        };
+        Router {
+            spec,
+            partitioner: HashPartitioner,
+        }
+    }
 }
 
-/// A finished run with enough detail for both the reply path and
-/// EXPLAIN ANALYZE's `-- shards:` rendering.
-struct RunDetail {
-    batch: Batch,
-    report: QueryReport,
-    per_shard: Vec<ShardObservation>,
-    /// `"local"` (unsharded), `"single-shard"`, `"scatter"`, or
-    /// `"coordinator"` (unshardable fallback).
-    mode: &'static str,
+fn epochs_of(snaps: &[Arc<Snapshot>]) -> EpochVector {
+    EpochVector(snaps.iter().map(|s| s.epoch).collect())
 }
 
 struct Shared {
     shards: Vec<ShardState>,
-    router: Option<Router>,
+    router: Router,
     /// WAL + epoch history when the service is durable; `None` for a
     /// purely in-memory service.
     durable: Option<DurableState>,
@@ -542,8 +601,7 @@ struct Shared {
 }
 
 impl Shared {
-    /// The system queries are rewritten against (shard 0; the only shard
-    /// of an unsharded service).
+    /// The system queries are rewritten against (shard 0).
     fn coordinator(&self) -> &DeferredCleansingSystem {
         &self.shards[0].system
     }
@@ -560,7 +618,8 @@ impl Shared {
     fn historical_snapshots(&self, global: u64) -> Result<Vec<Arc<Snapshot>>, ServiceError> {
         let durable = self.durable.as_ref().ok_or_else(|| {
             ServiceError::TimeTravel(
-                "as of epoch requires a durable service (see QueryService::start_durable)".into(),
+                "as of epoch requires a durable service (see QueryService::start_sharded_durable)"
+                    .into(),
             )
         })?;
         let vector = durable.resolve_vector(global).ok_or_else(|| {
@@ -584,45 +643,149 @@ impl Shared {
         Ok(snaps)
     }
 
-    /// The effective budget for a job: per-request overrides, else service
-    /// defaults; deadline anchored at submit so queue wait is charged.
-    fn budget_for(&self, job: &Job) -> QueryBudget {
-        let mut budget = QueryBudget::unlimited().with_cancel(Arc::clone(&job.cancel));
-        if let Some(d) = job.req.deadline.or(self.config.default_deadline) {
-            budget = budget.with_deadline_at(job.submitted + d);
+    /// What a request runs against: its SQL with any top-level
+    /// `AS OF epoch E` clause stripped, and the snapshots — historical for
+    /// that clause (or for an explicit `epoch`, which wins; durable
+    /// services only), the live ones otherwise. A refused time travel is a
+    /// failed query.
+    fn resolve(
+        &self,
+        sql: &str,
+        epoch: Option<u64>,
+    ) -> Result<(String, Vec<Arc<Snapshot>>), ServiceError> {
+        let (sql, as_of) = match split_as_of(sql) {
+            Some((stripped, e)) => (stripped, Some(e)),
+            None => (sql.to_string(), None),
+        };
+        let snaps = match epoch.or(as_of) {
+            Some(e) => self.historical_snapshots(e).inspect_err(|_| {
+                self.failed.fetch_add(1, Ordering::Relaxed);
+            })?,
+            None => self.load_snapshots(),
+        };
+        Ok((sql, snaps))
+    }
+
+    /// The effective budget for a request: per-request overrides, else
+    /// service defaults; the deadline runs from `anchor` (submit time for a
+    /// queued job, so queue wait is charged).
+    fn budget(&self, req: &QueryRequest, anchor: Instant) -> QueryBudget {
+        let mut budget = QueryBudget::unlimited();
+        if let Some(d) = req.deadline.or(self.config.default_deadline) {
+            budget = budget.with_deadline_at(anchor + d);
         }
-        if let Some(rows) = job.req.row_limit.or(self.config.default_row_limit) {
+        if let Some(rows) = req.row_limit.or(self.config.default_row_limit) {
             budget = budget.with_row_limit(rows);
         }
         budget
     }
 
-    /// Join an identical in-flight execution as a follower, or register a
-    /// new one and lead it.
-    fn join_or_lead(&self, key: &FlightKey) -> Role {
-        let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        match map.get(key) {
-            Some(f) => Role::Follower(Arc::clone(f)),
-            None => {
-                let f = Arc::new(Flight::new());
-                map.insert(key.clone(), Arc::clone(&f));
-                Role::Leader(f)
+    /// Outcome accounting, the same for queued and inline queries: count
+    /// the result as completed / aborted / failed, and stamp an abort with
+    /// the service-side observations of the attempt.
+    fn settle<T>(
+        &self,
+        result: Result<T, ServiceError>,
+        stats: ServiceStats,
+    ) -> Result<(T, ServiceStats), ServiceError> {
+        match result {
+            Ok(value) => {
+                self.completed.fetch_add(1, Ordering::Relaxed);
+                Ok((value, stats))
+            }
+            Err(ServiceError::Aborted { reason, .. }) => {
+                self.aborted.fetch_add(1, Ordering::Relaxed);
+                Err(ServiceError::Aborted {
+                    reason,
+                    service: ServiceStats {
+                        abort_reason: Some(reason),
+                        ..stats
+                    },
+                })
+            }
+            Err(other) => {
+                self.failed.fetch_add(1, Ordering::Relaxed);
+                Err(other)
             }
         }
     }
 
-    /// Remove a led flight so later duplicates execute afresh (results are
-    /// only shared between *concurrent* queries; nothing is memoized across
-    /// time).
-    fn release(&self, key: &FlightKey) {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(key);
+    /// Run `req` inline (not queued) against the live snapshots, or those
+    /// of global `epoch`, under the request's budget.
+    fn run_inline(
+        &self,
+        req: &QueryRequest,
+        epoch: Option<u64>,
+    ) -> Result<(RunDetail, ServiceStats), ServiceError> {
+        let (sql, snaps) = self.resolve(&req.sql, epoch)?;
+        let start = Instant::now();
+        let budget = self.budget(req, start);
+        let result = self.run_detail(&snaps, &req.application, &sql, req.strategy, budget);
+        // `usize::MAX`: inline, not a pool worker.
+        let stats = ServiceStats::new(
+            epochs_of(&snaps),
+            Duration::ZERO,
+            start.elapsed(),
+            usize::MAX,
+            false,
+        );
+        self.settle(result, stats)
     }
+}
 
-    /// The rewrite + execute pipeline for one query against the loaded
-    /// snapshots, via the legacy local path or scatter-gather.
+/// What one query execution looked like, shard by shard.
+struct ShardObservation {
+    shard: usize,
+    epoch: u64,
+    rows: u64,
+    segments_scanned: u64,
+    segments_pruned: u64,
+}
+
+impl ShardObservation {
+    fn of(shard: usize, snap: &Snapshot, run: &Executed) -> Self {
+        ShardObservation {
+            shard,
+            epoch: snap.epoch,
+            rows: run.batch.num_rows() as u64,
+            segments_scanned: run.stats.segments_scanned,
+            segments_pruned: run.stats.segments_pruned,
+        }
+    }
+}
+
+/// A finished run, kept whole: the rewrite that ran, its (gathered)
+/// execution, and what each shard contributed. The reply path folds it
+/// into a [`QueryReport`]; EXPLAIN ANALYZE renders the same run.
+struct RunDetail {
+    /// The catalog `rewritten` was planned against (shard 0's snapshot, or
+    /// the merged view of the coordinator fallback).
+    catalog: CatalogRef,
+    rewritten: Rewritten,
+    strategy: Strategy,
+    run: Executed,
+    elapsed: Duration,
+    per_shard: Vec<ShardObservation>,
+    /// `"single-shard"`, `"scatter"`, or `"coordinator"` (unshardable
+    /// fallback).
+    mode: &'static str,
+}
+
+impl RunDetail {
+    /// The reply: result rows plus the report of this run.
+    fn into_reply(self, parallelism: usize) -> (Batch, QueryReport) {
+        QueryReport::from_run(
+            &format!("{:?}", self.strategy),
+            self.rewritten,
+            self.run,
+            self.elapsed,
+            parallelism,
+        )
+    }
+}
+
+impl Shared {
+    /// Plan `sql` against the coordinator's snapshot and run it.
     fn run_detail(
         &self,
         snaps: &[Arc<Snapshot>],
@@ -631,69 +794,38 @@ impl Shared {
         strategy: Strategy,
         budget: QueryBudget,
     ) -> Result<RunDetail, ServiceError> {
-        match &self.router {
-            None => {
-                let (batch, report) = self.shards[0].system.query_snapshot(
-                    &snaps[0].catalog,
-                    application,
-                    sql,
-                    strategy,
-                    budget,
-                )?;
-                Ok(RunDetail {
-                    batch,
-                    report,
-                    per_shard: Vec::new(),
-                    mode: "local",
-                })
-            }
-            Some(router) => self.run_scatter(router, snaps, application, sql, strategy, budget),
-        }
+        let start = Instant::now();
+        let user_plan = plan_query(&parse_query(sql)?, &snaps[0].catalog)?;
+        self.run_plan(snaps, application, &user_plan, strategy, budget, start)
     }
 
-    /// Scatter-gather execution: rewrite once at the coordinator, decompose,
-    /// fan out, merge.
-    fn run_scatter(
+    /// The rewrite + execute pipeline for one planned query against the
+    /// loaded snapshots: rewrite once at the coordinator, decompose, run
+    /// where the data is, merge. A plan touching no partitioned table —
+    /// every plan of a one-shard service — is answered by shard 0 directly.
+    fn run_plan(
         &self,
-        router: &Router,
         snaps: &[Arc<Snapshot>],
         application: &str,
-        sql: &str,
+        user_plan: &LogicalPlan,
         strategy: Strategy,
         budget: QueryBudget,
+        start: Instant,
     ) -> Result<RunDetail, ServiceError> {
-        let start = Instant::now();
         let coord = self.coordinator();
-        let rewritten = coord.rewrite_snapshot(&snaps[0].catalog, application, sql, strategy)?;
-        match split_scatter(&rewritten.plan, &router.spec) {
+        let mut catalog = Arc::clone(&snaps[0].catalog);
+        let mut rewritten =
+            coord.rewrite_plan_snapshot(&catalog, application, user_plan, strategy)?;
+        let (run, per_shard, mode) = match split_scatter(&rewritten.plan, &self.router.spec) {
             ScatterPlan::SingleShard => {
-                // Replicated inputs only: shard 0 holds the full answer.
-                let run =
-                    coord.execute_rewritten_snapshot(&snaps[0].catalog, &rewritten, budget)?;
-                let per = vec![ShardObservation {
-                    shard: 0,
-                    epoch: snaps[0].epoch,
-                    rows: run.batch.num_rows() as u64,
-                    segments_scanned: run.stats.segments_scanned,
-                    segments_pruned: run.stats.segments_pruned,
-                }];
-                let report = scatter_report(
-                    &rewritten,
-                    strategy,
-                    run.stats,
-                    run.window_eval_nanos,
-                    run.metrics,
-                    run.batch.num_rows(),
-                    start,
-                    coord.exec_options().parallelism,
-                    vec!["scatter: replicated-only plan, answered by shard 0".into()],
-                );
-                Ok(RunDetail {
-                    batch: run.batch,
-                    report,
-                    per_shard: per,
-                    mode: "single-shard",
-                })
+                let run = coord.execute_rewritten_snapshot(&catalog, &rewritten, budget)?;
+                if self.shards.len() > 1 {
+                    rewritten
+                        .notes
+                        .push("scatter: replicated-only plan, answered by shard 0".into());
+                }
+                let per = vec![ShardObservation::of(0, &snaps[0], &run)];
+                (run, per, "single-shard")
             }
             ScatterPlan::Scatter {
                 shard_plan,
@@ -715,87 +847,55 @@ impl Shared {
                 stats.sort_comparisons += outcome.sort_comparisons;
                 stats.merge_runs_used += outcome.merge_runs_used;
                 stats.add_hash(&outcome.hash);
-                let metrics = combine_metrics(&parts);
                 let per = parts
                     .iter()
                     .enumerate()
-                    .map(|(i, e)| ShardObservation {
-                        shard: i,
-                        epoch: snaps[i].epoch,
-                        rows: e.batch.num_rows() as u64,
-                        segments_scanned: e.stats.segments_scanned,
-                        segments_pruned: e.stats.segments_pruned,
-                    })
+                    .map(|(i, e)| ShardObservation::of(i, &snaps[i], e))
                     .collect();
-                let report = scatter_report(
-                    &rewritten,
-                    strategy,
+                rewritten.notes.push(format!(
+                    "scatter: {} shards, {} gather step(s){}",
+                    self.shards.len(),
+                    steps.len(),
+                    if reuses_plan {
+                        ", cached shard path"
+                    } else {
+                        ""
+                    }
+                ));
+                let run = Executed {
+                    batch,
                     stats,
                     window_eval_nanos,
-                    metrics,
-                    batch.num_rows(),
-                    start,
-                    coord.exec_options().parallelism,
-                    vec![format!(
-                        "scatter: {} shards, {} gather step(s){}",
-                        self.shards.len(),
-                        steps.len(),
-                        if reuses_plan {
-                            ", cached shard path"
-                        } else {
-                            ""
-                        }
-                    )],
-                );
-                Ok(RunDetail {
-                    batch,
-                    report,
-                    per_shard: per,
-                    mode: "scatter",
-                })
+                    metrics: combine_metrics(&parts),
+                };
+                (run, per, "scatter")
             }
             ScatterPlan::Unshardable => {
                 // No sound decomposition: merge the partitioned tables into
                 // a coordinator-side view and execute there, bypassing the
                 // shard caches (the merged tables are transient, so their
                 // segment ids must never validate cached entries).
-                let merged = merged_catalog(router, snaps).map_err(ServiceError::from)?;
-                let rewritten = coord.rewrite_snapshot(&merged, application, sql, strategy)?;
-                let run = coord.execute_rewritten_snapshot_uncached(&merged, &rewritten, budget)?;
-                let per = snaps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| ShardObservation {
-                        shard: i,
-                        epoch: s.epoch,
-                        rows: 0,
-                        segments_scanned: 0,
-                        segments_pruned: 0,
-                    })
-                    .collect();
-                let rows = run.batch.num_rows();
-                let report = scatter_report(
-                    &rewritten,
-                    strategy,
-                    run.stats,
-                    run.window_eval_nanos,
-                    run.metrics,
-                    rows,
-                    start,
-                    coord.exec_options().parallelism,
-                    vec![
-                        "scatter: unshardable plan, executed at coordinator over merged shards"
-                            .into(),
-                    ],
+                catalog = Arc::new(merged_catalog(&self.router, snaps)?);
+                rewritten =
+                    coord.rewrite_plan_snapshot(&catalog, application, user_plan, strategy)?;
+                let run = rewritten.execute_with_budget(&catalog, coord.exec_options(), budget)?;
+                rewritten.notes.push(
+                    "scatter: unshardable plan, executed at coordinator over merged shards".into(),
                 );
-                Ok(RunDetail {
-                    batch: run.batch,
-                    report,
-                    per_shard: per,
-                    mode: "coordinator",
-                })
+                // No shard ran anything: the `epochs=` of the service line
+                // already says what the merged view was built from.
+                (run, Vec::new(), "coordinator")
             }
-        }
+        };
+        Ok(RunDetail {
+            catalog,
+            rewritten,
+            strategy,
+            run,
+            elapsed: start.elapsed(),
+            per_shard,
+            mode,
+        })
     }
 
     /// Fan `shard_plan` out to every shard in parallel. With `reuses_plan`
@@ -859,38 +959,6 @@ impl Shared {
     }
 }
 
-/// Build the coordinator's [`QueryReport`] for a scatter-gather run.
-#[allow(clippy::too_many_arguments)]
-fn scatter_report(
-    rewritten: &Rewritten,
-    strategy: Strategy,
-    stats: ExecStats,
-    window_eval_nanos: u64,
-    metrics: Option<OperatorMetrics>,
-    result_rows: usize,
-    start: Instant,
-    parallelism: usize,
-    extra_notes: Vec<String>,
-) -> QueryReport {
-    let mut notes = rewritten.notes.clone();
-    notes.extend(extra_notes);
-    QueryReport {
-        strategy: format!("{strategy:?}"),
-        chosen: rewritten.chosen.clone(),
-        candidates: rewritten.candidates.clone(),
-        expanded_condition: rewritten.expanded_condition.as_ref().map(|e| e.to_string()),
-        context_condition: rewritten.context_condition.as_ref().map(|e| e.to_string()),
-        notes,
-        stats,
-        elapsed: start.elapsed(),
-        plan: rewritten.plan.display_indent(),
-        result_rows,
-        window_eval_nanos,
-        parallelism,
-        metrics,
-    }
-}
-
 /// Merge per-shard metrics trees into one combined view when every shard
 /// executed the same operator shape; `None` otherwise (per-shard trees are
 /// not comparable, so no tree beats a wrong tree).
@@ -923,14 +991,34 @@ fn merged_catalog(router: &Router, snaps: &[Arc<Snapshot>]) -> Result<Catalog, E
     Ok(merged)
 }
 
+/// A shard's system over its own catalog: the rule set (restored from its
+/// JSON form), the shard-salted cleanse cache, the shared parallelism.
+fn shard_system(
+    catalog: CatalogRef,
+    rules_json: Option<&str>,
+    cache_capacity: Option<usize>,
+    shard: usize,
+    parallelism: usize,
+) -> Result<DeferredCleansingSystem, Error> {
+    let mut sys = DeferredCleansingSystem::with_catalog(catalog);
+    sys.set_parallelism(parallelism);
+    if let Some(json) = rules_json {
+        sys.load_rules_from_json(json)?;
+    }
+    if let Some(cap) = cache_capacity {
+        sys.enable_cleanse_cache_for_shard(cap, shard as u64);
+    }
+    Ok(sys)
+}
+
 /// A concurrent query service over one or more [`DeferredCleansingSystem`]s.
 ///
 /// Readers (the worker pool) answer rewritten queries against immutable
 /// epoch-stamped snapshots; a single ingest path appends and publishes new
-/// epochs without ever blocking a reader on append work. Sharded services
-/// ([`QueryService::start_sharded`]) scatter each query over per-shard
-/// catalogs and gather the partials at the coordinator. Dropping the
-/// service closes the queue, drains queued jobs, and joins the workers.
+/// epochs without ever blocking a reader on append work. There is one
+/// topology: N shards behind a coordinator, and an unsharded service is
+/// N = 1. Dropping the service closes the queue, drains queued jobs, and
+/// joins the workers.
 pub struct QueryService {
     shared: Arc<Shared>,
     ingest: Mutex<()>,
@@ -939,73 +1027,37 @@ pub struct QueryService {
 
 impl QueryService {
     /// Take ownership of `system`, freeze its current catalog as epoch 0,
-    /// and start the worker pool (unsharded: one shard, no router).
+    /// and start the worker pool: one shard, nothing partitioned, `system`
+    /// serving exactly as given (its rules, derived rule inputs, cleanse
+    /// cache and parallelism).
     pub fn start(system: DeferredCleansingSystem, config: ServiceConfig) -> Self {
-        let epoch0 = Arc::new(system.catalog().overlay());
-        let shard = ShardState {
-            system,
-            snapshots: SnapshotCell::new(epoch0),
-        };
-        Self::start_inner(vec![shard], None, config, None)
+        Self::launch(system, config, ShardConfig::new(1, ""), None)
+            .expect("one in-memory shard partitions, copies and logs nothing, so nothing can fail")
     }
 
-    /// [`QueryService::start`] with a durable commit log under
-    /// `opts.dir`: the initial catalog and rules are persisted as epoch 0,
-    /// every append is logged and fsynced **before** its snapshot
-    /// publishes, and the full epoch history stays queryable with
-    /// `AS OF epoch E` (or [`QueryService::query_as_of`]). Restart with
-    /// [`QueryService::recover`].
-    pub fn start_durable(
-        system: DeferredCleansingSystem,
-        config: ServiceConfig,
-        opts: DurableOptions,
-    ) -> Result<Self, Error> {
-        let rules_json = system.rules_to_json();
-        let state = DurableState::bootstrap(&opts, &[system.catalog()], "", 0, &rules_json)
-            .map_err(log_err)?;
-        let epoch0 = Arc::new(system.catalog().overlay());
-        let shard = ShardState {
-            system,
-            snapshots: SnapshotCell::new(epoch0),
-        };
-        Ok(Self::start_inner(vec![shard], None, config, Some(state)))
-    }
-
-    /// [`QueryService::start`] with default sizing.
-    pub fn with_defaults(system: DeferredCleansingSystem) -> Self {
-        Self::start(system, ServiceConfig::default())
-    }
-
-    /// Partition `system`'s catalog on `shard.key` with the default
+    /// Partition `system`'s catalog on `shard.key` with the
     /// [`HashPartitioner`] and start a scatter-gather service. Each shard
     /// gets its own system (shard catalog, copy of the rules, optional
     /// shard-salted cleanse cache), ingest epoch history, and snapshot
     /// cell. Results are byte-identical (up to row order, exact under
-    /// ORDER BY) to an unsharded service at the same epochs.
+    /// ORDER BY) to a one-shard service at the same epochs; with
+    /// `shard.shards == 1` nothing is partitioned or copied and the service
+    /// *is* [`QueryService::start`]'s (plus the configured cache).
     pub fn start_sharded(
         system: DeferredCleansingSystem,
         config: ServiceConfig,
         shard: ShardConfig,
     ) -> Result<Self, Error> {
-        Self::start_sharded_with(system, config, shard, Arc::new(HashPartitioner))
+        Self::launch(system, config, shard, None)
     }
 
-    /// [`QueryService::start_sharded`] with a custom [`Partitioner`]
-    /// (e.g. [`crate::partition::RangePartitioner`]).
-    pub fn start_sharded_with(
-        system: DeferredCleansingSystem,
-        config: ServiceConfig,
-        shard: ShardConfig,
-        partitioner: Arc<dyn Partitioner>,
-    ) -> Result<Self, Error> {
-        let (shards, router) = Self::build_shards(system, shard, partitioner)?;
-        Ok(Self::start_inner(shards, Some(router), config, None))
-    }
-
-    /// [`QueryService::start_sharded`] with a durable root: the manifest
-    /// records the topology, each shard keeps its own commit log + segment
-    /// files, and every append commits on all touched shard logs *and* the
-    /// manifest before any shard publishes. Restart with
+    /// [`QueryService::start_sharded`] with a durable root under
+    /// `opts.dir`: the manifest records the topology, each shard keeps its
+    /// own commit log + segment files (the initial catalog and rules are
+    /// its epoch 0), and every append commits on all touched shard logs
+    /// *and* the manifest — fsynced — before any shard publishes. The full
+    /// epoch history stays queryable with `AS OF epoch E` (or
+    /// [`QueryService::query_as_of`]). Restart with
     /// [`QueryService::recover`], which rebuilds the same topology.
     pub fn start_sharded_durable(
         system: DeferredCleansingSystem,
@@ -1013,17 +1065,10 @@ impl QueryService {
         shard: ShardConfig,
         opts: DurableOptions,
     ) -> Result<Self, Error> {
-        let cache_capacity = shard.cleanse_cache_capacity.unwrap_or(0) as u64;
-        let key = shard.key.clone();
-        let rules_json = system.rules_to_json();
-        let (shards, router) = Self::build_shards(system, shard, Arc::new(HashPartitioner))?;
-        let catalogs: Vec<&Catalog> = shards.iter().map(|s| s.system.catalog()).collect();
-        let state = DurableState::bootstrap(&opts, &catalogs, &key, cache_capacity, &rules_json)
-            .map_err(log_err)?;
-        Ok(Self::start_inner(shards, Some(router), config, Some(state)))
+        Self::launch(system, config, shard, Some(opts))
     }
 
-    /// Reopen a durable root written by [`QueryService::start_durable`] /
+    /// Reopen a durable root written by
     /// [`QueryService::start_sharded_durable`]: replay the manifest and
     /// every shard log, roll back to the newest globally committed epoch,
     /// compact away crash debris, and resume serving (and appending) right
@@ -1031,76 +1076,108 @@ impl QueryService {
     /// addressable through `AS OF epoch E`.
     pub fn recover(opts: DurableOptions, config: ServiceConfig) -> Result<Self, Error> {
         let rec = crate::durable::recover_state(&opts).map_err(log_err)?;
-        let sharded = !rec.key.is_empty();
-        let mut shards = Vec::with_capacity(rec.catalogs.len());
-        for (i, catalog) in rec.catalogs.iter().enumerate() {
-            let mut sys = DeferredCleansingSystem::with_catalog(Arc::clone(catalog));
-            if let Some((_, json)) = &rec.rules {
-                sys.load_rules_from_json(json)?;
-            }
-            if rec.cache_capacity > 0 {
-                sys.enable_cleanse_cache_for_shard(rec.cache_capacity as usize, i as u64);
-            }
-            let frozen = Arc::new(sys.catalog().overlay());
-            shards.push(ShardState {
-                system: sys,
-                snapshots: SnapshotCell::at_epoch(frozen, rec.shard_epochs[i]),
-            });
-        }
-        let router = if sharded {
-            let spec = sharding_spec_for(shards[0].system.catalog(), &rec.key);
-            Some(Router {
-                spec,
-                partitioner: Arc::new(HashPartitioner) as Arc<dyn Partitioner>,
-            })
-        } else {
-            None
-        };
+        let (shards, router) = Self::recovered_topology(&rec)?;
         let rules_version = rec.rules.as_ref().map_or(0, |(v, _)| *v);
-        let svc = Self::start_inner(shards, router, config, Some(rec.state));
-        svc.shared
-            .rules_version
-            .store(rules_version, Ordering::Relaxed);
-        Ok(svc)
+        Ok(Self::spawn(
+            shards,
+            router,
+            config,
+            Some(rec.state),
+            rules_version,
+        ))
     }
 
-    /// Partition `system` into shard states plus the ingest router (shared
-    /// by the in-memory and durable sharded constructors).
-    fn build_shards(
-        system: DeferredCleansingSystem,
+    /// The one way a fresh service comes up. One shard keeps `system` as
+    /// given; more shards split its catalog on `shard.key` and give every
+    /// shard a copy of the rules; a durable root logs catalogs and rules as
+    /// epoch 0. Only the first of those carries a derived rule input — the
+    /// plan lives in `system`'s rewrite engine, a copy built from catalog
+    /// and rules JSON silently cleanses over the empty stand-in table
+    /// instead, the plan may read across cluster keys, and the log has no
+    /// record for it — so the other two refuse one.
+    fn launch(
+        mut system: DeferredCleansingSystem,
+        config: ServiceConfig,
         shard: ShardConfig,
-        partitioner: Arc<dyn Partitioner>,
-    ) -> Result<(Vec<ShardState>, Router), Error> {
+        durable: Option<DurableOptions>,
+    ) -> Result<Self, Error> {
         let n = shard.shards.max(1);
-        let spec = sharding_spec_for(system.catalog(), &shard.key);
-        let catalogs = partition_catalog(system.catalog(), &spec, partitioner.as_ref(), n)?;
-        let rules_json = system.rules_to_json();
-        let parallelism = system.exec_options().parallelism;
-        let shards = catalogs
-            .into_iter()
-            .enumerate()
-            .map(|(i, cat)| {
-                let mut sys = DeferredCleansingSystem::with_catalog(Arc::new(cat));
-                sys.set_parallelism(parallelism);
-                sys.load_rules_from_json(&rules_json)?;
-                if let Some(cap) = shard.cleanse_cache_capacity {
-                    sys.enable_cleanse_cache_for_shard(cap, i as u64);
-                }
-                let epoch0 = Arc::new(sys.catalog().overlay());
-                Ok(ShardState {
-                    system: sys,
-                    snapshots: SnapshotCell::new(epoch0),
+        if n > 1 || durable.is_some() {
+            if let Some(name) = system.derived_inputs().first() {
+                return Err(Error::Plan(format!(
+                    "derived rule input '{name}' is a query plan held only by this system's \
+                     rewrite engine: it can neither be split across shards nor logged, so it \
+                     is served by a one-shard in-memory service only"
+                )));
+            }
+        }
+        let router = Router::new(system.catalog(), &shard.key, n);
+        let systems = if n == 1 {
+            if let Some(cap) = shard.cleanse_cache_capacity {
+                system.enable_cleanse_cache_for_shard(cap, 0);
+            }
+            vec![system]
+        } else {
+            let rules_json = system.rules_to_json();
+            let parallelism = system.exec_options().parallelism;
+            partition_catalog(system.catalog(), &router.spec, &router.partitioner, n)?
+                .into_iter()
+                .enumerate()
+                .map(|(i, cat)| {
+                    let cache = shard.cleanse_cache_capacity;
+                    shard_system(Arc::new(cat), Some(&rules_json), cache, i, parallelism)
                 })
+                .collect::<Result<Vec<_>, Error>>()?
+        };
+        let durable = match durable {
+            Some(opts) => {
+                let catalogs: Vec<&Catalog> = systems.iter().map(|s| s.catalog()).collect();
+                let cache_capacity = shard.cleanse_cache_capacity.unwrap_or(0) as u64;
+                let rules_json = systems[0].rules_to_json();
+                let state = DurableState::bootstrap(
+                    &opts,
+                    &catalogs,
+                    &shard.key,
+                    cache_capacity,
+                    &rules_json,
+                );
+                Some(state.map_err(log_err)?)
+            }
+            None => None,
+        };
+        let shards = systems
+            .into_iter()
+            .map(|sys| ShardState::at_epoch(sys, 0))
+            .collect();
+        Ok(Self::spawn(shards, router, config, durable, 0))
+    }
+
+    /// The shards and router a recovered durable root describes: one system
+    /// per logged shard catalog, resuming at that shard's recovered epoch.
+    fn recovered_topology(rec: &Recovered) -> Result<(Vec<ShardState>, Router), Error> {
+        let rules_json = rec.rules.as_ref().map(|(_, json)| json.as_str());
+        let cache = (rec.cache_capacity > 0).then_some(rec.cache_capacity as usize);
+        let shards = rec
+            .catalogs
+            .iter()
+            .zip(&rec.shard_epochs)
+            .enumerate()
+            .map(|(i, (catalog, &epoch))| {
+                let sys = shard_system(Arc::clone(catalog), rules_json, cache, i, 1)?;
+                Ok(ShardState::at_epoch(sys, epoch))
             })
             .collect::<Result<Vec<_>, Error>>()?;
-        Ok((shards, Router { spec, partitioner }))
+        let router = Router::new(&rec.catalogs[0], &rec.key, shards.len());
+        Ok((shards, router))
     }
 
-    fn start_inner(
+    /// Assemble the shared state and start the worker pool.
+    fn spawn(
         shards: Vec<ShardState>,
-        router: Option<Router>,
+        router: Router,
         config: ServiceConfig,
         durable: Option<DurableState>,
+        rules_version: u64,
     ) -> Self {
         let shared = Arc::new(Shared {
             shards,
@@ -1109,7 +1186,7 @@ impl QueryService {
             queue: Bounded::new(config.queue_capacity),
             config,
             inflight: Mutex::new(HashMap::new()),
-            rules_version: AtomicU64::new(0),
+            rules_version: AtomicU64::new(rules_version),
             fail_shard: AtomicUsize::new(usize::MAX),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -1173,129 +1250,8 @@ impl QueryService {
         self.submit(req)?.wait()
     }
 
-    /// Append `batch` to `table` and publish the next epoch(s). All the
-    /// append work (key routing, row concatenation, segment sealing, index
-    /// extension, cleanse cache invalidation) happens on private overlays
-    /// outside the publication cells — readers never wait on it.
-    ///
-    /// Sharded services route the rows on the cluster key first: only the
-    /// shards that received rows publish a new epoch (appends to a
-    /// replicated table publish on every shard). Returns an
-    /// [`AppendOutcome`]: the last snapshot published by this call (shard
-    /// 0's current snapshot if the batch was empty), the epoch vector it
-    /// advanced to, and the cluster keys and shards the batch touched —
-    /// computed once here so standing-query maintenance never rescans the
-    /// batch.
-    ///
-    /// Before returning, every live subscription is advanced past the
-    /// publish (still under the ingest lock), pushing one change set per
-    /// relevant feed.
-    pub fn append(&self, table: &str, batch: Batch) -> Result<AppendOutcome, Error> {
-        let _serial = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-        self.shared.appends.fetch_add(1, Ordering::Relaxed);
-        let lowered = table.to_ascii_lowercase();
-        let rows = batch.num_rows();
-        let touched_keys = match self.cluster_key_column(&lowered) {
-            Some(col) => distinct_keys(&batch, &col),
-            None => Vec::new(),
-        };
-        // Stage every touched shard's next overlay first, publishing
-        // nothing: a durable service must land the whole append in the
-        // write-ahead logs (all shard commits, then the manifest's global
-        // commit) before any reader can observe it.
-        struct Staged {
-            shard: usize,
-            next: Catalog,
-            table: Arc<dc_relational::table::Table>,
-            prev_segments: usize,
-            epoch: u64,
-        }
-        let mut staged: Vec<Staged> = Vec::new();
-        let mut stage = |shard: usize, part: Batch| -> Result<(), Error> {
-            let current = self.shared.shards[shard].snapshots.load();
-            let prev_segments = current.catalog.get(&lowered)?.segments().len();
-            let next = current.catalog.overlay();
-            let appended = next.append(table, part)?;
-            staged.push(Staged {
-                shard,
-                next,
-                table: appended,
-                prev_segments,
-                epoch: current.epoch + 1,
-            });
-            Ok(())
-        };
-        match &self.shared.router {
-            Some(router) if router.spec.partitioned.contains(&lowered) => {
-                let key_idx = batch.schema().index_of_name(&router.spec.key)?;
-                let parts = split_batch(
-                    &batch,
-                    key_idx,
-                    router.partitioner.as_ref(),
-                    self.shared.shards.len(),
-                )?;
-                for (i, part) in parts.into_iter().enumerate() {
-                    if part.num_rows() > 0 {
-                        stage(i, part)?;
-                    }
-                }
-            }
-            Some(_) => {
-                // Replicated table: every shard gets the same rows.
-                for i in 0..self.shared.shards.len() {
-                    stage(i, batch.clone())?;
-                }
-            }
-            None => stage(0, batch)?,
-        }
-        if let Some(durable) = &self.shared.durable {
-            if !staged.is_empty() {
-                let mut vector = self.epoch_vector();
-                for s in &staged {
-                    vector.0[s.shard] = s.epoch;
-                }
-                let entries: Vec<StagedAppend<'_>> = staged
-                    .iter()
-                    .map(|s| StagedAppend {
-                        shard: s.shard,
-                        table: &s.table,
-                        prev_segments: s.prev_segments,
-                        epoch: s.epoch,
-                    })
-                    .collect();
-                // On failure nothing publishes: readers keep the last
-                // durable epoch, exactly what a restart would recover.
-                durable.commit_append(&entries, &vector).map_err(log_err)?;
-            }
-        }
-        let mut touched_shards = Vec::with_capacity(staged.len());
-        let mut last = None;
-        for s in staged {
-            last = Some(self.shared.shards[s.shard].snapshots.publish(s.next));
-            touched_shards.push(s.shard);
-        }
-        let snapshot = last.unwrap_or_else(|| self.shared.shards[0].snapshots.load());
-        let outcome = AppendOutcome {
-            snapshot,
-            epochs: EpochVector(
-                self.shared
-                    .shards
-                    .iter()
-                    .map(|s| s.snapshots.epoch())
-                    .collect(),
-            ),
-            table: lowered,
-            touched_keys,
-            touched_shards,
-            rows,
-        };
-        self.maintain_subscriptions(&outcome);
-        Ok(outcome)
-    }
-
-    /// The snapshot new dispatches currently see on shard 0 (the only
-    /// shard of an unsharded service). See [`QueryService::shard_snapshot`]
-    /// for the others.
+    /// The snapshot new dispatches currently see on shard 0. See
+    /// [`QueryService::shard_snapshot`] for the others.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.shared.shards[0].snapshots.load()
     }
@@ -1305,53 +1261,24 @@ impl QueryService {
         self.shared.shards[shard].snapshots.load()
     }
 
-    /// Number of shards (1 for an unsharded service).
+    /// Number of shards (at least 1).
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
     }
 
     /// The current per-shard epochs.
     pub fn epoch_vector(&self) -> EpochVector {
-        EpochVector(
-            self.shared
-                .shards
-                .iter()
-                .map(|s| s.snapshots.epoch())
-                .collect(),
-        )
+        epochs_of(&self.shared.load_snapshots())
     }
 
-    /// Total appends published across all shards — the dense publication
-    /// epoch itself for an unsharded service.
+    /// Total appends published across all shards — with one shard, the
+    /// dense publication epoch itself.
     pub fn epoch(&self) -> u64 {
         self.epoch_vector().total()
     }
 
-    /// Define a cleansing rule on every shard (schemas are identical, so
-    /// validation agrees everywhere; a rule rejected on shard 0 is applied
-    /// nowhere). Bumps the rule-set version so in-flight work coalescing
-    /// never pairs queries across a rule change.
-    /// On a durable service the new rules version is logged (and fsynced)
-    /// to every shard's commit log before this returns, so a restart
-    /// restores the same rule set.
-    pub fn define_rule(&self, application: &str, rule_text: &str) -> Result<u64, Error> {
-        // Serialize with appends so logged rules versions interleave with
-        // epoch commits in a single order.
-        let _serial = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-        let mut id = 0;
-        for shard in &self.shared.shards {
-            id = shard.system.define_rule(application, rule_text)?;
-        }
-        let version = self.shared.rules_version.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(durable) = &self.shared.durable {
-            let json = self.shared.coordinator().rules_to_json();
-            durable.log_rules(version, &json).map_err(log_err)?;
-        }
-        Ok(id)
-    }
-
-    /// The coordinator's system (shard 0; the only system of an unsharded
-    /// service): rules table, cache stats, exec options.
+    /// The coordinator's system (shard 0): rules table, cache stats, exec
+    /// options.
     pub fn system(&self) -> &DeferredCleansingSystem {
         self.shared.coordinator()
     }
@@ -1396,147 +1323,64 @@ impl QueryService {
     }
 
     /// EXPLAIN ANALYZE through the service: runs inline (not queued)
-    /// against the current snapshots under the request's budget, and
-    /// prefixes the engine's report with the service comment line
-    /// (`-- service: epoch=… queue_wait_us=… …`). Sharded services add a
-    /// `-- shards:` header and one `-- shard i:` line per shard with its
-    /// epoch, partial rows, and segment-prune counters.
+    /// against the current snapshots — or, with an `AS OF epoch E` clause,
+    /// the historical ones — under the request's budget, counted like any
+    /// other query, and renders that one run: the service comment line
+    /// (`-- service: epoch=… queue_wait_us=… …`), then the engine's report
+    /// with the (shard-combined) operator metrics. With more than one
+    /// shard a `-- shards:` header and one `-- shard i:` line per shard
+    /// (epoch, partial rows, segment-prune counters) come in between.
     pub fn explain_analyze(&self, req: &QueryRequest) -> Result<String, ServiceError> {
-        // `AS OF epoch E` runs the analysis against the historical
-        // snapshots of global epoch E instead of the live ones.
-        let (sql, snaps) = match split_as_of(&req.sql) {
-            Some((stripped, epoch)) => (stripped, self.shared.historical_snapshots(epoch)?),
-            None => (req.sql.clone(), self.shared.load_snapshots()),
-        };
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
-        let start = Instant::now();
-        let mut budget = QueryBudget::unlimited();
-        if let Some(d) = req.deadline.or(self.shared.config.default_deadline) {
-            budget = budget.with_deadline(d);
-        }
-        if let Some(rows) = req.row_limit.or(self.shared.config.default_row_limit) {
-            budget = budget.with_row_limit(rows);
-        }
-        match &self.shared.router {
-            None => {
-                let report = self
-                    .shared
-                    .coordinator()
-                    .explain_snapshot(
-                        &snaps[0].catalog,
-                        &req.application,
-                        &sql,
-                        req.strategy,
-                        true,
-                        budget,
-                    )
-                    .map_err(ServiceError::from)?;
-                let stats = ServiceStats {
-                    snapshot_epoch: epochs.total(),
-                    epochs,
-                    queue_wait: Duration::ZERO,
-                    exec_time: start.elapsed(),
-                    worker: usize::MAX, // inline, not a pool worker
-                    abort_reason: None,
-                    coalesced: false,
-                };
-                Ok(format!("{}\n{}", stats.render_comment(), report.text()))
-            }
-            Some(router) => {
-                let detail =
-                    self.shared
-                        .run_detail(&snaps, &req.application, &sql, req.strategy, budget)?;
-                let stats = ServiceStats {
-                    snapshot_epoch: epochs.total(),
-                    epochs,
-                    queue_wait: Duration::ZERO,
-                    exec_time: start.elapsed(),
-                    worker: usize::MAX,
-                    abort_reason: None,
-                    coalesced: false,
-                };
-                let mut out = String::new();
-                out.push_str(&stats.render_comment());
-                out.push('\n');
+        let (detail, stats) = self.shared.run_inline(req, None)?;
+        let mut out = stats.render_comment();
+        out.push('\n');
+        if self.shard_count() > 1 {
+            let router = &self.shared.router;
+            out.push_str(&format!(
+                "-- shards: n={} mode={} partitioner={} key={} rows_merged={}\n",
+                self.shard_count(),
+                detail.mode,
+                router.partitioner.name(),
+                router.spec.key,
+                detail.run.stats.shard_rows_merged,
+            ));
+            for o in &detail.per_shard {
                 out.push_str(&format!(
-                    "-- shards: n={} mode={} partitioner={} key={} rows_merged={}\n",
-                    self.shared.shards.len(),
-                    detail.mode,
-                    router.partitioner.name(),
-                    router.spec.key,
-                    detail.report.stats.shard_rows_merged,
+                    "-- shard {}: epoch={} rows={} segments_scanned={} segments_pruned={}\n",
+                    o.shard, o.epoch, o.rows, o.segments_scanned, o.segments_pruned,
                 ));
-                for o in &detail.per_shard {
-                    out.push_str(&format!(
-                        "-- shard {}: epoch={} rows={} segments_scanned={} segments_pruned={}\n",
-                        o.shard, o.epoch, o.rows, o.segments_scanned, o.segments_pruned,
-                    ));
-                }
-                // Decision trace + plans from a no-execute explain at the
-                // coordinator (the execution above already paid analyze).
-                let report = self
-                    .shared
-                    .coordinator()
-                    .explain_snapshot(
-                        &snaps[0].catalog,
-                        &req.application,
-                        &sql,
-                        req.strategy,
-                        false,
-                        QueryBudget::unlimited(),
-                    )
-                    .map_err(ServiceError::from)?;
-                out.push_str(&format!("-- result rows: {}\n", detail.batch.num_rows()));
-                out.push_str(&report.text());
-                Ok(out)
             }
         }
+        let report = self.shared.coordinator().explain_rewritten(
+            &detail.catalog,
+            detail.strategy,
+            detail.rewritten,
+            Some(detail.run),
+        )?;
+        out.push_str(&report.text());
+        Ok(out)
     }
 
     /// Run one query against the service as of global epoch `epoch`,
     /// reconstructed from the durable log: shard snapshots materialize at
     /// the per-shard epoch vector that global epoch committed, opening
     /// only the segment files those epochs contain. Runs inline (not
-    /// queued) under the request's budget. Requires a durable service;
-    /// the equivalent SQL form is an `AS OF epoch E` suffix on any
-    /// submitted query.
+    /// queued) under the request's budget, counted like any other query.
+    /// Requires a durable service; the equivalent SQL form is an
+    /// `AS OF epoch E` suffix on any submitted query (a clause in `req`'s
+    /// SQL is ignored here: the explicit `epoch` wins).
     pub fn query_as_of(
         &self,
         req: &QueryRequest,
         epoch: u64,
     ) -> Result<QueryResponse, ServiceError> {
-        // An AS OF clause in the SQL itself is stripped; the explicit
-        // `epoch` argument wins.
-        let sql = match split_as_of(&req.sql) {
-            Some((stripped, _)) => stripped,
-            None => req.sql.clone(),
-        };
-        let snaps = self.shared.historical_snapshots(epoch)?;
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
-        let start = Instant::now();
-        let mut budget = QueryBudget::unlimited();
-        if let Some(d) = req.deadline.or(self.shared.config.default_deadline) {
-            budget = budget.with_deadline(d);
-        }
-        if let Some(rows) = req.row_limit.or(self.shared.config.default_row_limit) {
-            budget = budget.with_row_limit(rows);
-        }
-        let detail =
-            self.shared
-                .run_detail(&snaps, &req.application, &sql, req.strategy, budget)?;
-        self.shared.completed.fetch_add(1, Ordering::Relaxed);
+        let (detail, service) = self.shared.run_inline(req, Some(epoch))?;
+        let (batch, report) =
+            detail.into_reply(self.shared.coordinator().exec_options().parallelism);
         Ok(QueryResponse {
-            batch: detail.batch,
-            report: detail.report,
-            service: ServiceStats {
-                snapshot_epoch: epochs.total(),
-                epochs,
-                queue_wait: Duration::ZERO,
-                exec_time: start.elapsed(),
-                worker: usize::MAX, // inline, not a pool worker
-                abort_reason: None,
-                coalesced: false,
-            },
+            batch,
+            report,
+            service,
         })
     }
 
@@ -1565,115 +1409,218 @@ impl Drop for QueryService {
     }
 }
 
+impl QueryService {
+    /// Append `batch` to `table` and publish the next epoch(s). All the
+    /// append work (key routing, row concatenation, segment sealing, index
+    /// extension, cleanse cache invalidation) happens on private overlays
+    /// outside the publication cells — readers never wait on it.
+    ///
+    /// Rows of a partitioned table are routed on the cluster key first:
+    /// only the shards that received rows publish a new epoch. Any other
+    /// table — every table of a one-shard service — is appended to every
+    /// shard. Returns an [`AppendOutcome`]: the last snapshot published by
+    /// this call (shard 0's current snapshot if the batch was empty), the
+    /// epoch vector it advanced to, and the cluster keys and shards the
+    /// batch touched — computed once here so standing-query maintenance
+    /// never rescans the batch.
+    ///
+    /// Before returning, every live subscription is advanced past the
+    /// publish (still under the ingest lock), pushing one change set per
+    /// relevant feed.
+    pub fn append(&self, table: &str, batch: Batch) -> Result<AppendOutcome, Error> {
+        let _serial = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        self.shared.appends.fetch_add(1, Ordering::Relaxed);
+        let lowered = table.to_ascii_lowercase();
+        let rows = batch.num_rows();
+        let touched_keys = match self.cluster_key_column(&lowered) {
+            Some(col) => distinct_keys(&batch, &col),
+            None => Vec::new(),
+        };
+        // Stage every touched shard's next overlay first, publishing
+        // nothing: a durable service must land the whole append in the
+        // write-ahead logs (all shard commits, then the manifest's global
+        // commit) before any reader can observe it.
+        struct Staged {
+            shard: usize,
+            next: Catalog,
+            table: Arc<dc_relational::table::Table>,
+            prev_segments: usize,
+            epoch: u64,
+        }
+        let mut staged: Vec<Staged> = Vec::new();
+        let mut stage = |shard: usize, part: Batch| -> Result<(), Error> {
+            let current = self.shared.shards[shard].snapshots.load();
+            let prev_segments = current.catalog.get(&lowered)?.segments().len();
+            let next = current.catalog.overlay();
+            let appended = next.append(table, part)?;
+            staged.push(Staged {
+                shard,
+                next,
+                table: appended,
+                prev_segments,
+                epoch: current.epoch + 1,
+            });
+            Ok(())
+        };
+        let router = &self.shared.router;
+        let shards = self.shared.shards.len();
+        if router.spec.partitioned.contains(&lowered) {
+            let key_idx = batch.schema().index_of_name(&router.spec.key)?;
+            let parts = split_batch(&batch, key_idx, &router.partitioner, shards)?;
+            for (i, part) in parts.into_iter().enumerate() {
+                if part.num_rows() > 0 {
+                    stage(i, part)?;
+                }
+            }
+        } else {
+            // Replicated table: every shard gets the same rows.
+            for i in 0..shards - 1 {
+                stage(i, batch.clone())?;
+            }
+            stage(shards - 1, batch)?;
+        }
+        if let Some(durable) = &self.shared.durable {
+            if !staged.is_empty() {
+                let mut vector = self.epoch_vector();
+                for s in &staged {
+                    vector.0[s.shard] = s.epoch;
+                }
+                let entries: Vec<StagedAppend<'_>> = staged
+                    .iter()
+                    .map(|s| StagedAppend {
+                        shard: s.shard,
+                        table: &s.table,
+                        prev_segments: s.prev_segments,
+                        epoch: s.epoch,
+                    })
+                    .collect();
+                // On failure nothing publishes: readers keep the last
+                // durable epoch, exactly what a restart would recover.
+                durable.commit_append(&entries, &vector).map_err(log_err)?;
+            }
+        }
+        let mut touched_shards = Vec::with_capacity(staged.len());
+        let mut last = None;
+        for s in staged {
+            last = Some(self.shared.shards[s.shard].snapshots.publish(s.next));
+            touched_shards.push(s.shard);
+        }
+        let snapshot = last.unwrap_or_else(|| self.shared.shards[0].snapshots.load());
+        let outcome = AppendOutcome {
+            snapshot,
+            epochs: self.epoch_vector(),
+            table: lowered,
+            touched_keys,
+            touched_shards,
+            rows,
+        };
+        self.maintain_subscriptions(&outcome);
+        Ok(outcome)
+    }
+
+    /// Define a cleansing rule on every shard (schemas are identical, so
+    /// validation agrees everywhere; a rule rejected on shard 0 is applied
+    /// nowhere). Bumps the rule-set version so in-flight work coalescing
+    /// never pairs queries across a rule change.
+    /// On a durable service the new rules version is logged (and fsynced)
+    /// to every shard's commit log before this returns, so a restart
+    /// restores the same rule set.
+    pub fn define_rule(&self, application: &str, rule_text: &str) -> Result<u64, Error> {
+        // Serialize with appends so logged rules versions interleave with
+        // epoch commits in a single order.
+        let _serial = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        let mut id = 0;
+        for shard in &self.shared.shards {
+            id = shard.system.define_rule(application, rule_text)?;
+        }
+        let version = self.shared.rules_version.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(durable) = &self.shared.durable {
+            let json = self.shared.coordinator().rules_to_json();
+            durable.log_rules(version, &json).map_err(log_err)?;
+        }
+        Ok(id)
+    }
+}
+
 fn worker_loop(shared: &Shared, worker: usize) {
     while let Some(job) = shared.queue.pop() {
         let queue_wait = job.submitted.elapsed();
-        // A top-level `AS OF epoch E` clause redirects the job to the
-        // historical snapshots of global epoch E (durable services only);
-        // everything else — budgets, coalescing, stats — is unchanged.
-        let (sql, snaps) = match split_as_of(&job.req.sql) {
-            Some((stripped, epoch)) => match shared.historical_snapshots(epoch) {
-                Ok(snaps) => (stripped, snaps),
-                Err(e) => {
-                    shared.failed.fetch_add(1, Ordering::Relaxed);
-                    let _ = job.reply.send(Err(e));
-                    continue;
-                }
-            },
-            None => (job.req.sql.clone(), shared.load_snapshots()),
-        };
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
-        let budget = shared.budget_for(&job);
-        let start = Instant::now();
-        let key = FlightKey {
-            epochs: epochs.clone(),
-            rules_version: shared.rules_version.load(Ordering::Relaxed),
-            application: job.req.application.clone(),
-            sql: sql.clone(),
-            strategy: strategy_tag(job.req.strategy),
-        };
-        let mut coalesced = false;
-        // Pre-check: queue wait alone may have blown the deadline, and a
-        // cancelled job should never start executing.
-        let result = budget.check().map_err(ServiceError::from).and_then(|()| {
-            match shared.join_or_lead(&key) {
-                Role::Leader(flight) => {
-                    let res = shared
-                        .run_detail(
-                            &snaps,
-                            &job.req.application,
-                            &sql,
-                            job.req.strategy,
-                            budget.clone(),
-                        )
-                        .map(|d| (d.batch, d.report));
-                    flight.publish(res.as_ref().ok().cloned());
-                    shared.release(&key);
-                    res
-                }
-                Role::Follower(flight) => match flight.wait() {
-                    // The shared result is only handed out if this job's own
-                    // budget still allows a reply.
-                    Some(shared_result) => {
-                        coalesced = true;
-                        budget
-                            .check()
-                            .map_err(ServiceError::from)
-                            .map(|()| shared_result)
-                    }
-                    // Leader failed or aborted: outcomes of failures depend on
-                    // the failing job's budget, so run independently.
-                    None => shared
-                        .run_detail(
-                            &snaps,
-                            &job.req.application,
-                            &sql,
-                            job.req.strategy,
-                            budget.clone(),
-                        )
-                        .map(|d| (d.batch, d.report)),
-                },
-            }
-        });
-        if coalesced {
-            shared.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        let stats = ServiceStats {
-            snapshot_epoch: epochs.total(),
-            epochs,
-            queue_wait,
-            exec_time: start.elapsed(),
-            worker,
-            abort_reason: None,
-            coalesced,
-        };
-        let reply = match result {
-            Ok((batch, report)) => {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-                Ok(QueryResponse {
-                    batch,
-                    report,
-                    service: stats,
-                })
-            }
-            Err(ServiceError::Aborted { reason, .. }) => {
-                shared.aborted.fetch_add(1, Ordering::Relaxed);
-                Err(ServiceError::Aborted {
-                    reason,
-                    service: ServiceStats {
-                        abort_reason: Some(reason),
-                        ..stats
-                    },
-                })
-            }
-            Err(other) => {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-                Err(other)
-            }
-        };
         // The caller may have dropped its ticket; losing the reply is fine.
-        let _ = job.reply.send(reply);
+        let _ = job.reply.send(answer(shared, &job, queue_wait, worker));
     }
+}
+
+/// One queued job, dispatch to reply: resolve its snapshots, run it (or
+/// share an identical concurrent run) under its budget, settle the outcome.
+fn answer(
+    shared: &Shared,
+    job: &Job,
+    queue_wait: Duration,
+    worker: usize,
+) -> Result<QueryResponse, ServiceError> {
+    let req = &job.req;
+    let (sql, snaps) = shared.resolve(&req.sql, None)?;
+    let epochs = epochs_of(&snaps);
+    let budget = shared
+        .budget(req, job.submitted)
+        .with_cancel(Arc::clone(&job.cancel));
+    let start = Instant::now();
+    let key = FlightKey {
+        epochs: epochs.clone(),
+        rules_version: shared.rules_version.load(Ordering::Relaxed),
+        application: req.application.clone(),
+        sql,
+        strategy: req.strategy,
+    };
+    let run = || {
+        let parallelism = shared.coordinator().exec_options().parallelism;
+        shared
+            .run_detail(
+                &snaps,
+                &req.application,
+                &key.sql,
+                req.strategy,
+                budget.clone(),
+            )
+            .map(|detail| detail.into_reply(parallelism))
+    };
+    let mut coalesced = false;
+    // Pre-check: queue wait alone may have blown the deadline, and a
+    // cancelled job should never start executing.
+    let result = budget.check().map_err(ServiceError::from).and_then(|()| {
+        match shared.join_or_lead(&key) {
+            Role::Leader(flight) => {
+                let res = run();
+                flight.publish(res.as_ref().ok().cloned());
+                shared.release(&key);
+                res
+            }
+            Role::Follower(flight) => match flight.wait() {
+                // The shared result is only handed out if this job's own
+                // budget still allows a reply.
+                Some(shared_result) => {
+                    coalesced = true;
+                    budget
+                        .check()
+                        .map_err(ServiceError::from)
+                        .map(|()| shared_result)
+                }
+                // Leader failed or aborted: outcomes of failures depend on
+                // the failing job's budget, so run independently.
+                None => run(),
+            },
+        }
+    });
+    if coalesced {
+        shared.coalesced.fetch_add(1, Ordering::Relaxed);
+    }
+    let stats = ServiceStats::new(epochs, queue_wait, start.elapsed(), worker, coalesced);
+    let ((batch, report), service) = shared.settle(result, stats)?;
+    Ok(QueryResponse {
+        batch,
+        report,
+        service,
+    })
 }
 
 #[cfg(test)]
@@ -1700,35 +1647,16 @@ mod tests {
         vec![Value::str(epc), Value::Int(rtime), Value::str(loc)]
     }
 
-    fn service() -> QueryService {
-        let catalog = Arc::new(Catalog::new());
-        catalog.register(Table::new(
-            "caser",
-            Batch::from_rows(
-                reads_schema(),
-                &[
-                    row("e1", 0, "shelf"),
-                    row("e1", 60, "shelf"),
-                    row("e2", 10, "dock"),
-                ],
-            )
-            .unwrap(),
-        ));
-        let sys = DeferredCleansingSystem::with_catalog(catalog);
-        sys.define_rule("app", DUP).unwrap();
-        QueryService::start(
-            sys,
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        )
+    fn small() -> Vec<Vec<Value>> {
+        vec![
+            row("e1", 0, "shelf"),
+            row("e1", 60, "shelf"),
+            row("e2", 10, "dock"),
+        ]
     }
 
-    /// A larger catalog and a sharded service over it, plus an unsharded
-    /// twin for equivalence checks.
-    fn sharded_pair(shards: usize) -> (QueryService, QueryService) {
-        let rows: Vec<Vec<Value>> = (0..240)
+    fn large() -> Vec<Vec<Value>> {
+        (0..240)
             .map(|i| {
                 row(
                     &format!("e{}", i % 24),
@@ -1736,39 +1664,29 @@ mod tests {
                     if i % 3 == 0 { "shelf" } else { "dock" },
                 )
             })
-            .collect();
-        let build = || {
-            let catalog = Arc::new(Catalog::new());
-            catalog.register(Table::new(
-                "caser",
-                Batch::from_rows(reads_schema(), &rows).unwrap(),
-            ));
-            let sys = DeferredCleansingSystem::with_catalog(catalog);
-            sys.define_rule("app", DUP).unwrap();
-            sys
+            .collect()
+    }
+
+    /// `rows` as `caser` under the duplicate rule, served by `shards`
+    /// shards keyed on `epc`.
+    fn service(rows: &[Vec<Value>], shards: usize) -> QueryService {
+        let catalog = Arc::new(Catalog::new());
+        catalog.register(Table::new(
+            "caser",
+            Batch::from_rows(reads_schema(), rows).unwrap(),
+        ));
+        let sys = DeferredCleansingSystem::with_catalog(catalog);
+        sys.define_rule("app", DUP).unwrap();
+        let config = ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
         };
-        let sharded = QueryService::start_sharded(
-            build(),
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-            ShardConfig::new(shards, "epc"),
-        )
-        .unwrap();
-        let unsharded = QueryService::start(
-            build(),
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        );
-        (sharded, unsharded)
+        QueryService::start_sharded(sys, config, ShardConfig::new(shards, "epc")).unwrap()
     }
 
     #[test]
     fn execute_answers_cleansed_and_reports_epoch() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let resp = svc
             .execute(QueryRequest::new("app", "select epc, rtime from caser"))
             .unwrap();
@@ -1781,7 +1699,7 @@ mod tests {
 
     #[test]
     fn append_publishes_new_epoch_and_queries_see_it() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let before = svc
             .execute(QueryRequest::new("app", "select epc from caser"))
             .unwrap();
@@ -1816,7 +1734,7 @@ mod tests {
 
     #[test]
     fn subscribe_streams_incremental_deltas() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let sub = svc
             .subscribe(
                 "app",
@@ -1864,7 +1782,7 @@ mod tests {
 
     #[test]
     fn lagged_subscription_resyncs_and_resumes() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let sub = svc
             .subscribe(
                 "app",
@@ -1906,7 +1824,7 @@ mod tests {
 
     #[test]
     fn unsubscribe_stops_notifications() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let sub = svc
             .subscribe(
                 "app",
@@ -1922,29 +1840,6 @@ mod tests {
         .unwrap();
         assert_eq!(svc.counters().notifications, 0);
         assert!(matches!(sub.try_next().unwrap_err(), StreamError::Closed));
-    }
-
-    #[test]
-    fn cancelled_ticket_aborts_without_rows() {
-        let svc = service();
-        let ticket = svc
-            .submit(QueryRequest::new("app", "select epc from caser"))
-            .unwrap();
-        ticket.cancel();
-        // The pre-set token either catches the job before dispatch or at
-        // the first operator boundary — both must yield Aborted, not rows.
-        match ticket.wait() {
-            Ok(_) => {
-                // Raced: the query finished before the flag was observed.
-                // Acceptable only if cancel landed after completion; in
-                // practice with 2 workers this is rare but not impossible.
-            }
-            Err(ServiceError::Aborted { reason, service }) => {
-                assert_eq!(reason, AbortReason::Cancelled);
-                assert_eq!(service.abort_reason, Some(AbortReason::Cancelled));
-            }
-            Err(other) => panic!("unexpected error: {other}"),
-        }
     }
 
     #[test]
@@ -2031,18 +1926,20 @@ mod tests {
 
     #[test]
     fn explain_analyze_carries_service_line() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let text = svc
             .explain_analyze(&QueryRequest::new("app", "select epc from caser"))
             .unwrap();
         assert!(text.starts_with("-- service: epoch=0 "), "got: {text}");
+        assert!(!text.contains("-- shard"), "got: {text}");
         assert!(text.contains("-- chosen:"));
         assert!(text.contains("rows_out="));
+        assert_eq!(svc.counters().completed, 1);
     }
 
     #[test]
     fn shutdown_rejects_new_work() {
-        let svc = service();
+        let svc = service(&small(), 1);
         let shared = Arc::clone(&svc.shared);
         svc.shutdown();
         assert!(matches!(
@@ -2057,39 +1954,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_matches_unsharded() {
-        for shards in [1, 2, 4] {
-            let (sharded, unsharded) = sharded_pair(shards);
-            assert_eq!(sharded.shard_count(), shards);
-            for sql in [
-                "select epc, rtime from caser",
-                "select epc, count(*) as n from caser group by epc",
-                "select count(*) as n, sum(rtime) as s, avg(rtime) as a from caser",
-                "select epc, rtime from caser where rtime < 100 order by rtime, epc",
-            ] {
-                let a = sharded.execute(QueryRequest::new("app", sql)).unwrap();
-                let b = unsharded.execute(QueryRequest::new("app", sql)).unwrap();
-                assert_eq!(
-                    a.batch.sorted_rows(),
-                    b.batch.sorted_rows(),
-                    "shards={shards} sql={sql}"
-                );
-                assert_eq!(a.service.epochs.shards(), shards);
-            }
-            // ORDER BY reproduces the exact global order, not just the set.
-            let sql = "select epc, rtime from caser order by rtime, epc";
-            let a = sharded.execute(QueryRequest::new("app", sql)).unwrap();
-            let b = unsharded.execute(QueryRequest::new("app", sql)).unwrap();
-            let rows = |batch: &Batch| -> Vec<Vec<Value>> {
-                (0..batch.num_rows()).map(|i| batch.row(i)).collect()
-            };
-            assert_eq!(rows(&a.batch), rows(&b.batch), "shards={shards}");
-        }
-    }
-
-    #[test]
     fn sharded_scatter_reports_merge_counters() {
-        let (sharded, _) = sharded_pair(4);
+        let sharded = service(&large(), 4);
         let resp = sharded
             .execute(QueryRequest::new("app", "select epc, rtime from caser"))
             .unwrap();
@@ -2106,40 +1972,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_append_routes_by_key() {
-        let (sharded, unsharded) = sharded_pair(3);
-        let extra: Vec<Vec<Value>> = (0..30)
-            .map(|i| row(&format!("e{}", i % 24), 1000 + i, "gate"))
-            .collect();
-        let batch = Batch::from_rows(reads_schema(), &extra).unwrap();
-        sharded.append("caser", batch.clone()).unwrap();
-        unsharded.append("caser", batch).unwrap();
-        // Epochs advanced on the shards that received rows; total rows match.
-        assert!(sharded.epoch() >= 1);
-        assert_eq!(sharded.counters().appends, 1);
-        let total: usize = (0..sharded.shard_count())
-            .map(|i| {
-                sharded
-                    .shard_snapshot(i)
-                    .catalog
-                    .get("caser")
-                    .unwrap()
-                    .num_rows()
-            })
-            .sum();
-        assert_eq!(total, 240 + 30);
-        let a = sharded
-            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
-            .unwrap();
-        let b = unsharded
-            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
-            .unwrap();
-        assert_eq!(a.batch.sorted_rows(), b.batch.sorted_rows());
-    }
-
-    #[test]
     fn sharded_rule_definition_broadcasts() {
-        let (sharded, unsharded) = sharded_pair(2);
+        let (sharded, unsharded) = (service(&large(), 2), service(&large(), 1));
         // A second rule tightens cleansing on both services identically.
         const RULE2: &str = "DEFINE dup2 ON caseR CLUSTER BY epc SEQUENCE BY rtime AS (A, B) \
             WHERE B.rtime - A.rtime < 1 mins ACTION DELETE B";
@@ -2156,7 +1990,7 @@ mod tests {
 
     #[test]
     fn shard_failure_is_typed() {
-        let (sharded, _) = sharded_pair(3);
+        let sharded = service(&large(), 3);
         sharded.inject_shard_failure(1);
         let err = sharded
             .execute(QueryRequest::new("app", "select epc, rtime from caser"))
@@ -2175,7 +2009,7 @@ mod tests {
 
     #[test]
     fn sharded_explain_analyze_carries_shard_lines() {
-        let (sharded, _) = sharded_pair(2);
+        let sharded = service(&large(), 2);
         let text = sharded
             .explain_analyze(&QueryRequest::new("app", "select epc, rtime from caser"))
             .unwrap();
@@ -2187,6 +2021,8 @@ mod tests {
         assert!(text.contains("-- shard 0: epoch=0 rows="), "got: {text}");
         assert!(text.contains("-- shard 1: epoch=0 rows="), "got: {text}");
         assert!(text.contains("-- chosen:"));
+        // The run it executed, not a second rewrite: combined metrics.
+        assert!(text.contains("rows_out="), "got: {text}");
     }
 
     #[test]

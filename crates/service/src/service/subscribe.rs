@@ -12,7 +12,7 @@
 //! rescans the batch), and where the resulting change sets go
 //! (backpressure-bounded [`ChangeChannel`]s).
 
-use super::{QueryService, RunDetail, Shared};
+use super::{epochs_of, QueryService, Shared};
 use crate::snapshot::{EpochVector, Snapshot};
 use crate::ServiceError;
 use dc_core::{QueryBudget, Strategy};
@@ -30,7 +30,7 @@ use dc_stream::{
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What one [`QueryService::append`] did: the published snapshot, the
 /// epoch vector it advanced the service to, and — for the standing-query
@@ -176,8 +176,6 @@ struct SubMaint {
     tables: BTreeSet<String>,
     /// The cleansed reads table (lowercased; empty when unresolved).
     table: String,
-    /// The rules' cluster key (lowercased; empty when unresolved).
-    ckey: String,
 }
 
 /// [`MaintenanceRunner`] over service snapshots: scoped plans run per shard
@@ -196,22 +194,22 @@ fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
     (0..batch.num_rows()).map(|i| batch.row(i)).collect()
 }
 
-fn run_plan_on(
-    shared: &Shared,
-    shard: usize,
-    snap: &Snapshot,
-    application: &str,
-    plan: &LogicalPlan,
-    strategy: Strategy,
-) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-    let (batch, report) = shared.shards[shard].system.query_plan_snapshot(
-        &snap.catalog,
-        application,
-        plan,
-        strategy,
-        QueryBudget::unlimited(),
-    )?;
-    Ok((rows_of(&batch), report.stats))
+impl SnapshotRunner<'_> {
+    fn run_on(
+        &self,
+        shard: usize,
+        snap: &Snapshot,
+        plan: &LogicalPlan,
+    ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
+        let (batch, report) = self.shared.shards[shard].system.query_plan_snapshot(
+            &snap.catalog,
+            self.application,
+            plan,
+            self.strategy,
+            QueryBudget::unlimited(),
+        )?;
+        Ok((rows_of(&batch), report.stats))
+    }
 }
 
 impl MaintenanceRunner for SnapshotRunner<'_> {
@@ -224,14 +222,7 @@ impl MaintenanceRunner for SnapshotRunner<'_> {
         shard: usize,
         plan: &LogicalPlan,
     ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-        run_plan_on(
-            self.shared,
-            shard,
-            &self.prev[shard],
-            self.application,
-            plan,
-            self.strategy,
-        )
+        self.run_on(shard, &self.prev[shard], plan)
     }
 
     fn run_new(
@@ -239,18 +230,11 @@ impl MaintenanceRunner for SnapshotRunner<'_> {
         shard: usize,
         plan: &LogicalPlan,
     ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-        run_plan_on(
-            self.shared,
-            shard,
-            &self.new[shard],
-            self.application,
-            plan,
-            self.strategy,
-        )
+        self.run_on(shard, &self.new[shard], plan)
     }
 
     fn run_full(&mut self) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-        let detail: RunDetail = self
+        let detail = self
             .shared
             .run_detail(
                 self.new,
@@ -260,7 +244,7 @@ impl MaintenanceRunner for SnapshotRunner<'_> {
                 QueryBudget::unlimited(),
             )
             .map_err(|e| Error::Execution(format!("standing-query recompute failed: {e}")))?;
-        Ok((rows_of(&detail.batch), detail.report.stats))
+        Ok((rows_of(&detail.run.batch), detail.run.stats))
     }
 }
 
@@ -294,6 +278,59 @@ fn relevant_tables(shared: &Shared, application: &str, plan: &LogicalPlan) -> BT
     tables
 }
 
+/// What [`QueryService::subscribe`] and [`QueryService::resync`] both start
+/// from: `sql` run in full at the current snapshots, and the maintenance
+/// state seeded from that run — the query is parsed and planned once, for
+/// the run, the classification and the retained state alike. Call under
+/// the ingest lock.
+fn seed(
+    shared: &Shared,
+    application: &str,
+    sql: &str,
+    strategy: Strategy,
+) -> std::result::Result<(Batch, EpochVector, SubMaint), ServiceError> {
+    let start = Instant::now();
+    let snaps = shared.load_snapshots();
+    let user_plan = plan_query(&parse_query(sql)?, &snaps[0].catalog)?;
+    let budget = QueryBudget::unlimited();
+    let detail = shared.run_plan(&snaps, application, &user_plan, strategy, budget, start)?;
+    let tables = relevant_tables(shared, application, &user_plan);
+    let (table, ckey) = cleanse_target(shared, application).unwrap_or_default();
+    let classified = if table.is_empty() {
+        Classified::Fallback {
+            reason: "application has no single cleansing target".into(),
+        }
+    } else {
+        classify(&user_plan, &snaps[0].catalog, &table, &ckey)
+    };
+    // Seed with both runner sides at the same snapshots: ordered and
+    // aggregate modes build their retained buffers from `run_new`.
+    let mut runner = SnapshotRunner {
+        shared,
+        application,
+        sql,
+        strategy,
+        prev: &snaps,
+        new: &snaps,
+    };
+    let state = StandingState::new(
+        user_plan,
+        &table,
+        &ckey,
+        classified,
+        rows_of(&detail.run.batch),
+        &mut runner,
+    )?;
+    let epochs = epochs_of(&snaps);
+    let maint = SubMaint {
+        state,
+        prev: snaps,
+        tables,
+        table,
+    };
+    Ok((detail.run.batch, epochs, maint))
+}
+
 impl QueryService {
     /// Register a standing query: run it once against the current
     /// snapshots, classify it into a maintenance mode, seed the retained
@@ -310,66 +347,18 @@ impl QueryService {
     ) -> std::result::Result<SubscriptionHandle, ServiceError> {
         let _serial = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
         let shared = &self.shared;
-        let snaps = shared.load_snapshots();
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
-        let detail = shared.run_detail(
-            &snaps,
-            application,
-            sql,
-            opts.strategy,
-            QueryBudget::unlimited(),
-        )?;
-        let initial_rows = rows_of(&detail.batch);
-        let user_plan = plan_query(
-            &parse_query(sql).map_err(ServiceError::from)?,
-            &snaps[0].catalog,
-        )
-        .map_err(ServiceError::from)?;
-        let tables = relevant_tables(shared, application, &user_plan);
-        let (table, ckey) = cleanse_target(shared, application).unwrap_or_default();
-        let classified = if table.is_empty() {
-            Classified::Fallback {
-                reason: "application has no single cleansing target".into(),
-            }
-        } else {
-            classify(&user_plan, &snaps[0].catalog, &table, &ckey)
-        };
-        // Seed with both runner sides at the subscribe snapshots: ordered
-        // and aggregate modes build their retained buffers from `run_new`.
-        let mut seed = SnapshotRunner {
-            shared,
-            application,
-            sql,
-            strategy: opts.strategy,
-            prev: &snaps,
-            new: &snaps,
-        };
-        let state = StandingState::new(
-            user_plan,
-            &table,
-            &ckey,
-            classified,
-            initial_rows,
-            &mut seed,
-        )
-        .map_err(ServiceError::from)?;
+        let (initial, epochs, maint) = seed(shared, application, sql, opts.strategy)?;
         let id = shared.next_sub_id.fetch_add(1, Ordering::Relaxed);
         let chan = Arc::new(ChangeChannel::new(opts.queue_capacity));
-        let mode = state.mode_name();
-        let fallback_reason = state.fallback_reason().map(str::to_string);
+        let mode = maint.state.mode_name();
+        let fallback_reason = maint.state.fallback_reason().map(str::to_string);
         let entry = Arc::new(SubEntry {
             id,
             application: application.to_string(),
             sql: sql.to_string(),
             strategy: opts.strategy,
             chan: Arc::clone(&chan),
-            maint: Mutex::new(SubMaint {
-                state,
-                prev: snaps,
-                tables,
-                table,
-                ckey,
-            }),
+            maint: Mutex::new(maint),
         });
         shared
             .subs
@@ -379,7 +368,7 @@ impl QueryService {
         shared.subscriptions.fetch_add(1, Ordering::Relaxed);
         Ok(SubscriptionHandle {
             id,
-            initial: detail.batch,
+            initial,
             epochs,
             chan,
             mode,
@@ -421,48 +410,10 @@ impl QueryService {
                     handle.id
                 )))
             })?;
-        let snaps = shared.load_snapshots();
-        let epochs = EpochVector(snaps.iter().map(|s| s.epoch).collect());
-        let detail = shared.run_detail(
-            &snaps,
-            &entry.application,
-            &entry.sql,
-            entry.strategy,
-            QueryBudget::unlimited(),
-        )?;
-        let user_plan = plan_query(
-            &parse_query(&entry.sql).map_err(ServiceError::from)?,
-            &snaps[0].catalog,
-        )
-        .map_err(ServiceError::from)?;
-        let mut m = entry.maint.lock().unwrap_or_else(|e| e.into_inner());
-        let classified = if m.table.is_empty() {
-            Classified::Fallback {
-                reason: "application has no single cleansing target".into(),
-            }
-        } else {
-            classify(&user_plan, &snaps[0].catalog, &m.table, &m.ckey)
-        };
-        let mut seed = SnapshotRunner {
-            shared,
-            application: &entry.application,
-            sql: &entry.sql,
-            strategy: entry.strategy,
-            prev: &snaps,
-            new: &snaps,
-        };
-        m.state = StandingState::new(
-            user_plan,
-            &m.table,
-            &m.ckey,
-            classified,
-            rows_of(&detail.batch),
-            &mut seed,
-        )
-        .map_err(ServiceError::from)?;
-        m.prev = snaps;
+        let (base, epochs, maint) = seed(shared, &entry.application, &entry.sql, entry.strategy)?;
+        *entry.maint.lock().unwrap_or_else(|e| e.into_inner()) = maint;
         entry.chan.mark_resynced();
-        Ok((detail.batch, epochs))
+        Ok((base, epochs))
     }
 
     /// The publish hook: advance every live subscription past `outcome`.
@@ -478,7 +429,7 @@ impl QueryService {
             return;
         }
         let new_snaps = shared.load_snapshots();
-        let epochs = EpochVector(new_snaps.iter().map(|s| s.epoch).collect());
+        let epochs = epochs_of(&new_snaps);
         subs.retain(|sub| {
             if sub.chan.is_closed() {
                 return false;
@@ -543,11 +494,13 @@ impl QueryService {
     }
 
     /// The cluster-key column appends to `table` are keyed on, when one can
-    /// be resolved: the router's shard key in sharded mode, else the single
-    /// `CLUSTER BY` column the defined rules use for this table.
+    /// be resolved: the configured shard key, else (a service started
+    /// without one) the single `CLUSTER BY` column the defined rules use
+    /// for this table.
     pub(super) fn cluster_key_column(&self, table: &str) -> Option<String> {
-        if let Some(router) = &self.shared.router {
-            return Some(router.spec.key.clone());
+        let key = &self.shared.router.spec.key;
+        if !key.is_empty() {
+            return Some(key.clone());
         }
         let rules = self.shared.coordinator().rules();
         let mut keys: BTreeSet<String> = BTreeSet::new();

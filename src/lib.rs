@@ -19,7 +19,7 @@
 //!   ([`service::QueryService`]): worker pool over epoch-stamped catalog
 //!   snapshots, live append ingest, deadlines and cancellation,
 //! * [`log`] — the fault-injectable durable log primitives backing
-//!   [`service::QueryService::start_durable`]: crash-safe appends,
+//!   [`service::QueryService::start_sharded_durable`]: crash-safe appends,
 //!   recovery, and `AS OF epoch` time travel.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.

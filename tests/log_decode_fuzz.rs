@@ -28,7 +28,7 @@ use deferred_cleansing::log::{
 };
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::service::{
-    DurableOptions, QueryRequest, QueryService, ServiceConfig, MANIFEST_LOG,
+    DurableOptions, QueryRequest, QueryService, ServiceConfig, ShardConfig, MANIFEST_LOG,
 };
 use deferred_cleansing::DeferredCleansingSystem;
 use rand::rngs::StdRng;
@@ -106,12 +106,13 @@ fn build_corpus_dir(tag: &str) -> PathBuf {
     let catalog = Arc::new(Catalog::new());
     catalog.register(Table::new("caser", batch(&seed_rows())));
     let sys = DeferredCleansingSystem::with_catalog(catalog);
-    let svc = QueryService::start_durable(
+    let svc = QueryService::start_sharded_durable(
         sys,
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         },
+        ShardConfig::new(1, ""),
         DurableOptions::new(&dir),
     )
     .unwrap();

@@ -190,6 +190,16 @@ fn write_artifact(name: &str, reports: &[PointReport]) {
     let _ = std::fs::write(dir.join(format!("{name}.tsv")), out);
 }
 
+/// `None` is one unkeyed shard without a cleanse cache (the manifest of an
+/// unsharded service: `key = ""`), `Some(n)` n shards keyed on `epc` with
+/// per-shard caches.
+fn shard_config(shards: Option<usize>) -> ShardConfig {
+    match shards {
+        None => ShardConfig::new(1, ""),
+        Some(n) => ShardConfig::new(n, "epc").with_cleanse_cache(32),
+    }
+}
+
 /// Tick checkpoints of the uninjected workload: ticks consumed by
 /// bootstrap, then cumulative ticks after each append. The sweep domain.
 fn measure(tag: &str, shards: Option<usize>) -> Vec<u64> {
@@ -197,16 +207,9 @@ fn measure(tag: &str, shards: Option<usize>) -> Vec<u64> {
     let _ = std::fs::remove_dir_all(&dir);
     let fp = FailPoint::unlimited();
     let opts = DurableOptions::new(&dir).with_failpoint(Arc::clone(&fp));
-    let svc = match shards {
-        None => QueryService::start_durable(build_system(), config(), opts).unwrap(),
-        Some(n) => QueryService::start_sharded_durable(
-            build_system(),
-            config(),
-            ShardConfig::new(n, "epc").with_cleanse_cache(32),
-            opts,
-        )
-        .unwrap(),
-    };
+    let svc =
+        QueryService::start_sharded_durable(build_system(), config(), shard_config(shards), opts)
+            .unwrap();
     let mut checkpoints = vec![fp.ticks_requested()];
     for i in 0..APPENDS {
         svc.append("caser", batch(&append_rows(i))).unwrap();
@@ -244,15 +247,8 @@ fn crash_point(tag: &str, ticks: u64, shards: Option<usize>) -> PointReport {
     let _ = std::fs::remove_dir_all(&dir);
     let fp = FailPoint::after_ticks(ticks);
     let opts = DurableOptions::new(&dir).with_failpoint(Arc::clone(&fp));
-    let started = match shards {
-        None => QueryService::start_durable(build_system(), config(), opts),
-        Some(n) => QueryService::start_sharded_durable(
-            build_system(),
-            config(),
-            ShardConfig::new(n, "epc").with_cleanse_cache(32),
-            opts,
-        ),
-    };
+    let started =
+        QueryService::start_sharded_durable(build_system(), config(), shard_config(shards), opts);
 
     let (boot_crashed, acked, attempted) = match started {
         Err(e) => {

@@ -7,6 +7,9 @@
 use deferred_cleansing::relational::agg::{AggExpr, AggFunc};
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::rewrite::Strategy;
+use deferred_cleansing::service::{
+    DurableOptions, QueryRequest, QueryService, ServiceConfig, ShardConfig,
+};
 use deferred_cleansing::DeferredCleansingSystem;
 use std::sync::Arc;
 
@@ -139,6 +142,55 @@ fn missing_read_is_compensated() {
     // c2 was fully read: all pallet copies have cases nearby and are
     // dropped, so the count stays 3.
     assert_eq!(clean.row(1), vec![Value::str("c2"), Value::Int(3)]);
+}
+
+/// The derived input's plan lives only in the system's rewrite engine. A
+/// one-shard in-memory service keeps the system, so it answers as
+/// `sys.query` does; a shard split or a durable log would rebuild systems
+/// from catalog + rules JSON and cleanse over the empty stand-in table, so
+/// both refuse, naming the input.
+#[test]
+fn derived_input_survives_one_shard_and_is_refused_beyond() {
+    let sql = "select epc, count(*) as n from caser group by epc order by epc";
+    let want = system().query("app", sql).unwrap();
+    assert_eq!(want.row(0), vec![Value::str("c1"), Value::Int(3)]);
+    let one_shard = || {
+        QueryService::start_sharded(
+            system(),
+            ServiceConfig::default(),
+            ShardConfig::new(1, "epc"),
+        )
+    };
+    for svc in [
+        QueryService::start(system(), ServiceConfig::default()),
+        one_shard().unwrap(),
+    ] {
+        let got = svc.execute(QueryRequest::new("app", sql)).unwrap();
+        let rows = |b: &Batch| (0..b.num_rows()).map(|i| b.row(i)).collect::<Vec<_>>();
+        assert_eq!(rows(&got.batch), rows(&want));
+    }
+
+    let dir = std::env::temp_dir().join(format!("dc-derived-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let two_shards = QueryService::start_sharded(
+        system(),
+        ServiceConfig::default(),
+        ShardConfig::new(2, "epc"),
+    );
+    let durable = QueryService::start_sharded_durable(
+        system(),
+        ServiceConfig::default(),
+        ShardConfig::new(1, "epc"),
+        DurableOptions::new(&dir),
+    );
+    for refused in [two_shards, durable] {
+        match refused {
+            Err(Error::Plan(msg)) => assert!(msg.contains("'r_union'"), "got: {msg}"),
+            Err(other) => panic!("expected a plan error, got: {other}"),
+            Ok(_) => panic!("a derived rule input must not be copied or logged"),
+        }
+    }
+    assert!(!dir.join("MANIFEST.log").exists(), "refusal wrote a log");
 }
 
 #[test]

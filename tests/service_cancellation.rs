@@ -8,7 +8,9 @@
 use deferred_cleansing::core::{AbortReason, QueryBudget};
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::rewrite::Strategy;
-use deferred_cleansing::service::{QueryRequest, QueryService, ServiceConfig, ServiceError};
+use deferred_cleansing::service::{
+    DurableOptions, QueryRequest, QueryService, ServiceConfig, ServiceError, ShardConfig,
+};
 use deferred_cleansing::DeferredCleansingSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,6 +61,16 @@ const AGG_SQL: &str = "select biz_loc, count(distinct epc) as tags, max(rtime) a
     from caser where rtime < 90000 group by biz_loc order by biz_loc";
 const DISTINCT_SQL: &str = "select distinct epc, biz_loc from caser where rtime < 90000";
 
+fn assert_deadline_abort(err: &ServiceError) {
+    match err {
+        ServiceError::Aborted { reason, service } => {
+            assert_eq!(*reason, AbortReason::DeadlineExceeded);
+            assert_eq!(service.abort_reason, Some(AbortReason::DeadlineExceeded));
+        }
+        other => panic!("expected deadline abort, got: {other}"),
+    }
+}
+
 #[test]
 fn zero_deadline_aborts_then_rerun_matches_uncancelled() {
     let svc = QueryService::start(big_system(3000), ServiceConfig::default());
@@ -69,13 +81,7 @@ fn zero_deadline_aborts_then_rerun_matches_uncancelled() {
         let err = svc
             .execute(QueryRequest::new("app", sql).with_deadline(Duration::ZERO))
             .unwrap_err();
-        match &err {
-            ServiceError::Aborted { reason, service } => {
-                assert_eq!(*reason, AbortReason::DeadlineExceeded);
-                assert_eq!(service.abort_reason, Some(AbortReason::DeadlineExceeded));
-            }
-            other => panic!("expected deadline abort, got: {other}"),
-        }
+        assert_deadline_abort(&err);
         assert_eq!(svc.counters().aborted, aborted as u64 + 1);
 
         // The immediate re-run without a budget succeeds and matches a
@@ -85,6 +91,32 @@ fn zero_deadline_aborts_then_rerun_matches_uncancelled() {
         assert_eq!(rows_of(&resp.batch), rows_of(&serial), "{sql}");
         assert_eq!(resp.service.snapshot_epoch, 0);
     }
+}
+
+/// Inline queries (`query_as_of`, `explain_analyze`) are counted like
+/// queued ones: an expired deadline is an abort carrying its reason, a
+/// refused time travel is a failure, a finished run is a completion.
+#[test]
+fn inline_queries_are_counted_like_queued_ones() {
+    let dir = std::env::temp_dir().join(format!("dc-inline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = QueryService::start_sharded_durable(
+        big_system(2000),
+        ServiceConfig::default(),
+        ShardConfig::new(1, "epc"),
+        DurableOptions::new(&dir),
+    )
+    .unwrap();
+    let expired = QueryRequest::new("app", SQL).with_deadline(Duration::ZERO);
+    assert_deadline_abort(&svc.query_as_of(&expired, 0).unwrap_err());
+    assert_deadline_abort(&svc.explain_analyze(&expired).unwrap_err());
+    assert!(svc.query_as_of(&QueryRequest::new("app", SQL), 99).is_err());
+    svc.query_as_of(&QueryRequest::new("app", SQL), 0).unwrap();
+    svc.explain_analyze(&QueryRequest::new("app", SQL)).unwrap();
+    let c = svc.counters();
+    assert_eq!((c.aborted, c.failed, c.completed), (2, 1, 2));
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,17 +1,21 @@
-//! Scatter-gather equivalence suite for the sharded query service.
+//! Concurrency and scatter-gather equivalence suite for the query service,
+//! one shard to many.
 //!
-//! K reader threads hammer a sharded [`QueryService`] (per-shard cleanse
+//! K reader threads hammer an N-shard [`QueryService`] (per-shard cleanse
 //! caches enabled, mixed strategies) while one appender publishes routed
 //! epochs. Every reply records the [`EpochVector`] it ran against;
 //! afterwards each reply is re-executed **serially and unsharded** on a
 //! fresh, cache-free system over the union of the shard snapshots at that
 //! exact epoch vector, and the rows must match — byte for byte under
-//! ORDER BY, as a canonical multiset otherwise (concatenation order across
-//! shards is explicitly unspecified). That single oracle covers the whole
-//! sharded contract:
+//! ORDER BY and always with one shard (one shard's answer is not a
+//! concatenation), as a canonical multiset otherwise (concatenation order
+//! across shards is explicitly unspecified). That single oracle covers the
+//! whole contract:
 //!
 //! * per-shard snapshot isolation — no shard executor ever sees a torn
-//!   catalog;
+//!   catalog or rows from a different epoch;
+//! * publication order — epochs are dense, and with one shard the final
+//!   catalog is the serial append order;
 //! * scatter soundness — decomposed plans (partial aggregates, merge
 //!   sorts, limit pushdown) reproduce the unsharded answer;
 //! * shard-salted cache safety — a shard-local cleanse cache never serves
@@ -37,11 +41,16 @@ const DUP: &str = "DEFINE duplicate ON caseR CLUSTER BY epc SEQUENCE BY rtime AS
 
 /// Query pool spanning every scatter decomposition: shard-complete scans,
 /// key-grouped aggregates (shard-complete), global aggregates (partial
-/// lowering), ORDER BY (k-way merge), LIMIT pushdown, and a rule-free
-/// application.
+/// lowering), ORDER BY (k-way merge), LIMIT pushdown, a global
+/// `count(distinct)` (no decomposition: coordinator fallback), and a
+/// rule-free application.
 const POOL: &[(&str, &str)] = &[
     ("app", "select epc, rtime from caser"),
     ("app", "select epc, rtime from caser where rtime < 900"),
+    (
+        "app",
+        "select epc, rtime, biz_loc from caser where rtime < 1500",
+    ),
     (
         "app",
         "select epc, count(*) as n from caser group by epc order by epc",
@@ -55,6 +64,7 @@ const POOL: &[(&str, &str)] = &[
         "app",
         "select epc, rtime from caser where rtime < 1500 order by rtime, epc limit 7",
     ),
+    ("app", "select count(distinct epc) as n from caser"),
     ("norules", "select epc, rtime from caser where rtime < 600"),
 ];
 
@@ -249,7 +259,12 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
     assert!(observations.len() >= total_rounds);
     assert_eq!(svc.counters().appends, appends as u64);
 
-    // Per-shard epochs are dense and fully recorded.
+    // Per-shard epochs are dense and fully recorded; one shard publishes
+    // every append, so its history is exactly 0..=appends.
+    if shards == 1 {
+        assert_eq!(svc.epoch(), appends as u64);
+        assert_eq!(registries[0].lock().unwrap().len(), appends + 1);
+    }
     for (i, reg) in registries.iter().enumerate() {
         let reg = reg.lock().unwrap();
         assert_eq!(reg.last().unwrap().epoch, svc.shard_snapshot(i).epoch);
@@ -271,7 +286,7 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
         let union = union_catalog(&snaps);
         let expected = serial_replay(&union, obs.pool_idx, obs.strategy);
         let (_, sql) = POOL[obs.pool_idx];
-        if sql.contains("order by") {
+        if shards == 1 || sql.contains("order by") {
             assert_eq!(
                 obs.rows, expected,
                 "reply {i} diverged from serial replay (exact order): \
@@ -294,10 +309,11 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
     }
 
     // Routing totality: the final union of the shards equals the seed rows
-    // plus every appended batch, as a canonical multiset.
+    // plus every appended batch, as a canonical multiset — and with one
+    // shard, row for row in the serial append order.
     let finals: Vec<Arc<Snapshot>> = (0..shards).map(|i| svc.shard_snapshot(i)).collect();
     let union = union_catalog(&finals);
-    let got = canonical(rows_of(union.get("caser").unwrap().data()));
+    let got = rows_of(union.get("caser").unwrap().data());
     let mut want_rows = {
         let mut rng = StdRng::seed_from_u64(seed);
         seed_rows(&mut rng, 60)
@@ -305,7 +321,13 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
     for rows in &appended {
         want_rows.extend(rows.iter().cloned());
     }
-    assert_eq!(got, canonical(want_rows));
+    if shards == 1 {
+        assert_eq!(
+            got, want_rows,
+            "final catalog is not the serial append order"
+        );
+    }
+    assert_eq!(canonical(got), canonical(want_rows));
 }
 
 #[test]
@@ -316,8 +338,19 @@ fn sharded_replay_matches_serial_oracle() {
     }
 }
 
-/// Live A/B: a sharded and an unsharded service fed identical appends must
-/// agree on every pool query at quiescence.
+/// The N = 1 row at the worker counts of the former concurrency suite:
+/// with one shard every reply must match the serial replay row for row.
+#[test]
+fn one_shard_replay_matches_serial_oracle_at_2_4_8_workers() {
+    for workers in [2, 4, 8] {
+        run_session(1, workers, 0xDC05_0000 + workers as u64, 100, 12);
+    }
+}
+
+/// Live A/B: an N-shard service and [`QueryService::start`] fed identical
+/// appends must agree on every pool query at quiescence. N = 1 *is* the
+/// unsharded service: same rows in the same order, same work counters,
+/// same notes, and the same EXPLAIN ANALYZE with no shard lines.
 #[test]
 fn sharded_and_unsharded_services_agree_live() {
     let workers = env_usize("DC_TEST_WORKERS", 4);
@@ -331,26 +364,18 @@ fn sharded_and_unsharded_services_agree_live() {
                 "caser",
                 Batch::from_rows(reads_schema(), &rows).unwrap(),
             ));
-            let sys = DeferredCleansingSystem::with_catalog(catalog);
+            let mut sys = DeferredCleansingSystem::with_catalog(catalog);
             sys.define_rule("app", DUP).unwrap();
+            sys.enable_cleanse_cache(128);
             sys
         };
-        let sharded = QueryService::start_sharded(
-            build(),
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
-            ShardConfig::new(shards, "epc").with_cleanse_cache(128),
-        )
-        .unwrap();
-        let unsharded = QueryService::start(
-            build(),
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
-        );
+        let config = || ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        };
+        let shard = ShardConfig::new(shards, "epc").with_cleanse_cache(128);
+        let sharded = QueryService::start_sharded(build(), config(), shard).unwrap();
+        let unsharded = QueryService::start(build(), config());
         for _ in 0..4 {
             let extra = seed_rows(&mut rng, 7);
             let batch = Batch::from_rows(reads_schema(), &extra).unwrap();
@@ -360,6 +385,25 @@ fn sharded_and_unsharded_services_agree_live() {
         for (pool_idx, (app, sql)) in POOL.iter().enumerate() {
             let a = sharded.execute(QueryRequest::new(*app, *sql)).unwrap();
             let b = unsharded.execute(QueryRequest::new(*app, *sql)).unwrap();
+            let ctx = format!("shards={shards} pool={pool_idx}");
+            let explain = |svc: &QueryService| {
+                let text = svc.explain_analyze(&QueryRequest::new(*app, *sql)).unwrap();
+                // Drop the `-- service:` line: it carries wall-clock times.
+                text.split_once('\n').unwrap().1.to_string()
+            };
+            if shards == 1 {
+                assert_eq!(rows_of(&a.batch), rows_of(&b.batch), "{ctx}");
+                assert_eq!(a.report.stats, b.report.stats, "{ctx}");
+                assert_eq!(a.report.notes, b.report.notes, "{ctx}");
+                let text = explain(&sharded);
+                assert!(!text.contains("-- shard"), "{ctx}: {text}");
+                assert_eq!(text, explain(&unsharded), "{ctx}");
+            } else if pool_idx == 0 {
+                // The run it executed, shard lines and combined metrics.
+                let text = explain(&sharded);
+                assert!(text.contains("mode=scatter"), "{ctx}: {text}");
+                assert!(text.contains("rows_out="), "{ctx}: {text}");
+            }
             if sql.contains("order by") {
                 assert_eq!(
                     rows_of(&a.batch),
@@ -423,9 +467,61 @@ fn shard_caches_warm_and_stay_correct() {
     assert!(warm.report.stats.seq_cache_hits > 0);
 }
 
+/// The cleanse cache must keep epochs apart even when the *same* join-back
+/// query alternates between two snapshots — the ping-pong pattern that
+/// would expose a key collision across epochs.
+#[test]
+fn cache_epoch_ping_pong_stays_correct() {
+    let mut rng = StdRng::seed_from_u64(0xDC05_CAFE);
+    let catalog = Arc::new(Catalog::new());
+    catalog.register(Table::new(
+        "caser",
+        Batch::from_rows(reads_schema(), &seed_rows(&mut rng, 30)).unwrap(),
+    ));
+    let mut sys = DeferredCleansingSystem::with_catalog(catalog);
+    sys.define_rule("app", DUP).unwrap();
+    sys.enable_cleanse_cache(256);
+    let svc = QueryService::start(sys, ServiceConfig::default());
+
+    let old = svc.snapshot();
+    svc.append(
+        "caser",
+        Batch::from_rows(reads_schema(), &seed_rows(&mut rng, 5)).unwrap(),
+    )
+    .unwrap();
+    let new = svc.snapshot();
+    assert_eq!((old.epoch, new.epoch), (0, 1));
+
+    let sql = "select epc, rtime from caser where rtime < 1200";
+    let expect_at = |snap: &Snapshot| {
+        let fresh = DeferredCleansingSystem::with_catalog(Arc::clone(&snap.catalog));
+        fresh.define_rule("app", DUP).unwrap();
+        rows_of(&fresh.query("app", sql).unwrap())
+    };
+    let (want_old, want_new) = (expect_at(&old), expect_at(&new));
+    assert_ne!(want_old, want_new, "append must change the answer");
+
+    // Alternate epochs through the shared cache: each probe must validate
+    // against its own snapshot's segments and never serve the other's.
+    for _ in 0..4 {
+        for (snap, want) in [(&old, &want_old), (&new, &want_new)] {
+            let (batch, _) = svc
+                .system()
+                .query_snapshot(
+                    &snap.catalog,
+                    "app",
+                    sql,
+                    Strategy::JoinBack,
+                    deferred_cleansing::core::QueryBudget::unlimited(),
+                )
+                .unwrap();
+            assert_eq!(&rows_of(&batch), want);
+        }
+    }
+}
+
 /// Time-travel equivalence on a durable service: for **every** committed
-/// global epoch `E` — unsharded and 4-way sharded, per-shard cleanse
-/// caches on — `query_as_of(E)` and the SQL `... AS OF EPOCH E` form must
+/// global epoch `E` — one shard and four, per-shard cleanse caches on — `query_as_of(E)` and the SQL `... AS OF EPOCH E` form must
 /// both equal the serial, unsharded, cache-free oracle over the union of
 /// the shard snapshots recorded at `E`'s epoch vector. The same holds
 /// after the service restarts via [`QueryService::recover`], whose
@@ -450,17 +546,13 @@ fn as_of_queries_match_serial_replay_at_every_epoch() {
             workers: 2,
             ..ServiceConfig::default()
         };
-        let svc = if shards == 1 {
-            QueryService::start_durable(sys, config(), DurableOptions::new(&dir)).unwrap()
-        } else {
-            QueryService::start_sharded_durable(
-                sys,
-                config(),
-                ShardConfig::new(shards, "epc").with_cleanse_cache(64),
-                DurableOptions::new(&dir),
-            )
-            .unwrap()
-        };
+        let svc = QueryService::start_sharded_durable(
+            sys,
+            config(),
+            ShardConfig::new(shards, "epc").with_cleanse_cache(64),
+            DurableOptions::new(&dir),
+        )
+        .unwrap();
 
         // Record each shard's dense snapshot history plus the epoch
         // vector bound to every global commit — the appender is the only
