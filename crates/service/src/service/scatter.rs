@@ -1,0 +1,322 @@
+//! The rewrite + execute pipeline over the shard snapshots: rewrite once at
+//! the coordinator, decompose, run where the data is, gather. With one shard
+//! nothing is partitioned, so every plan takes the shard-0 arm.
+
+use super::{Router, Shared};
+use crate::partition::table_like;
+use crate::snapshot::Snapshot;
+use crate::ServiceError;
+use dc_core::{QueryBudget, QueryReport, Strategy};
+use dc_relational::batch::Batch;
+use dc_relational::error::Error;
+use dc_relational::exec::{ExecStats, Executor};
+use dc_relational::physical::OperatorMetrics;
+use dc_relational::plan::LogicalPlan;
+use dc_relational::scatter::{gather, split_scatter, ScatterPlan};
+use dc_relational::sql::{parse_query, plan_query};
+use dc_relational::table::{Catalog, CatalogRef};
+use dc_rewrite::{Executed, Rewritten};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// What one query execution looked like, shard by shard.
+pub(super) struct ShardObservation {
+    pub(super) shard: usize,
+    pub(super) epoch: u64,
+    pub(super) rows: u64,
+    pub(super) segments_scanned: u64,
+    pub(super) segments_pruned: u64,
+}
+
+impl ShardObservation {
+    fn of(shard: usize, snap: &Snapshot, run: &Executed) -> Self {
+        ShardObservation {
+            shard,
+            epoch: snap.epoch,
+            rows: run.batch.num_rows() as u64,
+            segments_scanned: run.stats.segments_scanned,
+            segments_pruned: run.stats.segments_pruned,
+        }
+    }
+}
+
+/// A finished run, kept whole: the rewrite that ran, its (gathered)
+/// execution, and what each shard contributed. The reply path folds it
+/// into a [`QueryReport`]; EXPLAIN ANALYZE renders the same run.
+pub(super) struct RunDetail {
+    /// The catalog `rewritten` was planned against (shard 0's snapshot, or
+    /// the merged view of the coordinator fallback).
+    pub(super) catalog: CatalogRef,
+    pub(super) rewritten: Rewritten,
+    pub(super) strategy: Strategy,
+    pub(super) run: Executed,
+    elapsed: Duration,
+    pub(super) per_shard: Vec<ShardObservation>,
+    /// `"single-shard"`, `"scatter"`, or `"coordinator"` (unshardable
+    /// fallback).
+    pub(super) mode: &'static str,
+}
+
+impl RunDetail {
+    /// The reply: result rows plus the report of this run.
+    pub(super) fn into_reply(self, parallelism: usize) -> (Batch, QueryReport) {
+        QueryReport::from_run(
+            &format!("{:?}", self.strategy),
+            self.rewritten,
+            self.run,
+            self.elapsed,
+            parallelism,
+        )
+    }
+}
+
+impl Shared {
+    /// Plan `sql` against the coordinator's snapshot and run it.
+    pub(super) fn run_detail(
+        &self,
+        snaps: &[Arc<Snapshot>],
+        application: &str,
+        sql: &str,
+        strategy: Strategy,
+        budget: QueryBudget,
+    ) -> Result<RunDetail, ServiceError> {
+        let start = Instant::now();
+        let user_plan = plan_query(&parse_query(sql)?, &snaps[0].catalog)?;
+        self.run_plan(snaps, application, &user_plan, strategy, budget, start)
+    }
+
+    /// The rewrite + execute pipeline for one planned query against the
+    /// loaded snapshots: rewrite once at the coordinator, decompose, run
+    /// where the data is, merge. A plan touching no partitioned table —
+    /// every plan of a one-shard service — is answered by shard 0 directly.
+    pub(super) fn run_plan(
+        &self,
+        snaps: &[Arc<Snapshot>],
+        application: &str,
+        user_plan: &LogicalPlan,
+        strategy: Strategy,
+        budget: QueryBudget,
+        start: Instant,
+    ) -> Result<RunDetail, ServiceError> {
+        let coord = self.coordinator();
+        let mut catalog = Arc::clone(&snaps[0].catalog);
+        let mut rewritten =
+            coord.rewrite_plan_snapshot(&catalog, application, user_plan, strategy)?;
+        let (run, per_shard, mode) = match split_scatter(&rewritten.plan, &self.router.spec) {
+            ScatterPlan::SingleShard => {
+                let run = coord.execute_rewritten_snapshot(&catalog, &rewritten, budget)?;
+                if self.shards.len() > 1 {
+                    rewritten
+                        .notes
+                        .push("scatter: replicated-only plan, answered by shard 0".into());
+                }
+                let per = vec![ShardObservation::of(0, &snaps[0], &run)];
+                (run, per, "single-shard")
+            }
+            ScatterPlan::Scatter {
+                shard_plan,
+                steps,
+                reuses_plan,
+            } => {
+                let parts =
+                    self.execute_on_shards(&rewritten, &shard_plan, reuses_plan, snaps, &budget)?;
+                let shard_batches: Vec<Batch> = parts.iter().map(|e| e.batch.clone()).collect();
+                let (batch, outcome) =
+                    gather(&shard_batches, &steps).map_err(ServiceError::from)?;
+                let mut stats = ExecStats::default();
+                let mut window_eval_nanos = 0u64;
+                for e in &parts {
+                    stats.add(&e.stats);
+                    window_eval_nanos += e.window_eval_nanos;
+                }
+                stats.shard_rows_merged += outcome.shard_rows_merged;
+                stats.sort_comparisons += outcome.sort_comparisons;
+                stats.merge_runs_used += outcome.merge_runs_used;
+                stats.add_hash(&outcome.hash);
+                let per = parts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| ShardObservation::of(i, &snaps[i], e))
+                    .collect();
+                rewritten.notes.push(format!(
+                    "scatter: {} shards, {} gather step(s){}",
+                    self.shards.len(),
+                    steps.len(),
+                    if reuses_plan {
+                        ", cached shard path"
+                    } else {
+                        ""
+                    }
+                ));
+                let run = Executed {
+                    batch,
+                    stats,
+                    window_eval_nanos,
+                    metrics: combine_metrics(&parts),
+                };
+                (run, per, "scatter")
+            }
+            ScatterPlan::Unshardable => {
+                // No sound decomposition: merge the partitioned tables into
+                // a coordinator-side view and execute there, bypassing the
+                // shard caches (the merged tables are transient, so their
+                // segment ids must never validate cached entries).
+                catalog = Arc::new(merged_catalog(&self.router, snaps)?);
+                rewritten =
+                    coord.rewrite_plan_snapshot(&catalog, application, user_plan, strategy)?;
+                let run = rewritten.execute_with_budget(&catalog, coord.exec_options(), budget)?;
+                rewritten.notes.push(
+                    "scatter: unshardable plan, executed at coordinator over merged shards".into(),
+                );
+                // No shard ran anything: the `epochs=` of the service line
+                // already says what the merged view was built from.
+                (run, Vec::new(), "coordinator")
+            }
+        };
+        Ok(RunDetail {
+            catalog,
+            rewritten,
+            strategy,
+            run,
+            elapsed: start.elapsed(),
+            per_shard,
+            mode,
+        })
+    }
+
+    /// Fan `shard_plan` out to every shard in parallel. With `reuses_plan`
+    /// the shard plan is byte-identical to the coordinator's rewritten
+    /// plan, so each shard runs it through its own system (and shard-local
+    /// cleanse cache); otherwise the decomposed plan executes directly. A
+    /// panicking shard thread becomes [`ServiceError::ShardUnavailable`].
+    fn execute_on_shards(
+        &self,
+        rewritten: &Rewritten,
+        shard_plan: &LogicalPlan,
+        reuses_plan: bool,
+        snaps: &[Arc<Snapshot>],
+        budget: &QueryBudget,
+    ) -> Result<Vec<Executed>, ServiceError> {
+        let fail = self.fail_shard.load(Ordering::Relaxed);
+        let joined: Vec<std::thread::Result<Result<Executed, Error>>> =
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, shard)| {
+                        let b = budget.clone();
+                        scope.spawn(move || {
+                            assert!(i != fail, "injected shard failure");
+                            if reuses_plan {
+                                shard.system.execute_rewritten_snapshot(
+                                    &snaps[i].catalog,
+                                    rewritten,
+                                    b,
+                                )
+                            } else {
+                                let mut ex = Executor::with_budget(
+                                    &snaps[i].catalog,
+                                    shard.system.exec_options(),
+                                    b,
+                                );
+                                let batch = ex.execute(shard_plan)?;
+                                Ok(Executed {
+                                    batch,
+                                    stats: ex.stats,
+                                    window_eval_nanos: ex.window_eval_nanos,
+                                    metrics: ex.metrics,
+                                })
+                            }
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join()).collect()
+            });
+        let mut out = Vec::with_capacity(joined.len());
+        for (i, r) in joined.into_iter().enumerate() {
+            match r {
+                Ok(Ok(e)) => out.push(e),
+                Ok(Err(e)) => return Err(ServiceError::from(e)),
+                Err(_) => return Err(ServiceError::ShardUnavailable { shard: i }),
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Merge per-shard metrics trees into one combined view when every shard
+/// executed the same operator shape; `None` otherwise (per-shard trees are
+/// not comparable, so no tree beats a wrong tree).
+fn combine_metrics(parts: &[Executed]) -> Option<OperatorMetrics> {
+    let mut iter = parts.iter();
+    let mut combined = iter.next()?.metrics.clone()?;
+    for e in iter {
+        match &e.metrics {
+            Some(m) if combined.merge_same_shape(m) => {}
+            _ => return None,
+        }
+    }
+    Some(combined)
+}
+
+/// A transient coordinator-side catalog where every partitioned table is
+/// the shard-order concatenation of its shard parts (replicated tables are
+/// shared from shard 0). Used for the unshardable fallback only.
+fn merged_catalog(router: &Router, snaps: &[Arc<Snapshot>]) -> Result<Catalog, Error> {
+    let merged = snaps[0].catalog.overlay();
+    for name in &router.spec.partitioned {
+        let mut parts = Vec::with_capacity(snaps.len());
+        let template = snaps[0].catalog.get(name)?;
+        for s in snaps {
+            parts.push(s.catalog.get(name)?.data().clone());
+        }
+        let all = Batch::concat(&parts)?;
+        merged.register(table_like(&template, all)?);
+    }
+    Ok(merged)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::service::tests::{large, service};
+    use crate::{QueryRequest, ServiceError};
+
+    #[test]
+    fn sharded_scatter_reports_merge_counters() {
+        let sharded = service(&large(), 4);
+        let resp = sharded
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap();
+        assert!(
+            resp.report.stats.shard_rows_merged > 0,
+            "scatter runs count merged partials: {:?}",
+            resp.report.stats
+        );
+        assert!(resp
+            .report
+            .notes
+            .iter()
+            .any(|n| n.starts_with("scatter: 4 shards")));
+    }
+
+    #[test]
+    fn shard_failure_is_typed() {
+        let sharded = service(&large(), 3);
+        sharded.inject_shard_failure(1);
+        let err = sharded
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap_err();
+        assert!(
+            matches!(err, ServiceError::ShardUnavailable { shard: 1 }),
+            "got: {err}"
+        );
+        assert_eq!(sharded.counters().failed, 1);
+        // Recovery: clearing the fault restores service.
+        sharded.clear_shard_failure();
+        sharded
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap();
+    }
+}

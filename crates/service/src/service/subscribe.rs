@@ -538,3 +538,129 @@ pub(super) fn distinct_keys(batch: &Batch, col: &str) -> Vec<Value> {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::service::tests::{reads_schema, row, service, small};
+    use crate::snapshot::EpochVector;
+    use crate::QueryRequest;
+    use dc_relational::batch::Batch;
+    use dc_relational::value::Value;
+    use dc_stream::StreamError;
+
+    fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
+        let mut rows: Vec<Vec<Value>> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
+        rows.sort_by(|a, b| dc_relational::delta::cmp_rows(a, b));
+        rows
+    }
+
+    #[test]
+    fn subscribe_streams_incremental_deltas() {
+        let svc = service(&small(), 1);
+        let sub = svc
+            .subscribe(
+                "app",
+                "select epc, rtime from caser",
+                crate::SubscribeOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(sub.mode(), "scoped");
+        assert_eq!(sub.initial().num_rows(), 2); // duplicate removed
+        assert_eq!(*sub.epochs(), EpochVector(vec![0]));
+
+        // A new reading for e1, far outside the duplicate window.
+        svc.append(
+            "caser",
+            Batch::from_rows(reads_schema(), &[row("e1", 700, "gate")]).unwrap(),
+        )
+        .unwrap();
+        let cs = sub.try_next().unwrap().expect("one change set");
+        assert_eq!(cs.epochs, EpochVector(vec![1]));
+        assert_eq!(cs.inserted, vec![vec![Value::str("e1"), Value::Int(700)]]);
+        assert!(cs.deleted.is_empty() && cs.updated.is_empty());
+        assert!(!cs.stats.fallback);
+        assert!(cs
+            .render_comment()
+            .starts_with("-- stream: epochs=1 mode=scoped ckeys=1"));
+
+        // Folding the delta over the initial result reproduces a cold run.
+        let mut folded: Vec<Vec<Value>> = (0..sub.initial().num_rows())
+            .map(|i| sub.initial().row(i))
+            .collect();
+        cs.apply(&mut folded).unwrap();
+        folded.sort_by(|a, b| dc_relational::delta::cmp_rows(a, b));
+        let cold = svc
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap();
+        assert_eq!(folded, rows_of(&cold.batch));
+
+        let c = svc.counters();
+        assert_eq!(c.subscriptions, 1);
+        assert_eq!(c.notifications, 1);
+        assert_eq!(c.delta_rows, 1);
+        assert_eq!(c.fallbacks, 0);
+        assert_eq!(c.dropped_for_lag, 0);
+    }
+
+    #[test]
+    fn lagged_subscription_resyncs_and_resumes() {
+        let svc = service(&small(), 1);
+        let sub = svc
+            .subscribe(
+                "app",
+                "select epc, rtime from caser",
+                crate::SubscribeOptions::default().with_queue_capacity(1),
+            )
+            .unwrap();
+        for t in [700, 1400, 2100] {
+            svc.append(
+                "caser",
+                Batch::from_rows(reads_schema(), &[row("e9", t, "gate")]).unwrap(),
+            )
+            .unwrap();
+        }
+        // Queued prefix first, then the gap error.
+        assert!(sub.try_next().unwrap().is_some());
+        assert!(matches!(
+            sub.try_next().unwrap_err(),
+            StreamError::Lagged { missed } if missed >= 1
+        ));
+        assert!(svc.counters().dropped_for_lag >= 1);
+
+        // Resync restarts the feed from a fresh full result.
+        let (base, epochs) = svc.resync(&sub).unwrap();
+        assert_eq!(epochs, EpochVector(vec![3]));
+        let cold = svc
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap();
+        assert_eq!(rows_of(&base), rows_of(&cold.batch));
+        svc.append(
+            "caser",
+            Batch::from_rows(reads_schema(), &[row("e9", 2800, "gate")]).unwrap(),
+        )
+        .unwrap();
+        let cs = sub.try_next().unwrap().expect("feed resumed");
+        assert_eq!(cs.epochs, EpochVector(vec![4]));
+        assert_eq!(cs.inserted, vec![vec![Value::str("e9"), Value::Int(2800)]]);
+    }
+
+    #[test]
+    fn unsubscribe_stops_notifications() {
+        let svc = service(&small(), 1);
+        let sub = svc
+            .subscribe(
+                "app",
+                "select epc from caser",
+                crate::SubscribeOptions::default(),
+            )
+            .unwrap();
+        svc.unsubscribe(&sub);
+        svc.append(
+            "caser",
+            Batch::from_rows(reads_schema(), &[row("e3", 700, "gate")]).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(svc.counters().notifications, 0);
+        assert!(matches!(sub.try_next().unwrap_err(), StreamError::Closed));
+    }
+}
