@@ -15,6 +15,10 @@
 //!   or partial rows;
 //! * admission is a bounded queue with **reject-on-full** backpressure
 //!   ([`ServiceError::Overloaded`]);
+//! * there is **one topology**: [`QueryService::start`] is
+//!   [`QueryService::start_sharded`] with one shard (nothing partitioned or
+//!   copied); [`QueryService::start_sharded_durable`] logs every append
+//!   before it publishes, and [`QueryService::recover`] restarts from that;
 //! * [`QueryService::subscribe`] registers a **standing query**: the caller
 //!   gets the full result once, then one [`ChangeSet`] per published epoch,
 //!   maintained incrementally by re-cleansing only the cluster keys each

@@ -59,6 +59,7 @@
 //! failure is never shared: followers fall back to executing independently.
 
 use self::flight::{Flight, FlightKey, Role};
+use self::scatter::RunDetail;
 use self::subscribe::SubEntry;
 use crate::durable::{log_err, split_as_of, DurableOptions, DurableState, DurableStats, Recovered};
 use crate::partition::{partition_catalog, HashPartitioner};
@@ -73,7 +74,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 mod api;
 mod flight;
@@ -368,13 +369,12 @@ impl QueryService {
     pub fn recover(opts: DurableOptions, config: ServiceConfig) -> Result<Self, Error> {
         let rec = crate::durable::recover_state(&opts).map_err(log_err)?;
         let (shards, router) = Self::recovered_topology(&rec)?;
-        let rules_version = rec.rules.as_ref().map_or(0, |(v, _)| *v);
         Ok(Self::spawn(
             shards,
             router,
             config,
             Some(rec.state),
-            rules_version,
+            rec.rules.map_or(0, |r| r.0),
         ))
     }
 
@@ -638,85 +638,82 @@ impl Drop for QueryService {
     }
 }
 
+/// One queued job at a time, dispatch to reply: resolve its snapshots, run
+/// it (or share an identical concurrent run) under its budget, settle the
+/// outcome.
 fn worker_loop(shared: &Shared, worker: usize) {
     while let Some(job) = shared.queue.pop() {
         let queue_wait = job.submitted.elapsed();
-        // The caller may have dropped its ticket; losing the reply is fine.
-        let _ = job.reply.send(answer(shared, &job, queue_wait, worker));
-    }
-}
-
-/// One queued job, dispatch to reply: resolve its snapshots, run it (or
-/// share an identical concurrent run) under its budget, settle the outcome.
-fn answer(
-    shared: &Shared,
-    job: &Job,
-    queue_wait: Duration,
-    worker: usize,
-) -> Result<QueryResponse, ServiceError> {
-    let req = &job.req;
-    let (sql, snaps) = shared.resolve(&req.sql, None)?;
-    let epochs = epochs_of(&snaps);
-    let budget = shared
-        .budget(req, job.submitted)
-        .with_cancel(Arc::clone(&job.cancel));
-    let start = Instant::now();
-    let key = FlightKey {
-        epochs: epochs.clone(),
-        rules_version: shared.rules_version.load(Ordering::Relaxed),
-        application: req.application.clone(),
-        sql,
-        strategy: req.strategy,
-    };
-    let run = || {
-        let parallelism = shared.coordinator().exec_options().parallelism;
-        shared
-            .run_detail(
-                &snaps,
-                &req.application,
-                &key.sql,
-                req.strategy,
-                budget.clone(),
-            )
-            .map(|detail| detail.into_reply(parallelism))
-    };
-    let mut coalesced = false;
-    // Pre-check: queue wait alone may have blown the deadline, and a
-    // cancelled job should never start executing.
-    let result = budget.check().map_err(ServiceError::from).and_then(|()| {
-        match shared.join_or_lead(&key) {
-            Role::Leader(flight) => {
-                let res = run();
-                flight.publish(res.as_ref().ok().cloned());
-                shared.release(&key);
-                res
+        let req = &job.req;
+        let (sql, snaps) = match shared.resolve(&req.sql, None) {
+            Ok(resolved) => resolved,
+            Err(e) => {
+                let _ = job.reply.send(Err(e));
+                continue;
             }
-            Role::Follower(flight) => match flight.wait() {
-                // The shared result is only handed out if this job's own
-                // budget still allows a reply.
-                Some(shared_result) => {
-                    coalesced = true;
-                    budget
-                        .check()
-                        .map_err(ServiceError::from)
-                        .map(|()| shared_result)
+        };
+        let epochs = epochs_of(&snaps);
+        let budget = shared
+            .budget(req, job.submitted)
+            .with_cancel(Arc::clone(&job.cancel));
+        let start = Instant::now();
+        let key = FlightKey {
+            epochs: epochs.clone(),
+            rules_version: shared.rules_version.load(Ordering::Relaxed),
+            application: req.application.clone(),
+            sql,
+            strategy: req.strategy,
+        };
+        let run = || {
+            let budget = budget.clone();
+            shared
+                .run_detail(&snaps, &req.application, &key.sql, req.strategy, budget)
+                .map(RunDetail::into_reply)
+        };
+        let mut coalesced = false;
+        // Pre-check: queue wait alone may have blown the deadline, and a
+        // cancelled job should never start executing.
+        let result = budget.check().map_err(ServiceError::from).and_then(|()| {
+            match shared.join_or_lead(&key) {
+                Role::Leader(flight) => {
+                    let res = run();
+                    flight.publish(res.as_ref().ok().cloned());
+                    shared.release(&key);
+                    res
                 }
-                // Leader failed or aborted: outcomes of failures depend on
-                // the failing job's budget, so run independently.
-                None => run(),
-            },
+                Role::Follower(flight) => match flight.wait() {
+                    // The shared result is only handed out if this job's own
+                    // budget still allows a reply.
+                    Some(shared_result) => {
+                        coalesced = true;
+                        budget
+                            .check()
+                            .map_err(ServiceError::from)
+                            .map(|()| shared_result)
+                    }
+                    // Leader failed or aborted: outcomes of failures depend on
+                    // the failing job's budget, so run independently.
+                    None => run(),
+                },
+            }
+        });
+        if coalesced {
+            shared.coalesced.fetch_add(1, Ordering::Relaxed);
         }
-    });
-    if coalesced {
-        shared.coalesced.fetch_add(1, Ordering::Relaxed);
+        let stats = ServiceStats::new(epochs, queue_wait, start.elapsed(), worker, coalesced);
+        let reply = shared
+            .settle(result, stats)
+            .map(|((batch, report), service)| QueryResponse {
+                batch,
+                report,
+                service,
+            });
+        // The caller may have dropped its ticket; losing the reply is fine.
+        // `snaps` outlives the send: releasing the last reference to a
+        // superseded snapshot frees whole tables, which no caller should
+        // wait for.
+        let _ = job.reply.send(reply);
     }
-    let stats = ServiceStats::new(epochs, queue_wait, start.elapsed(), worker, coalesced);
-    let ((batch, report), service) = shared.settle(result, stats)?;
-    Ok(QueryResponse {
-        batch,
-        report,
-        service,
-    })
 }
 
 #[cfg(test)]
@@ -763,9 +760,8 @@ pub(super) mod tests {
             .collect()
     }
 
-    /// `rows` as `caser` under the duplicate rule, served by `shards`
-    /// shards keyed on `epc`.
-    pub(super) fn service(rows: &[Vec<Value>], shards: usize) -> QueryService {
+    /// `rows` as `caser` under the duplicate rule.
+    pub(super) fn system(rows: &[Vec<Value>]) -> DeferredCleansingSystem {
         let catalog = Arc::new(Catalog::new());
         catalog.register(Table::new(
             "caser",
@@ -773,11 +769,16 @@ pub(super) mod tests {
         ));
         let sys = DeferredCleansingSystem::with_catalog(catalog);
         sys.define_rule("app", DUP).unwrap();
+        sys
+    }
+
+    /// [`system`] served by `shards` shards keyed on `epc`.
+    pub(super) fn service(rows: &[Vec<Value>], shards: usize) -> QueryService {
         let config = ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         };
-        QueryService::start_sharded(sys, config, ShardConfig::new(shards, "epc")).unwrap()
+        QueryService::start_sharded(system(rows), config, ShardConfig::new(shards, "epc")).unwrap()
     }
 
     #[test]
@@ -795,14 +796,8 @@ pub(super) mod tests {
 
     #[test]
     fn overload_rejects_with_capacity() {
-        let catalog = Arc::new(Catalog::new());
-        catalog.register(Table::new(
-            "caser",
-            Batch::from_rows(reads_schema(), &[row("e1", 0, "shelf")]).unwrap(),
-        ));
-        let sys = DeferredCleansingSystem::with_catalog(catalog);
         let svc = QueryService::start(
-            sys,
+            system(&[row("e1", 0, "shelf")]),
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 1,

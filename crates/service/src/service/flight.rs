@@ -98,17 +98,12 @@ impl Shared {
 
 #[cfg(test)]
 mod tests {
-    use crate::service::tests::{reads_schema, row, DUP};
+    use crate::service::tests::{row, system};
     use crate::{QueryRequest, QueryService, ServiceConfig};
-    use dc_core::DeferredCleansingSystem;
-    use dc_relational::batch::Batch;
-    use dc_relational::table::{Catalog, Table};
     use dc_relational::value::Value;
-    use std::sync::Arc;
 
     #[test]
     fn concurrent_duplicates_coalesce_and_match() {
-        let catalog = Arc::new(Catalog::new());
         let rows: Vec<Vec<Value>> = (0..512)
             .map(|i| {
                 row(
@@ -118,14 +113,8 @@ mod tests {
                 )
             })
             .collect();
-        catalog.register(Table::new(
-            "caser",
-            Batch::from_rows(reads_schema(), &rows).unwrap(),
-        ));
-        let sys = DeferredCleansingSystem::with_catalog(catalog);
-        sys.define_rule("app", DUP).unwrap();
         let svc = QueryService::start(
-            sys,
+            system(&rows),
             ServiceConfig {
                 workers: 4,
                 queue_capacity: 32,

@@ -123,8 +123,7 @@ impl QueryService {
         epoch: u64,
     ) -> Result<QueryResponse, ServiceError> {
         let (detail, service) = self.shared.run_inline(req, Some(epoch))?;
-        let (batch, report) =
-            detail.into_reply(self.shared.coordinator().exec_options().parallelism);
+        let (batch, report) = detail.into_reply();
         Ok(QueryResponse {
             batch,
             report,

@@ -52,6 +52,7 @@ pub(super) struct RunDetail {
     pub(super) strategy: Strategy,
     pub(super) run: Executed,
     elapsed: Duration,
+    parallelism: usize,
     pub(super) per_shard: Vec<ShardObservation>,
     /// `"single-shard"`, `"scatter"`, or `"coordinator"` (unshardable
     /// fallback).
@@ -60,13 +61,13 @@ pub(super) struct RunDetail {
 
 impl RunDetail {
     /// The reply: result rows plus the report of this run.
-    pub(super) fn into_reply(self, parallelism: usize) -> (Batch, QueryReport) {
+    pub(super) fn into_reply(self) -> (Batch, QueryReport) {
         QueryReport::from_run(
             &format!("{:?}", self.strategy),
             self.rewritten,
             self.run,
             self.elapsed,
-            parallelism,
+            self.parallelism,
         )
     }
 }
@@ -180,6 +181,7 @@ impl Shared {
             strategy,
             run,
             elapsed: start.elapsed(),
+            parallelism: coord.exec_options().parallelism,
             per_shard,
             mode,
         })

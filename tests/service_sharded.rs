@@ -405,17 +405,10 @@ fn sharded_and_unsharded_services_agree_live() {
                 assert!(text.contains("rows_out="), "{ctx}: {text}");
             }
             if sql.contains("order by") {
-                assert_eq!(
-                    rows_of(&a.batch),
-                    rows_of(&b.batch),
-                    "shards={shards} pool={pool_idx}"
-                );
+                assert_eq!(rows_of(&a.batch), rows_of(&b.batch), "{ctx}");
             } else {
-                assert_eq!(
-                    canonical(rows_of(&a.batch)),
-                    canonical(rows_of(&b.batch)),
-                    "shards={shards} pool={pool_idx}"
-                );
+                let (a, b) = (canonical(rows_of(&a.batch)), canonical(rows_of(&b.batch)));
+                assert_eq!(a, b, "{ctx}");
             }
         }
     }
