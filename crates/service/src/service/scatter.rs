@@ -123,8 +123,7 @@ impl Shared {
                 let parts =
                     self.execute_on_shards(&rewritten, &shard_plan, reuses_plan, snaps, &budget)?;
                 let shard_batches: Vec<Batch> = parts.iter().map(|e| e.batch.clone()).collect();
-                let (batch, outcome) =
-                    gather(&shard_batches, &steps).map_err(ServiceError::from)?;
+                let (batch, outcome) = gather(&shard_batches, &steps)?;
                 let mut stats = ExecStats::default();
                 let mut window_eval_nanos = 0u64;
                 for e in &parts {
