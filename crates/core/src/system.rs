@@ -9,6 +9,7 @@
 
 use dc_json::Json;
 use dc_relational::batch::Batch;
+use dc_relational::delta;
 use dc_relational::error::Result;
 use dc_relational::exec::{ExecStats, Executor};
 use dc_relational::explain::{logical_to_json, physical_to_json};
@@ -16,6 +17,7 @@ use dc_relational::physical::{display_physical, lower, ExecOptions, OperatorMetr
 use dc_relational::plan::LogicalPlan;
 use dc_relational::sql::{parse_query, plan_query, plan_sql};
 use dc_relational::table::{Catalog, CatalogRef};
+use dc_relational::value::Value;
 use dc_rewrite::{
     CacheStats, Candidate, CleanseCache, DecisionTrace, Executed, RewriteEngine, Rewritten,
     Strategy,
@@ -84,6 +86,18 @@ impl QueryReport {
             metrics: run.metrics,
         };
         (run.batch, report)
+    }
+
+    /// The rewrite decision trace of this run.
+    pub fn decision_trace(&self) -> DecisionTrace {
+        DecisionTrace {
+            strategy: self.strategy.clone(),
+            chosen: self.chosen.clone(),
+            candidates: self.candidates.clone(),
+            expanded_condition: self.expanded_condition.clone(),
+            context_condition: self.context_condition.clone(),
+            notes: self.notes.clone(),
+        }
     }
 }
 
@@ -347,6 +361,30 @@ impl DeferredCleansingSystem {
         let start = Instant::now();
         let rewritten = self.rewrite_plan_snapshot(catalog, application, user_plan, strategy)?;
         self.run_to_report(catalog, rewritten, strategy, budget, start)
+    }
+
+    /// Re-cleanse-by-ckey entry point: run `sql` for `application` against
+    /// `catalog`, but with every scan of `table` restricted to rows whose
+    /// `column` value is in `keys`. Because cleansing rules partition
+    /// sequences by the cluster key, restricting the reads table to a key
+    /// set commutes with cleansing, so this computes exactly the slice of
+    /// the full answer owned by `keys` — the unit of work incremental
+    /// maintenance re-executes per append.
+    #[allow(clippy::too_many_arguments)]
+    pub fn query_snapshot_scoped(
+        &self,
+        catalog: &Catalog,
+        application: &str,
+        sql: &str,
+        table: &str,
+        column: &str,
+        keys: &[Value],
+        strategy: Strategy,
+        budget: QueryBudget,
+    ) -> Result<(Batch, QueryReport)> {
+        let user_plan = plan_query(&parse_query(sql)?, catalog)?;
+        let scoped = delta::scope_plan(&user_plan, table, column, keys);
+        self.query_plan_snapshot(catalog, application, &scoped, strategy, budget)
     }
 
     /// The second half of every query: execute `rewritten` and fold the
@@ -745,6 +783,7 @@ mod tests {
         }
         sum_partitions(m, &mut partitions);
         assert_eq!(partitions, report.stats.partitions_executed);
+        assert_eq!(report.decision_trace().chosen, report.chosen);
     }
 
     #[test]

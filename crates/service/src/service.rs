@@ -61,7 +61,7 @@
 use self::flight::{Flight, FlightKey, Role};
 use self::scatter::RunDetail;
 use self::subscribe::SubEntry;
-use crate::durable::{log_err, split_as_of, DurableOptions, DurableState, DurableStats, Recovered};
+use crate::durable::{log_err, split_as_of, DurableOptions, DurableState, DurableStats};
 use crate::partition::{partition_catalog, HashPartitioner};
 use crate::queue::{Bounded, PushError};
 use crate::snapshot::{EpochVector, Snapshot, SnapshotCell};
@@ -130,14 +130,18 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Freeze `system`'s catalog as `epoch`: 0 for a fresh service, the
-    /// recovered shard epoch after a restart.
-    fn at_epoch(system: DeferredCleansingSystem, epoch: u64) -> Self {
-        let frozen = Arc::new(system.catalog().overlay());
-        ShardState {
-            system,
-            snapshots: SnapshotCell::at_epoch(frozen, epoch),
-        }
+    /// Shard `i` serves `systems[i]` with its catalog frozen as
+    /// `epochs[i]`: 0 for a fresh service, the recovered shard epoch after
+    /// a restart.
+    fn at_epochs(systems: Vec<DeferredCleansingSystem>, epochs: &[u64]) -> Vec<Self> {
+        let freeze = |(system, &epoch): (DeferredCleansingSystem, &u64)| {
+            let frozen = Arc::new(system.catalog().overlay());
+            ShardState {
+                system,
+                snapshots: SnapshotCell::at_epoch(frozen, epoch),
+            }
+        };
+        systems.into_iter().zip(epochs).map(freeze).collect()
     }
 }
 
@@ -283,24 +287,26 @@ impl Shared {
     }
 }
 
-/// A shard's system over its own catalog: the rule set (restored from its
-/// JSON form), the shard-salted cleanse cache, the shared parallelism.
-fn shard_system(
-    catalog: CatalogRef,
+/// One system per shard catalog, in shard order: the rule set (restored
+/// from its JSON form), a shard-salted cleanse cache, the shared parallelism.
+fn shard_systems(
+    catalogs: Vec<CatalogRef>,
     rules_json: Option<&str>,
     cache_capacity: Option<usize>,
-    shard: usize,
     parallelism: usize,
-) -> Result<DeferredCleansingSystem, Error> {
-    let mut sys = DeferredCleansingSystem::with_catalog(catalog);
-    sys.set_parallelism(parallelism);
-    if let Some(json) = rules_json {
-        sys.load_rules_from_json(json)?;
-    }
-    if let Some(cap) = cache_capacity {
-        sys.enable_cleanse_cache_for_shard(cap, shard as u64);
-    }
-    Ok(sys)
+) -> Result<Vec<DeferredCleansingSystem>, Error> {
+    let build = |(shard, catalog)| {
+        let mut sys = DeferredCleansingSystem::with_catalog(catalog);
+        sys.set_parallelism(parallelism);
+        if let Some(json) = rules_json {
+            sys.load_rules_from_json(json)?;
+        }
+        if let Some(cap) = cache_capacity {
+            sys.enable_cleanse_cache_for_shard(cap, shard as u64);
+        }
+        Ok(sys)
+    };
+    catalogs.into_iter().enumerate().map(build).collect()
 }
 
 /// A concurrent query service over one or more [`DeferredCleansingSystem`]s.
@@ -368,24 +374,22 @@ impl QueryService {
     /// addressable through `AS OF epoch E`.
     pub fn recover(opts: DurableOptions, config: ServiceConfig) -> Result<Self, Error> {
         let rec = crate::durable::recover_state(&opts).map_err(log_err)?;
-        let (shards, router) = Self::recovered_topology(&rec)?;
-        Ok(Self::spawn(
-            shards,
-            router,
-            config,
-            Some(rec.state),
-            rec.rules.map_or(0, |r| r.0),
-        ))
+        let router = Router::new(&rec.catalogs[0], &rec.key, rec.catalogs.len());
+        let cache = (rec.cache_capacity > 0).then_some(rec.cache_capacity as usize);
+        let (version, rules_json) = rec.rules.map_or((0, None), |(v, json)| (v, Some(json)));
+        let systems = shard_systems(rec.catalogs, rules_json.as_deref(), cache, 1)?;
+        let shards = ShardState::at_epochs(systems, &rec.shard_epochs);
+        let durable = Some(rec.state);
+        Ok(Self::spawn(shards, router, config, durable, version))
     }
 
     /// The one way a fresh service comes up. One shard keeps `system` as
-    /// given; more shards split its catalog on `shard.key` and give every
-    /// shard a copy of the rules; a durable root logs catalogs and rules as
-    /// epoch 0. Only the first of those carries a derived rule input — the
-    /// plan lives in `system`'s rewrite engine, a copy built from catalog
-    /// and rules JSON silently cleanses over the empty stand-in table
-    /// instead, the plan may read across cluster keys, and the log has no
-    /// record for it — so the other two refuse one.
+    /// given; more shards split its catalog on `shard.key` and copy the
+    /// rules to every shard; a durable root logs catalogs and rules as
+    /// epoch 0. A derived rule input lives only in `system`'s rewrite
+    /// engine — a copy cleanses over the empty stand-in table, the plan may
+    /// read across cluster keys, the log has no record for it — so only the
+    /// first carries one and the other two refuse it.
     fn launch(
         mut system: DeferredCleansingSystem,
         config: ServiceConfig,
@@ -409,16 +413,13 @@ impl QueryService {
             }
             vec![system]
         } else {
-            let rules_json = system.rules_to_json();
-            let parallelism = system.exec_options().parallelism;
-            partition_catalog(system.catalog(), &router.spec, &router.partitioner, n)?
-                .into_iter()
-                .enumerate()
-                .map(|(i, cat)| {
-                    let cache = shard.cleanse_cache_capacity;
-                    shard_system(Arc::new(cat), Some(&rules_json), cache, i, parallelism)
-                })
-                .collect::<Result<Vec<_>, Error>>()?
+            let parts = partition_catalog(system.catalog(), &router.spec, &router.partitioner, n)?;
+            shard_systems(
+                parts.into_iter().map(Arc::new).collect(),
+                Some(&system.rules_to_json()),
+                shard.cleanse_cache_capacity,
+                system.exec_options().parallelism,
+            )?
         };
         let durable = match durable {
             Some(opts) => {
@@ -436,33 +437,12 @@ impl QueryService {
             }
             None => None,
         };
-        let shards = systems
-            .into_iter()
-            .map(|sys| ShardState::at_epoch(sys, 0))
-            .collect();
+        let shards = ShardState::at_epochs(systems, &vec![0; n]);
         Ok(Self::spawn(shards, router, config, durable, 0))
     }
 
-    /// The shards and router a recovered durable root describes: one system
-    /// per logged shard catalog, resuming at that shard's recovered epoch.
-    fn recovered_topology(rec: &Recovered) -> Result<(Vec<ShardState>, Router), Error> {
-        let rules_json = rec.rules.as_ref().map(|(_, json)| json.as_str());
-        let cache = (rec.cache_capacity > 0).then_some(rec.cache_capacity as usize);
-        let shards = rec
-            .catalogs
-            .iter()
-            .zip(&rec.shard_epochs)
-            .enumerate()
-            .map(|(i, (catalog, &epoch))| {
-                let sys = shard_system(Arc::clone(catalog), rules_json, cache, i, 1)?;
-                Ok(ShardState::at_epoch(sys, epoch))
-            })
-            .collect::<Result<Vec<_>, Error>>()?;
-        let router = Router::new(&rec.catalogs[0], &rec.key, shards.len());
-        Ok((shards, router))
-    }
-
-    /// Assemble the shared state and start the worker pool.
+    /// Where every service comes up, fresh or recovered: assemble the
+    /// shared state and start the worker pool.
     fn spawn(
         shards: Vec<ShardState>,
         router: Router,
@@ -719,6 +699,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use dc_core::AbortReason;
     use dc_relational::batch::{schema_ref, Batch};
     use dc_relational::schema::{Field, Schema};
     use dc_relational::table::Table;
@@ -820,6 +801,29 @@ pub(super) mod tests {
         }
         assert_eq!(svc.counters().rejected, rejected as u64);
         assert!(svc.counters().admitted >= 1);
+    }
+
+    #[test]
+    fn cancelled_ticket_aborts_without_rows() {
+        let svc = service(&small(), 1);
+        let ticket = svc
+            .submit(QueryRequest::new("app", "select epc from caser"))
+            .unwrap();
+        ticket.cancel();
+        // The pre-set token either catches the job before dispatch or at
+        // the first operator boundary — both must yield Aborted, not rows.
+        match ticket.wait() {
+            Ok(_) => {
+                // Raced: the query finished before the flag was observed.
+                // Acceptable only if cancel landed after completion; in
+                // practice with 2 workers this is rare but not impossible.
+            }
+            Err(ServiceError::Aborted { reason, service }) => {
+                assert_eq!(reason, AbortReason::Cancelled);
+                assert_eq!(service.abort_reason, Some(AbortReason::Cancelled));
+            }
+            Err(other) => panic!("unexpected error: {other}"),
+        }
     }
 
     #[test]

@@ -182,6 +182,38 @@ mod tests {
     }
 
     #[test]
+    fn sharded_append_routes_by_key() {
+        let (sharded, unsharded) = (service(&large(), 3), service(&large(), 1));
+        let extra: Vec<Vec<Value>> = (0..30)
+            .map(|i| row(&format!("e{}", i % 24), 1000 + i, "gate"))
+            .collect();
+        let batch = Batch::from_rows(reads_schema(), &extra).unwrap();
+        sharded.append("caser", batch.clone()).unwrap();
+        unsharded.append("caser", batch).unwrap();
+        // Epochs advanced on the shards that received rows; total rows match.
+        assert!(sharded.epoch() >= 1);
+        assert_eq!(sharded.counters().appends, 1);
+        let total: usize = (0..sharded.shard_count())
+            .map(|i| {
+                sharded
+                    .shard_snapshot(i)
+                    .catalog
+                    .get("caser")
+                    .unwrap()
+                    .num_rows()
+            })
+            .sum();
+        assert_eq!(total, 240 + 30);
+        let a = sharded
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap();
+        let b = unsharded
+            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+            .unwrap();
+        assert_eq!(a.batch.sorted_rows(), b.batch.sorted_rows());
+    }
+
+    #[test]
     fn sharded_rule_definition_broadcasts() {
         let (sharded, unsharded) = (service(&large(), 2), service(&large(), 1));
         // A second rule tightens cleansing on both services identically.

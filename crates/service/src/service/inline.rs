@@ -134,8 +134,9 @@ impl QueryService {
 
 #[cfg(test)]
 mod tests {
-    use crate::service::tests::{large, service, small};
-    use crate::QueryRequest;
+    use crate::service::tests::{large, service, small, system};
+    use crate::{QueryRequest, QueryService, ServiceConfig, ShardConfig};
+    use dc_core::Strategy;
 
     #[test]
     fn explain_analyze_carries_service_line() {
@@ -166,5 +167,27 @@ mod tests {
         assert!(text.contains("-- chosen:"));
         // The run it executed, not a second rewrite: combined metrics.
         assert!(text.contains("rows_out="), "got: {text}");
+    }
+
+    #[test]
+    fn sharded_explain_analyze_describes_the_run_it_shows() {
+        let shard = ShardConfig::new(2, "epc").with_cleanse_cache(64);
+        let svc =
+            QueryService::start_sharded(system(&large()), ServiceConfig::default(), shard).unwrap();
+        // Unshardable: ran at the coordinator, past every shard cache.
+        let distinct = QueryRequest::new("app", "select count(distinct epc) as n from caser")
+            .with_strategy(Strategy::JoinBack);
+        let text = svc.explain_analyze(&distinct).unwrap();
+        assert!(text.contains("mode=coordinator"), "got: {text}");
+        assert!(!text.contains("-- cleanse cache:"), "got: {text}");
+        // Lowered to partials: the metrics tree is the shard plan's, and says so.
+        let grouped = "select biz_loc, count(*) as n from caser group by biz_loc";
+        let text = svc
+            .explain_analyze(&QueryRequest::new("app", grouped))
+            .unwrap();
+        assert!(
+            text.contains("operator metrics are the per-shard plan's"),
+            "got: {text}"
+        );
     }
 }

@@ -146,7 +146,7 @@ impl Shared {
                     if reuses_plan {
                         ", cached shard path"
                     } else {
-                        ""
+                        ", operator metrics are the per-shard plan's"
                     }
                 ));
                 let run = Executed {
@@ -159,13 +159,15 @@ impl Shared {
             }
             ScatterPlan::Unshardable => {
                 // No sound decomposition: merge the partitioned tables into
-                // a coordinator-side view and execute there, bypassing the
-                // shard caches (the merged tables are transient, so their
-                // segment ids must never validate cached entries).
+                // a coordinator-side view and execute there. The merged
+                // tables are transient, so their segment ids must never
+                // validate cached entries: without a cache spec the run
+                // bypasses the cache and EXPLAIN reports no cache activity.
                 catalog = Arc::new(merged_catalog(&self.router, snaps)?);
                 rewritten =
                     coord.rewrite_plan_snapshot(&catalog, application, user_plan, strategy)?;
-                let run = rewritten.execute_with_budget(&catalog, coord.exec_options(), budget)?;
+                rewritten.cache_spec = None;
+                let run = coord.execute_rewritten_snapshot(&catalog, &rewritten, budget)?;
                 rewritten.notes.push(
                     "scatter: unshardable plan, executed at coordinator over merged shards".into(),
                 );
@@ -283,6 +285,39 @@ fn merged_catalog(router: &Router, snaps: &[Arc<Snapshot>]) -> Result<Catalog, E
 mod tests {
     use crate::service::tests::{large, service};
     use crate::{QueryRequest, ServiceError};
+    use dc_relational::batch::Batch;
+    use dc_relational::value::Value;
+
+    #[test]
+    fn sharded_service_matches_unsharded() {
+        for shards in [1, 2, 4] {
+            let (sharded, unsharded) = (service(&large(), shards), service(&large(), 1));
+            assert_eq!(sharded.shard_count(), shards);
+            for sql in [
+                "select epc, rtime from caser",
+                "select epc, count(*) as n from caser group by epc",
+                "select count(*) as n, sum(rtime) as s, avg(rtime) as a from caser",
+                "select epc, rtime from caser where rtime < 100 order by rtime, epc",
+            ] {
+                let a = sharded.execute(QueryRequest::new("app", sql)).unwrap();
+                let b = unsharded.execute(QueryRequest::new("app", sql)).unwrap();
+                assert_eq!(
+                    a.batch.sorted_rows(),
+                    b.batch.sorted_rows(),
+                    "shards={shards} sql={sql}"
+                );
+                assert_eq!(a.service.epochs.shards(), shards);
+            }
+            // ORDER BY reproduces the exact global order, not just the set.
+            let sql = "select epc, rtime from caser order by rtime, epc";
+            let a = sharded.execute(QueryRequest::new("app", sql)).unwrap();
+            let b = unsharded.execute(QueryRequest::new("app", sql)).unwrap();
+            let rows = |batch: &Batch| -> Vec<Vec<Value>> {
+                (0..batch.num_rows()).map(|i| batch.row(i)).collect()
+            };
+            assert_eq!(rows(&a.batch), rows(&b.batch), "shards={shards}");
+        }
+    }
 
     #[test]
     fn sharded_scatter_reports_merge_counters() {

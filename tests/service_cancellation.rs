@@ -171,8 +171,9 @@ fn cancelled_queued_query_aborts_and_rerun_succeeds() {
     victim.cancel();
 
     match victim.wait() {
-        Err(ServiceError::Aborted { reason, .. }) => {
-            assert_eq!(reason, AbortReason::Cancelled)
+        Err(ServiceError::Aborted { reason, service }) => {
+            assert_eq!(reason, AbortReason::Cancelled);
+            assert_eq!(service.abort_reason, Some(AbortReason::Cancelled));
         }
         Ok(_) => panic!("cancelled-before-dispatch query must not return rows"),
         Err(other) => panic!("unexpected error: {other}"),
