@@ -124,7 +124,9 @@ fn q1_joinback_cache_snapshot() {
 }
 
 /// EXPLAIN ANALYZE is deterministic too once timing is excluded: the
-/// per-operator row counts come from a fixed (scale, seed) database.
+/// per-operator row counts come from a fixed (scale, seed) database. Both
+/// renderings are pinned: the text, and the JSON metrics tree (key names
+/// and key order included).
 #[test]
 fn q1_explain_analyze_snapshot() {
     let env = env();
@@ -138,4 +140,10 @@ fn q1_explain_analyze_snapshot() {
         text.push('\n');
     }
     assert_snapshot("explain_analyze_q1.txt", &text);
+    let metrics = report.metrics.expect("analyze records metrics");
+    let mut json = metrics.to_json(false).pretty();
+    if !json.ends_with('\n') {
+        json.push('\n');
+    }
+    assert_snapshot("explain_analyze_q1.json", &json);
 }
