@@ -329,33 +329,15 @@ pub fn ablation_order_sharing(scale: usize, seed: u64) -> (Measurement, Measurem
         let mut ex = Executor::new(catalog);
         let start = std::time::Instant::now();
         let batch = ex.execute(&plan).unwrap();
-        Measurement {
-            variant: "q_e",
-            millis: start.elapsed().as_secs_f64() * 1e3,
-            result_rows: batch.num_rows(),
-            rows_scanned: ex.stats.rows_scanned,
-            rows_sorted: ex.stats.rows_sorted,
-            sorts: ex.stats.sorts_performed,
-            sort_comparisons: ex.stats.sort_comparisons,
-            sorts_elided: ex.stats.sorts_elided,
-            merge_runs_used: ex.stats.merge_runs_used,
-            window_accumulator_ops: ex.stats.window_accumulator_ops,
-            join_probes: ex.stats.join_probes,
-            hash_ops: ex.stats.hash_ops,
-            hash_collisions: ex.stats.hash_collisions,
-            probe_memcmps: ex.stats.probe_memcmps,
-            key_bytes_encoded: ex.stats.key_bytes_encoded,
-            partitions: ex.stats.partitions_executed,
-            window_eval_ms: ex.window_eval_nanos as f64 / 1e6,
-            parallelism: 1,
-            chosen: rewritten.chosen.clone(),
-            segments_total: ex.stats.segments_total,
-            segments_pruned: ex.stats.segments_pruned,
-            segments_scanned: ex.stats.segments_scanned,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_invalidations: 0,
-        }
+        Measurement::new(
+            "q_e",
+            start.elapsed().as_secs_f64() * 1e3,
+            batch.num_rows(),
+            ex.stats,
+            ex.window_eval_nanos,
+            1,
+            rewritten.chosen.clone(),
+        )
     };
     let shared = measure(OptimizerConfig {
         enable_pushdown: true,
@@ -387,33 +369,15 @@ pub fn ablation_joinback(scale: usize, seed: u64) -> (Measurement, Measurement) 
         let mut ex = Executor::new(catalog);
         let start = std::time::Instant::now();
         let batch = ex.execute(&plan).unwrap();
-        Measurement {
-            variant: "q_j",
-            millis: start.elapsed().as_secs_f64() * 1e3,
-            result_rows: batch.num_rows(),
-            rows_scanned: ex.stats.rows_scanned,
-            rows_sorted: ex.stats.rows_sorted,
-            sorts: ex.stats.sorts_performed,
-            sort_comparisons: ex.stats.sort_comparisons,
-            sorts_elided: ex.stats.sorts_elided,
-            merge_runs_used: ex.stats.merge_runs_used,
-            window_accumulator_ops: ex.stats.window_accumulator_ops,
-            join_probes: ex.stats.join_probes,
-            hash_ops: ex.stats.hash_ops,
-            hash_collisions: ex.stats.hash_collisions,
-            probe_memcmps: ex.stats.probe_memcmps,
-            key_bytes_encoded: ex.stats.key_bytes_encoded,
-            partitions: ex.stats.partitions_executed,
-            window_eval_ms: ex.window_eval_nanos as f64 / 1e6,
-            parallelism: 1,
-            chosen: label,
-            segments_total: ex.stats.segments_total,
-            segments_pruned: ex.stats.segments_pruned,
-            segments_scanned: ex.stats.segments_scanned,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_invalidations: 0,
-        }
+        Measurement::new(
+            "q_j",
+            start.elapsed().as_secs_f64() * 1e3,
+            batch.num_rows(),
+            ex.stats,
+            ex.window_eval_nanos,
+            1,
+            label,
+        )
     };
 
     // Improved: the engine's join-back (uses ec on the outer arm, §5.3).
@@ -622,7 +586,7 @@ mod tests {
     #[test]
     fn ablation_order_sharing_shows_extra_sort() {
         let (shared, unshared) = ablation_order_sharing(2, 3);
-        assert!(unshared.sorts > shared.sorts);
+        assert!(unshared.stats.sorts_performed > shared.stats.sorts_performed);
         assert_eq!(shared.result_rows, unshared.result_rows);
     }
 
@@ -647,31 +611,34 @@ mod tests {
 
         let prune = by_x["prune-epc"];
         assert!(
-            prune.segments_total >= 2,
+            prune.stats.segments_total >= 2,
             "{} segments",
-            prune.segments_total
+            prune.stats.segments_total
         );
-        assert!(prune.segments_pruned > 0);
-        assert!(prune.segments_scanned < prune.segments_total);
+        assert!(prune.stats.segments_pruned > 0);
+        assert!(prune.stats.segments_scanned < prune.stats.segments_total);
 
         let cold = by_x["cache-cold"];
-        assert!(cold.cache_misses > 0);
-        assert_eq!(cold.cache_hits, 0);
+        assert!(cold.stats.seq_cache_misses > 0);
+        assert_eq!(cold.stats.seq_cache_hits, 0);
 
         let warm = by_x["cache-warm"];
-        assert!(warm.cache_hits > 0);
-        assert_eq!(warm.cache_misses, 0);
+        assert!(warm.stats.seq_cache_hits > 0);
+        assert_eq!(warm.stats.seq_cache_misses, 0);
         assert_eq!(warm.result_rows, cold.result_rows);
 
         let appended = by_x["cache-append"];
-        assert!(appended.cache_invalidations >= 1);
-        assert!(appended.cache_hits > 0, "unaffected sequences still hit");
+        assert!(appended.stats.seq_cache_invalidations >= 1);
+        assert!(
+            appended.stats.seq_cache_hits > 0,
+            "unaffected sequences still hit"
+        );
     }
 
     #[test]
     fn ablation_joinback_scans_differ() {
         let (improved, plain) = ablation_joinback(2, 3);
         // The improved variant's outer arm fetches less data.
-        assert!(improved.rows_sorted <= plain.rows_sorted);
+        assert!(improved.stats.rows_sorted <= plain.stats.rows_sorted);
     }
 }

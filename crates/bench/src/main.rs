@@ -223,21 +223,21 @@ fn run_one(args: &Args, what: &str) -> Vec<(String, Json)> {
             println!("== Ablation: order sharing (q1_e) ==");
             println!(
                 "with sharing   : {:>8.1}ms  sorts={} rows_sorted={}",
-                shared.millis, shared.sorts, shared.rows_sorted
+                shared.millis, shared.stats.sorts_performed, shared.stats.rows_sorted
             );
             println!(
                 "without sharing: {:>8.1}ms  sorts={} rows_sorted={}",
-                unshared.millis, unshared.sorts, unshared.rows_sorted
+                unshared.millis, unshared.stats.sorts_performed, unshared.stats.rows_sorted
             );
             let (improved, plain) = ablation_joinback(args.scale, args.seed);
             println!("== Ablation: improved vs plain join-back (q1_j) ==");
             println!(
                 "improved (ec on outer arm): {:>8.1}ms  rows_sorted={} rows_scanned={}",
-                improved.millis, improved.rows_sorted, improved.rows_scanned
+                improved.millis, improved.stats.rows_sorted, improved.stats.rows_scanned
             );
             println!(
                 "plain (no ec on outer arm): {:>8.1}ms  rows_sorted={} rows_scanned={}",
-                plain.millis, plain.rows_sorted, plain.rows_scanned
+                plain.millis, plain.stats.rows_sorted, plain.stats.rows_scanned
             );
             let json = Json::obj()
                 .set("order_sharing_on", shared.to_json())

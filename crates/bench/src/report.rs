@@ -78,7 +78,7 @@ pub fn render_figure(title: &str, rows: &[ExperimentRow]) -> String {
                     let _ = write!(
                         out,
                         " | {v}: {}/{}/{}",
-                        m.rows_sorted, m.rows_scanned, m.sorts
+                        m.stats.rows_sorted, m.stats.rows_scanned, m.stats.sorts_performed
                     );
                 }
                 None => {
@@ -95,39 +95,30 @@ pub fn render_figure(title: &str, rows: &[ExperimentRow]) -> String {
 mod tests {
     use super::*;
     use crate::harness::Measurement;
+    use dc_relational::exec::ExecStats;
 
     fn row(x: &str, variant: &'static str, ms: f64) -> ExperimentRow {
         ExperimentRow {
             x: x.into(),
             query: "q1",
             variant,
-            measurement: Some(Measurement {
+            measurement: Some(Measurement::new(
                 variant,
-                millis: ms,
-                result_rows: 1,
-                rows_scanned: 10,
-                rows_sorted: 5,
-                sorts: 1,
-                sort_comparisons: 4,
-                sorts_elided: 0,
-                merge_runs_used: 0,
-                window_accumulator_ops: 2,
-                join_probes: 0,
-                hash_ops: 0,
-                hash_collisions: 0,
-                probe_memcmps: 0,
-                key_bytes_encoded: 0,
-                partitions: 3,
-                window_eval_ms: 0.1,
-                parallelism: 1,
-                chosen: "x".into(),
-                segments_total: 0,
-                segments_pruned: 0,
-                segments_scanned: 0,
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_invalidations: 0,
-            }),
+                ms,
+                1,
+                ExecStats {
+                    rows_scanned: 10,
+                    rows_sorted: 5,
+                    sorts_performed: 1,
+                    sort_comparisons: 4,
+                    window_accumulator_ops: 2,
+                    partitions_executed: 3,
+                    ..ExecStats::default()
+                },
+                100_000,
+                1,
+                "x".into(),
+            )),
         }
     }
 

@@ -7,8 +7,10 @@
 //! (rows scanned, rows sorted, window-aggregate work, join probes) so
 //! experiments can report machine-independent effort alongside wall-clock
 //! time — the quantities the paper's §6.2 plan analysis reasons about.
-//! Counters are deterministic: identical at any
-//! [`ExecOptions::parallelism`].
+//! Operators record them into their own node of the metrics tree, and a
+//! plan's counters are the fold of that tree
+//! ([`OperatorMetrics::total_stats`]). Counters are deterministic:
+//! identical at any [`ExecOptions::parallelism`].
 
 use crate::batch::Batch;
 use crate::error::Result;
@@ -18,7 +20,8 @@ use crate::physical::{
 use crate::plan::LogicalPlan;
 use crate::table::Catalog;
 
-/// Deterministic work counters accumulated during execution.
+/// Deterministic work counters: one operator's own (the `stats` of its
+/// [`OperatorMetrics`] node), or a query's total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows fetched from base tables (after index narrowing, before residual filters).
@@ -174,6 +177,8 @@ pub struct Executor<'a> {
     catalog: &'a Catalog,
     options: ExecOptions,
     budget: QueryBudget,
+    /// Work counters of every plan this executor ran: the sum of their
+    /// metrics trees' folds.
     pub stats: ExecStats,
     /// Wall-clock nanoseconds spent in window evaluation across all plans
     /// this executor ran. Not part of [`ExecStats`]: timings vary with
@@ -215,9 +220,11 @@ impl<'a> Executor<'a> {
         let physical = lower(plan, self.catalog)?;
         let mut ctx = ExecContext::with_budget(self.catalog, self.options, self.budget.clone());
         let out = collect_input(physical.as_ref(), &mut ctx);
-        self.stats.add(&ctx.stats);
         self.window_eval_nanos += ctx.window_eval_nanos;
         self.metrics = ctx.metrics.finish();
+        if let Some(tree) = &self.metrics {
+            self.stats.add(&tree.total_stats());
+        }
         out
     }
 }

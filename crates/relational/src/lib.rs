@@ -87,8 +87,8 @@ pub mod prelude {
     pub use crate::optimizer::{optimize, optimize_default, OptimizerConfig};
     pub use crate::persist::{decode_segment_file, encode_segment_file};
     pub use crate::physical::{
-        display_physical, lower, DeterministicMetrics, ExecContext, ExecOptions, MetricsCollector,
-        OperatorMetrics, PhysicalOperator, QueryBudget,
+        display_physical, lower, ExecContext, ExecOptions, MetricsCollector, OperatorMetrics,
+        PhysicalOperator, QueryBudget,
     };
     pub use crate::plan::{ordering_satisfies, window_sort_keys, LogicalPlan};
     pub use crate::scatter::{

@@ -30,11 +30,10 @@ impl PhysicalOperator for PhysicalAggregate {
     fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
         let b = collect_input(self.input.as_ref(), ctx)?;
         // Each input row is hashed into a group once.
-        ctx.metrics.add_comparisons(b.num_rows() as u64);
+        ctx.metrics.frame().comparisons += b.num_rows() as u64;
         let mut hash = HashStats::default();
         let out = hash_aggregate(&b, &self.group_by, &self.aggs, &ctx.budget, &mut hash)?;
-        ctx.stats.add_hash(&hash);
-        ctx.metrics.add_hash(&hash);
+        ctx.metrics.frame().stats.add_hash(&hash);
         Ok(materialized(out))
     }
 }

@@ -22,11 +22,10 @@ impl PhysicalOperator for PhysicalDistinct {
     fn open<'a>(&'a self, ctx: &mut ExecContext<'_>) -> Result<Box<dyn ChunkStream + 'a>> {
         let b = collect_input(self.input.as_ref(), ctx)?;
         // Each input row is hashed against the seen-set once.
-        ctx.metrics.add_comparisons(b.num_rows() as u64);
+        ctx.metrics.frame().comparisons += b.num_rows() as u64;
         let mut hash = HashStats::default();
         let out = distinct(&b, &ctx.budget, &mut hash)?;
-        ctx.stats.add_hash(&hash);
-        ctx.metrics.add_hash(&hash);
+        ctx.metrics.frame().stats.add_hash(&hash);
         Ok(materialized(out))
     }
 }

@@ -50,10 +50,10 @@ impl ChunkStream for FilterStream<'_> {
             return Ok(None);
         };
         // One predicate evaluation per input row.
-        ctx.metrics.add_comparisons(chunk.num_rows() as u64);
+        ctx.metrics.frame().comparisons += chunk.num_rows() as u64;
         let survivors = filter_chunk(self.predicate, &chunk)?.selected;
         let out = chunk.with_survivors(survivors);
-        ctx.record_avoided_copies(out.num_columns() as u64);
+        ctx.metrics.frame().stats.selection_avoided_copies += out.num_columns() as u64;
         Ok(Some(out))
     }
 }

@@ -70,10 +70,10 @@ impl PhysicalOperator for PhysicalHashJoin {
             emit.as_ref(),
             &ctx.budget,
         )?;
-        ctx.stats.join_probes += work.probes;
-        ctx.stats.add_hash(&work.hash);
-        ctx.metrics.add_comparisons(work.probes);
-        ctx.metrics.add_hash(&work.hash);
+        let m = ctx.metrics.frame();
+        m.comparisons += work.probes;
+        m.stats.join_probes += work.probes;
+        m.stats.add_hash(&work.hash);
         Ok(materialized(out))
     }
 }

@@ -19,12 +19,13 @@
 //!   splits the cleansing path's `PARTITION BY` (cluster-key) partitions
 //!   into consecutive runs across a scoped thread pool when
 //!   [`ExecOptions::parallelism`] > 1, with byte-identical results and
-//!   identical merged [`ExecStats`] at any parallelism).
+//!   identical merged [`ExecStats`](crate::exec::ExecStats) at any parallelism).
 //!
 //! Operators execute against an [`ExecContext`], which carries the catalog,
-//! the execution options, the deterministic work counters, and a separate
-//! wall-clock channel for window evaluation (timings may differ across
-//! parallelism; counters must not).
+//! the execution options, the metrics tree under construction (every
+//! deterministic work counter lives in it), and a separate wall-clock
+//! channel for window evaluation (timings may differ across parallelism;
+//! counters must not).
 //!
 //! # Operator contract
 //!
@@ -35,9 +36,9 @@
 //! its inclusive wall-clock, charges emitted rows to the row budget and
 //! counts chunks — an operator's [`PhysicalOperator::open`] and its
 //! [`ChunkStream::next_chunk`] contain only the operator's own work and
-//! record it with the collector's `add_*` methods, which land in that
-//! operator's frame because the wrapper made it current. Operators come in
-//! two kinds:
+//! record it, each event once, through [`MetricsCollector::frame`], which
+//! is that operator's node because the wrapper made it current. Operators
+//! come in two kinds:
 //!
 //! * **streaming** (scan, filter, project, limit, alias): `open` opens the
 //!   child and returns a stream that transforms one pulled chunk at a time;
@@ -66,11 +67,10 @@ pub mod union;
 pub mod window;
 
 pub use lower::lower;
-pub use metrics::{DeterministicMetrics, FrameId, MetricsCollector, OperatorMetrics};
+pub use metrics::{FrameId, MetricsCollector, OperatorMetrics};
 
 use crate::batch::Batch;
 use crate::error::{AbortReason, Error, Result};
-use crate::exec::ExecStats;
 use crate::schema::SchemaRef;
 use crate::table::Catalog;
 use std::fmt::Write as _;
@@ -205,14 +205,13 @@ impl ExecOptions {
 pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub options: ExecOptions,
-    /// Deterministic work counters — identical at any parallelism.
-    pub stats: ExecStats,
     /// Wall-clock nanoseconds spent evaluating window aggregates (the Φ_C
-    /// hot path). Deliberately *not* part of [`ExecStats`]: timings change
-    /// with parallelism, counters must not.
+    /// hot path). Deliberately *not* a counter of the metrics tree: timings
+    /// change with parallelism, counters must not.
     pub window_eval_nanos: u64,
     /// Per-operator metrics tree under construction (see
-    /// [`metrics::MetricsCollector`]); frames are driven by [`OpStream`].
+    /// [`metrics::MetricsCollector`]); frames are driven by [`OpStream`],
+    /// and every deterministic work counter is recorded into one of them.
     pub metrics: MetricsCollector,
     /// Per-query robustness budget, checked by [`OpStream`] at every
     /// operator boundary.
@@ -232,19 +231,11 @@ impl<'a> ExecContext<'a> {
         ExecContext {
             catalog,
             options,
-            stats: ExecStats::default(),
             window_eval_nanos: 0,
             metrics: MetricsCollector::new(),
             budget,
             rows_emitted: 0,
         }
-    }
-
-    /// Record column gathers a filtering operator avoided by marking a
-    /// chunk's survivors with a selection vector.
-    pub fn record_avoided_copies(&mut self, n: u64) {
-        self.stats.selection_avoided_copies += n;
-        self.metrics.add_avoided_copies(n);
     }
 }
 
@@ -252,10 +243,12 @@ impl<'a> ExecContext<'a> {
 ///
 /// * [`open`](PhysicalOperator::open) is the operator body and its only
 ///   execution method; it is called by [`open_stream`] and by nothing else
-///   (see the module-level *Operator contract*). All work
-///   is accounted in `ctx.stats` using the same counter semantics at any
-///   `ctx.options.parallelism`, and node-local work (comparisons,
-///   partitions) additionally into `ctx.metrics`.
+///   (see the module-level *Operator contract*). It records its work once,
+///   into its own node through `ctx.metrics.frame()` (its elementary work
+///   unit in `comparisons`, everything else in the node's
+///   [`ExecStats`](crate::exec::ExecStats)), with the same counter
+///   semantics at any `ctx.options.parallelism`; the query's counters are
+///   the fold of the finished tree.
 /// * Operators perform no plan-level decisions at runtime — what to do
 ///   (index bounds, sort placement, projections) was fixed by `lower()`;
 ///   only data-dependent choices (e.g. *which* candidate index bound is
@@ -406,8 +399,7 @@ impl OpStream<'_> {
             _ => None,
         };
         if let Some(rows) = emitted {
-            ctx.metrics.add_chunk();
-            ctx.stats.batches_processed += 1;
+            ctx.metrics.frame().stats.batches_processed += 1;
             ctx.rows_emitted += rows;
         }
         ctx.metrics

@@ -80,7 +80,7 @@ impl ChunkStream for ProjectStream<'_> {
             return Ok(None);
         };
         // One expression-evaluation pass per input row.
-        ctx.metrics.add_comparisons(chunk.num_rows() as u64);
+        ctx.metrics.frame().comparisons += chunk.num_rows() as u64;
         self.op.project(&chunk).map(Some)
     }
 }

@@ -100,56 +100,52 @@ impl PhysicalScan {
             None => t.schema().clone(),
         };
 
-        if self.filter.is_none() {
-            ctx.stats.rows_scanned += t.num_rows() as u64;
-            ctx.stats.full_scans += 1;
-            ctx.metrics.set_rows_in(t.num_rows() as u64);
-            ctx.metrics.add_comparisons(t.num_rows() as u64);
-            return t.data().clone().with_schema(out_schema);
-        }
-
-        // Zone-map pruning: the candidates' bounds are necessary conditions
-        // of `filter`, so segments whose zones exclude them cannot hold
-        // matching rows. The decision (and its counters) is a pure function
-        // of plan + data — recorded before the access-path choice so the
-        // counters describe prunability regardless of which path runs.
-        let survivors = prune_segments(t, &self.candidates);
-        let total_segs = t.segments().len();
-        if !self.candidates.is_empty() && total_segs > 0 {
-            let scanned = survivors.len() as u64;
-            let pruned = total_segs as u64 - scanned;
-            ctx.stats.segments_total += total_segs as u64;
-            ctx.stats.segments_pruned += pruned;
-            ctx.stats.segments_scanned += scanned;
-            ctx.metrics.add_segments(total_segs as u64, pruned, scanned);
-        }
-
-        let base = match best_index_access(t, &self.candidates) {
-            Some(rows) => {
-                ctx.stats.index_scans += 1;
-                ctx.stats.rows_scanned += rows.len() as u64;
-                t.data().take(&rows)
+        let m = ctx.metrics.frame();
+        let base = if self.filter.is_none() {
+            m.stats.full_scans += 1;
+            t.data().clone()
+        } else {
+            // Zone-map pruning: the candidates' bounds are necessary
+            // conditions of `filter`, so segments whose zones exclude them
+            // cannot hold matching rows. The decision (and its counters) is
+            // a pure function of plan + data — recorded before the
+            // access-path choice so the counters describe prunability
+            // regardless of which path runs.
+            let survivors = prune_segments(t, &self.candidates);
+            let total_segs = t.segments().len();
+            if !self.candidates.is_empty() && total_segs > 0 {
+                let scanned = survivors.len() as u64;
+                m.stats.segments_total += total_segs as u64;
+                m.stats.segments_pruned += total_segs as u64 - scanned;
+                m.stats.segments_scanned += scanned;
             }
-            None if survivors.len() < total_segs => {
-                // Fetch only the surviving segments' contiguous row ranges;
-                // the residual filter keeps results identical to a full
-                // scan.
-                let rows: Vec<usize> = survivors.iter().flat_map(|s| s.start..s.end()).collect();
-                ctx.stats.full_scans += 1;
-                ctx.stats.rows_scanned += rows.len() as u64;
-                t.data().take(&rows)
-            }
-            None => {
-                ctx.stats.full_scans += 1;
-                ctx.stats.rows_scanned += t.num_rows() as u64;
-                t.data().clone()
+            match best_index_access(t, &self.candidates) {
+                Some(rows) => {
+                    m.stats.index_scans += 1;
+                    t.data().take(&rows)
+                }
+                None if survivors.len() < total_segs => {
+                    // Fetch only the surviving segments' contiguous row
+                    // ranges; the residual filter keeps results identical
+                    // to a full scan.
+                    let rows: Vec<usize> =
+                        survivors.iter().flat_map(|s| s.start..s.end()).collect();
+                    m.stats.full_scans += 1;
+                    t.data().take(&rows)
+                }
+                None => {
+                    m.stats.full_scans += 1;
+                    t.data().clone()
+                }
             }
         };
         // A scan is a leaf: rows_in is what it fetched from the table
         // (post index narrowing, pre residual filter) — each fetched row is
         // one unit of work.
-        ctx.metrics.set_rows_in(base.num_rows() as u64);
-        ctx.metrics.add_comparisons(base.num_rows() as u64);
+        let fetched = base.num_rows() as u64;
+        m.rows_in += fetched;
+        m.comparisons += fetched;
+        m.stats.rows_scanned += fetched;
         base.with_schema(out_schema)
     }
 }
@@ -182,7 +178,7 @@ impl ChunkStream for ScanStream<'_> {
             chunk = chunk.with_survivors(survivors);
             // Counted over the table's columns, pruned or not: the filter
             // ran over all of them.
-            ctx.record_avoided_copies(rows.num_columns() as u64);
+            ctx.metrics.frame().stats.selection_avoided_copies += rows.num_columns() as u64;
         }
         Ok(Some(chunk))
     }

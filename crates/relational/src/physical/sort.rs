@@ -45,15 +45,16 @@ impl PhysicalOperator for PhysicalSort {
         let b = collect_input(self.input.as_ref(), ctx)?;
         let hint = self.segment_run_hint(ctx, &b);
         let (out, effort) = sort_batch_runs(&b, &self.keys, hint.as_deref())?;
-        ctx.stats.rows_sorted += b.num_rows() as u64;
-        ctx.stats.sorts_performed += 1;
-        ctx.stats.sort_comparisons += effort.comparisons;
+        let m = ctx.metrics.frame();
+        m.comparisons += effort.comparisons;
+        m.stats.rows_sorted += b.num_rows() as u64;
+        m.stats.sorts_performed += 1;
+        m.stats.sort_comparisons += effort.comparisons;
         if effort.elided {
-            ctx.stats.sorts_elided += 1;
+            m.stats.sorts_elided += 1;
         } else {
-            ctx.stats.merge_runs_used += effort.runs;
+            m.stats.merge_runs_used += effort.runs;
         }
-        ctx.metrics.add_comparisons(effort.comparisons);
         Ok(materialized(out))
     }
 }

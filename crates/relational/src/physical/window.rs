@@ -14,8 +14,8 @@
 //! * workers only read the shared [`WindowEval`] and each builds the typed
 //!   column fragments of its own run,
 //! * fragments are stitched in partition order and work counters summed, so
-//!   the result batch is byte-identical and the merged
-//!   [`ExecStats`](crate::exec::ExecStats) equal to the serial run at any
+//!   the result batch is byte-identical and the operator's
+//!   [`ExecStats`](crate::exec::ExecStats) equal to the serial run's at any
 //!   parallelism. The serial run is the one-run case of the same code.
 //!
 //! Wall-clock spent here is accumulated into
@@ -66,8 +66,7 @@ impl PhysicalOperator for PhysicalWindow {
 
         let ev = WindowEval::prepare(&b, &self.partition_by, self.order_key.as_ref(), &self.exprs)?;
         let parts = ev.partitions();
-        ctx.stats.partitions_executed += parts.len() as u64;
-        ctx.metrics.add_partitions(parts.len() as u64);
+        ctx.metrics.frame().stats.partitions_executed += parts.len() as u64;
 
         // The budget is re-checked per partition: the Φ_C hot path can
         // dominate a query's runtime, so operator-entry checks alone would
@@ -112,8 +111,9 @@ impl PhysicalOperator for PhysicalWindow {
             (cols, work)
         };
 
-        ctx.stats.window_accumulator_ops += work;
-        ctx.metrics.add_comparisons(work);
+        let m = ctx.metrics.frame();
+        m.comparisons += work;
+        m.stats.window_accumulator_ops += work;
         let mut fields = b.schema().fields().to_vec();
         let mut cols: Vec<Column> = b.columns().to_vec();
         for (we, c) in self.exprs.iter().zip(window_cols) {

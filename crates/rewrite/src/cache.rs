@@ -278,7 +278,6 @@ impl Rewritten {
         let Some(spec) = &self.cache_spec else {
             return self.execute_with_budget(catalog, options, budget);
         };
-        let mut stats = ExecStats::default();
         let mut window_eval_nanos = 0u64;
         let mut children: Vec<OperatorMetrics> = Vec::new();
         let rule_refs: Vec<&RuleTemplate> = spec.rules.iter().map(Arc::as_ref).collect();
@@ -287,7 +286,6 @@ impl Rewritten {
         // the same order the cleansing plan's (ckey, skey) sort yields.
         let mut ex = Executor::with_budget(catalog, options, budget.clone());
         let seq = ex.execute(&spec.seqset)?;
-        stats.add(&ex.stats);
         window_eval_nanos += ex.window_eval_nanos;
         children.extend(ex.metrics.take());
         let ckey_col = seq.column(0);
@@ -343,7 +341,6 @@ impl Rewritten {
             let plan = optimize_default(plan, catalog);
             let mut ex = Executor::with_budget(catalog, options, budget.clone());
             let out = ex.execute(&plan)?;
-            stats.add(&ex.stats);
             window_eval_nanos += ex.window_eval_nanos;
             children.extend(ex.metrics.take());
 
@@ -400,14 +397,11 @@ impl Rewritten {
         let tail = optimize_default(spec.tail.clone(), &overlay);
         let mut ex = Executor::with_budget(&overlay, options, budget.clone());
         let batch = ex.execute(&tail)?;
-        stats.add(&ex.stats);
         window_eval_nanos += ex.window_eval_nanos;
         children.extend(ex.metrics.take());
 
-        stats.seq_cache_hits += hits;
-        stats.seq_cache_misses += missed;
-        stats.seq_cache_invalidations += invalidated;
-
+        // The cache's own work is this node's; the sub-plans' is its
+        // children's, so the run's counters are the fold of the tree.
         let metrics = OperatorMetrics {
             name: "CleanseCacheExec".to_string(),
             label: format!(
@@ -416,24 +410,20 @@ impl Rewritten {
             ),
             rows_in: assembled_rows,
             rows_out: batch.num_rows() as u64,
-            comparisons: 0,
-            partitions: 0,
-            segments_total: 0,
-            segments_pruned: 0,
-            segments_scanned: 0,
-            batches_processed: 0,
-            selection_avoided_copies: 0,
-            hash_ops: 0,
-            hash_collisions: 0,
-            probe_memcmps: 0,
-            key_bytes_encoded: 0,
+            stats: ExecStats {
+                seq_cache_hits: hits,
+                seq_cache_misses: missed,
+                seq_cache_invalidations: invalidated,
+                ..ExecStats::default()
+            },
             wall_nanos: children.iter().map(|c| c.wall_nanos).sum(),
             children,
+            ..OperatorMetrics::default()
         };
 
         Ok(Executed {
             batch,
-            stats,
+            stats: metrics.total_stats(),
             window_eval_nanos,
             metrics: Some(metrics),
         })

@@ -69,9 +69,7 @@ pub use dc_core::{AbortReason, QueryBudget};
 pub use dc_log::{FailPoint, LogError};
 pub use dc_stream::{ChangeChannel, ChangeSet, MaintenanceStats, PushOutcome, StreamError};
 pub use durable::{DurableOptions, DurableStats, MANIFEST_LOG};
-pub use partition::{
-    partition_catalog, split_batch, HashPartitioner, Partitioner, RangePartitioner,
-};
+pub use partition::{partition_catalog, split_batch, HashPartitioner};
 pub use queue::{Bounded, PushError};
 pub use service::subscribe::{AppendOutcome, SubscribeOptions, SubscriptionHandle};
 pub use service::{

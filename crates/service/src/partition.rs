@@ -9,27 +9,15 @@
 //! tables) are **replicated** — every shard holds the same `Arc<Table>`,
 //! so replication costs one map entry, not a copy.
 //!
-//! The [`Partitioner`] decides which shard owns a key value. It must be a
-//! pure function of the value (the router applies it at initial partition
-//! time *and* on every routed append), but is otherwise pluggable:
-//! [`HashPartitioner`] for uniform spread, [`RangePartitioner`] for
-//! locality-preserving splits.
+//! The [`HashPartitioner`] decides which shard owns a key value. It is a
+//! pure function of the value: the router applies it at initial partition
+//! time *and* on every routed append.
 
 use dc_relational::batch::Batch;
 use dc_relational::error::{Error, Result};
 use dc_relational::scatter::ShardingSpec;
 use dc_relational::table::{Catalog, Table};
 use dc_relational::value::Value;
-
-/// Maps a cluster-key value to the shard that owns it. Implementations
-/// must be deterministic: the same value always routes to the same shard.
-pub trait Partitioner: Send + Sync {
-    /// The owning shard for `key`, in `0..shards`.
-    fn shard_of(&self, key: &Value, shards: usize) -> usize;
-
-    /// Short label for diagnostics (`"hash"`, `"range"`).
-    fn name(&self) -> &'static str;
-}
 
 /// Canonical byte form of a value for hashing: a type tag followed by the
 /// value's natural encoding, so e.g. `Int(1)` and `Str("1")` never collide
@@ -62,8 +50,10 @@ fn canonical_bytes(v: &Value, out: &mut Vec<u8>) {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct HashPartitioner;
 
-impl Partitioner for HashPartitioner {
-    fn shard_of(&self, key: &Value, shards: usize) -> usize {
+impl HashPartitioner {
+    /// The owning shard for `key`, in `0..shards`. Deterministic: the same
+    /// value always routes to the same shard.
+    pub fn shard_of(&self, key: &Value, shards: usize) -> usize {
         let mut buf = Vec::with_capacity(16);
         canonical_bytes(key, &mut buf);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -72,43 +62,6 @@ impl Partitioner for HashPartitioner {
             h = h.wrapping_mul(0x0100_0000_01b3);
         }
         (h % shards.max(1) as u64) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-}
-
-/// Range partitioning over the key's total order (NULLs first, the same
-/// order sorts use): shard `i` owns keys strictly below `boundaries[i]`,
-/// the last shard owns the rest. `boundaries` must be sorted ascending and
-/// hold exactly `shards - 1` entries; extra boundaries are ignored and a
-/// short list funnels the tail into the last listed shard.
-#[derive(Debug, Clone)]
-pub struct RangePartitioner {
-    boundaries: Vec<Value>,
-}
-
-impl RangePartitioner {
-    /// A partitioner splitting at `boundaries` (ascending).
-    pub fn new(boundaries: Vec<Value>) -> Self {
-        RangePartitioner { boundaries }
-    }
-}
-
-impl Partitioner for RangePartitioner {
-    fn shard_of(&self, key: &Value, shards: usize) -> usize {
-        let last = shards.max(1) - 1;
-        for (i, b) in self.boundaries.iter().take(last).enumerate() {
-            if key.total_cmp(b) == std::cmp::Ordering::Less {
-                return i;
-            }
-        }
-        self.boundaries.len().min(last)
-    }
-
-    fn name(&self) -> &'static str {
-        "range"
     }
 }
 
@@ -119,7 +72,7 @@ impl Partitioner for RangePartitioner {
 pub fn split_batch(
     batch: &Batch,
     key_idx: usize,
-    partitioner: &dyn Partitioner,
+    partitioner: &HashPartitioner,
     shards: usize,
 ) -> Result<Vec<Batch>> {
     if key_idx >= batch.num_columns() {
@@ -172,7 +125,7 @@ pub(crate) fn table_like(template: &Table, data: Batch) -> Result<Table> {
 pub fn partition_catalog(
     catalog: &Catalog,
     spec: &ShardingSpec,
-    partitioner: &dyn Partitioner,
+    partitioner: &HashPartitioner,
     shards: usize,
 ) -> Result<Vec<Catalog>> {
     let out: Vec<Catalog> = (0..shards.max(1)).map(|_| Catalog::new()).collect();
@@ -223,20 +176,6 @@ mod tests {
         }
         // One shard swallows everything.
         assert_eq!(p.shard_of(&Value::str("x"), 1), 0);
-    }
-
-    #[test]
-    fn range_partitioner_respects_boundaries() {
-        let p = RangePartitioner::new(vec![Value::Int(10), Value::Int(20)]);
-        assert_eq!(p.shard_of(&Value::Int(-5), 3), 0);
-        assert_eq!(p.shard_of(&Value::Int(10), 3), 1);
-        assert_eq!(p.shard_of(&Value::Int(19), 3), 1);
-        assert_eq!(p.shard_of(&Value::Int(20), 3), 2);
-        assert_eq!(p.shard_of(&Value::Int(1000), 3), 2);
-        // NULLs sort first: they land in shard 0.
-        assert_eq!(p.shard_of(&Value::Null, 3), 0);
-        // More shards than boundaries: the tail stops at the last boundary.
-        assert_eq!(p.shard_of(&Value::Int(1000), 5), 2);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use super::scatter::RunDetail;
 use super::{epochs_of, QueryService, Shared};
-use crate::partition::Partitioner;
 use crate::snapshot::Snapshot;
 use crate::{QueryRequest, QueryResponse, ServiceError, ServiceStats};
 use std::sync::Arc;
@@ -83,13 +82,11 @@ impl QueryService {
         let mut out = stats.render_comment();
         out.push('\n');
         if self.shard_count() > 1 {
-            let router = &self.shared.router;
             out.push_str(&format!(
-                "-- shards: n={} mode={} partitioner={} key={} rows_merged={}\n",
+                "-- shards: n={} mode={} partitioner=hash key={} rows_merged={}\n",
                 self.shard_count(),
                 detail.mode,
-                router.partitioner.name(),
-                router.spec.key,
+                self.shared.router.spec.key,
                 detail.run.stats.shard_rows_merged,
             ));
             for o in &detail.per_shard {

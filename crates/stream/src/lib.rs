@@ -41,7 +41,6 @@
 use dc_relational::delta::{cmp_rows, remove_rows};
 use dc_relational::error::Result;
 use dc_relational::exec::ExecStats;
-use dc_relational::physical::OperatorMetrics;
 use dc_relational::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
@@ -148,33 +147,6 @@ impl MaintenanceStats {
             updated,
             self.fallback
         )
-    }
-
-    /// A synthetic operator-metrics node summarizing the maintenance step,
-    /// so stream work shows up beside ordinary operators in metrics trees.
-    pub fn metrics(&self, delta_rows: u64) -> OperatorMetrics {
-        OperatorMetrics {
-            name: "MaintainExec".into(),
-            label: format!(
-                "MaintainExec mode={} ckeys={} fallback={}",
-                self.mode, self.ckeys, self.fallback
-            ),
-            rows_in: self.exec.maintenance_scoped_rows,
-            rows_out: delta_rows,
-            comparisons: self.exec.maintenance_delta_rows,
-            partitions: 0,
-            segments_total: 0,
-            segments_pruned: 0,
-            segments_scanned: 0,
-            batches_processed: 0,
-            selection_avoided_copies: 0,
-            hash_ops: self.exec.hash_ops,
-            hash_collisions: self.exec.hash_collisions,
-            probe_memcmps: self.exec.probe_memcmps,
-            key_bytes_encoded: self.exec.key_bytes_encoded,
-            wall_nanos: 0,
-            children: vec![],
-        }
     }
 }
 

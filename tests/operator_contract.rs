@@ -3,9 +3,10 @@
 //!
 //! Every run is `Ok` or a typed `Error::Aborted`; the metrics tree it leaves
 //! behind is well formed (the reference run's tree, or a prefix of it when
-//! the run stopped early) and accounts for exactly the rows charged to the
-//! row budget; and an immediate unbudgeted re-run returns the reference
-//! rows, so an abort corrupts nothing.
+//! the run stopped early), accounts for exactly the rows charged to the
+//! row budget, and folds to exactly the executor's work counters; and an
+//! immediate unbudgeted re-run returns the reference rows, so an abort
+//! corrupts nothing.
 
 use dc_oracle::rows_of;
 use dc_relational::prelude::*;
@@ -164,9 +165,9 @@ fn is_prefix_of(got: &OperatorMetrics, full: &OperatorMetrics) -> bool {
 }
 
 /// Chunk size moves only the chunk-bookkeeping counters.
-fn sans_chunking(mut m: DeterministicMetrics) -> DeterministicMetrics {
-    m.batches_processed = 0;
-    m.selection_avoided_copies = 0;
+fn sans_chunking(mut m: OperatorMetrics) -> OperatorMetrics {
+    m.stats.batches_processed = 0;
+    m.stats.selection_avoided_copies = 0;
     m.children = m.children.into_iter().map(sans_chunking).collect();
     m
 }
@@ -175,16 +176,16 @@ fn run(
     cat: &Catalog,
     options: ExecOptions,
     budget: QueryBudget,
-) -> (Result<Batch>, Option<OperatorMetrics>) {
+) -> (Result<Batch>, Option<OperatorMetrics>, ExecStats) {
     let mut ex = Executor::with_budget(cat, options, budget);
     let out = ex.execute(&plan());
-    (out, ex.metrics)
+    (out, ex.metrics, ex.stats)
 }
 
 #[test]
 fn the_plan_holds_every_physical_operator() {
     let cat = catalog();
-    let (out, metrics) = run(&cat, ExecOptions::default(), QueryBudget::unlimited());
+    let (out, metrics, _) = run(&cat, ExecOptions::default(), QueryBudget::unlimited());
     let mut names: Vec<String> = nodes(&metrics.unwrap())
         .iter()
         .map(|n| n.name.clone())
@@ -205,16 +206,21 @@ fn the_plan_holds_every_physical_operator() {
 fn every_abort_position_leaves_a_well_formed_tree_and_a_clean_rerun() {
     let cat = catalog();
     let expected = rows_of(&dc_oracle::execute(&plan(), &cat).unwrap());
-    let mut across_configs: Option<DeterministicMetrics> = None;
+    let mut across_configs: Option<OperatorMetrics> = None;
     for chunk_rows in CHUNK_ROWS {
-        let mut across_p: Option<DeterministicMetrics> = None;
+        let mut across_p: Option<OperatorMetrics> = None;
         for p in PARALLELISMS {
             let options = ExecOptions::with_parallelism(p).with_chunk_rows(chunk_rows);
             let at = format!("chunk_rows={chunk_rows} P={p}");
 
-            let (out, full) = run(&cat, options, QueryBudget::unlimited());
+            let (out, full, stats) = run(&cat, options, QueryBudget::unlimited());
             assert_eq!(rows_of(&out.unwrap()), expected, "{at}");
             let full = full.expect("an executed plan has metrics");
+            assert_eq!(
+                stats,
+                full.total_stats(),
+                "{at}: counters are the tree's fold"
+            );
             let det = full.deterministic();
             assert_eq!(*across_p.get_or_insert(det.clone()), det, "{at}");
             let norm = sans_chunking(det);
@@ -223,10 +229,17 @@ fn every_abort_position_leaves_a_well_formed_tree_and_a_clean_rerun() {
             let total = rows_charged(&full);
             assert!(total > 100, "{at}: the sweep should have positions to hit");
             for k in 0..=total + 1 {
-                let (out, tree) = run(&cat, options, QueryBudget::unlimited().with_row_limit(k));
+                let (out, tree, stats) =
+                    run(&cat, options, QueryBudget::unlimited().with_row_limit(k));
                 let tree = tree.expect("a row budget trips inside the plan, never before it");
                 let at = format!("{at} row_limit={k}");
                 assert!(is_prefix_of(&tree, &full), "{at}: malformed tree");
+                // Aborted or not, every counter recorded lands in the tree.
+                assert_eq!(
+                    stats,
+                    tree.total_stats(),
+                    "{at}: counters are the tree's fold"
+                );
                 match out {
                     // Within budget: nothing changes, down to the counters.
                     Ok(batch) => {
@@ -243,7 +256,7 @@ fn every_abort_position_leaves_a_well_formed_tree_and_a_clean_rerun() {
                     }
                     Err(e) => panic!("{at}: not a typed abort: {e}"),
                 }
-                let (again, _) = run(&cat, options, QueryBudget::unlimited());
+                let (again, _, _) = run(&cat, options, QueryBudget::unlimited());
                 assert_eq!(rows_of(&again.unwrap()), expected, "{at}: re-run");
             }
         }
@@ -267,13 +280,13 @@ fn a_budget_tripped_before_the_plan_starts_enters_no_operator() {
         for p in PARALLELISMS {
             let options = ExecOptions::with_parallelism(p).with_chunk_rows(chunk_rows);
             for (budget, reason) in &cases {
-                let (out, tree) = run(&cat, options, budget.clone());
+                let (out, tree, _) = run(&cat, options, budget.clone());
                 match out {
                     Err(Error::Aborted(r)) => assert_eq!(r, *reason),
                     other => panic!("expected {reason:?}, got {:?}", other.map(|b| b.num_rows())),
                 }
                 assert!(tree.is_none(), "no operator was entered");
-                let (again, _) = run(&cat, options, QueryBudget::unlimited());
+                let (again, _, _) = run(&cat, options, QueryBudget::unlimited());
                 assert_eq!(rows_of(&again.unwrap()), expected);
             }
         }
@@ -306,7 +319,7 @@ fn project_open_failure_keeps_the_opened_child_in_the_tree() {
         assert_eq!(rows_charged(&tree), 0);
         // The scan fetched its rows while opening; nothing was pulled.
         assert_eq!(tree.children[0].children[0].children[0].rows_in, 48);
-        assert!(nodes(&tree).iter().all(|n| n.batches_processed == 0));
+        assert!(nodes(&tree).iter().all(|n| n.stats.batches_processed == 0));
     }
 }
 

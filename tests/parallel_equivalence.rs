@@ -255,7 +255,7 @@ fn random_plans_equivalent_across_parallelism_and_chunk_size() {
         let expected = rows_of(&dc_oracle::execute(&plan, &cat).unwrap());
         let mut window_ops: Option<u64> = None;
         for &chunk_rows in &CHUNK_ROWS {
-            let mut baseline: Option<(ExecStats, Option<DeterministicMetrics>)> = None;
+            let mut baseline: Option<(ExecStats, Option<OperatorMetrics>)> = None;
             for &p in &PARALLELISMS {
                 let options = ExecOptions::with_parallelism(p).with_chunk_rows(chunk_rows);
                 let mut ex = Executor::with_options(&cat, options);

@@ -3,7 +3,7 @@
 //! Three invariants guard the sharded service's correctness argument:
 //!
 //! 1. **Totality** — every row routes to exactly one shard, for any shard
-//!    count and any partitioner; no row is dropped or duplicated.
+//!    count; no row is dropped or duplicated.
 //! 2. **Union** — the union of the shard catalogs is the unsharded
 //!    catalog, as a canonical multiset, with per-shard input order
 //!    preserved (routing is a stable partition).
@@ -13,9 +13,7 @@
 
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::relational::scatter::ShardingSpec;
-use deferred_cleansing::service::{
-    partition_catalog, split_batch, HashPartitioner, Partitioner, RangePartitioner,
-};
+use deferred_cleansing::service::{partition_catalog, split_batch, HashPartitioner};
 use deferred_cleansing::DeferredCleansingSystem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,39 +67,29 @@ fn spec() -> ShardingSpec {
 }
 
 /// Every row routes to exactly one shard and agrees with the partitioner's
-/// own verdict, under both partitioners and a sweep of shard counts.
+/// own verdict, under a sweep of shard counts.
 #[test]
 fn every_row_routes_to_exactly_one_shard() {
     let batch = Batch::from_rows(reads_schema(), &random_rows(0xDC07_1001, 300)).unwrap();
-    let partitioners: Vec<Box<dyn Partitioner>> = vec![
-        Box::new(HashPartitioner),
-        Box::new(RangePartitioner::new(vec![
-            Value::str("e2"),
-            Value::str("e4"),
-            Value::str("e6"),
-        ])),
-    ];
-    for p in &partitioners {
-        for shards in [1usize, 2, 3, 4, 7] {
-            let parts = split_batch(&batch, 0, p.as_ref(), shards).unwrap();
-            assert_eq!(parts.len(), shards);
-            let total: usize = parts.iter().map(Batch::num_rows).sum();
-            assert_eq!(total, batch.num_rows(), "{} x{shards} lost rows", p.name());
-            for (i, part) in parts.iter().enumerate() {
-                let keys = part.column(0);
-                for r in 0..part.num_rows() {
-                    assert_eq!(
-                        p.shard_of(&keys.value(r), shards),
-                        i,
-                        "{} routed a row to shard {i} it does not own",
-                        p.name()
-                    );
-                }
+    let p = HashPartitioner;
+    for shards in [1usize, 2, 3, 4, 7] {
+        let parts = split_batch(&batch, 0, &p, shards).unwrap();
+        assert_eq!(parts.len(), shards);
+        let total: usize = parts.iter().map(Batch::num_rows).sum();
+        assert_eq!(total, batch.num_rows(), "x{shards} lost rows");
+        for (i, part) in parts.iter().enumerate() {
+            let keys = part.column(0);
+            for r in 0..part.num_rows() {
+                assert_eq!(
+                    p.shard_of(&keys.value(r), shards),
+                    i,
+                    "routed a row to shard {i} it does not own"
+                );
             }
-            // Multiset equality with the input: nothing duplicated either.
-            let union: Vec<Vec<Value>> = parts.iter().flat_map(rows_of).collect();
-            assert_eq!(canonical(union), canonical(rows_of(&batch)));
         }
+        // Multiset equality with the input: nothing duplicated either.
+        let union: Vec<Vec<Value>> = parts.iter().flat_map(rows_of).collect();
+        assert_eq!(canonical(union), canonical(rows_of(&batch)));
     }
 }
 

@@ -25,10 +25,8 @@ fn rows_of(b: &Batch) -> Vec<Vec<Value>> {
 /// segment counters everywhere, and the pre-residual fetch counters of
 /// scan nodes (a pruned scan fetches fewer rows; every operator above it
 /// sees exactly the same stream).
-fn normalize_metrics(m: &mut DeterministicMetrics) {
-    m.segments_total = 0;
-    m.segments_pruned = 0;
-    m.segments_scanned = 0;
+fn normalize_metrics(m: &mut OperatorMetrics) {
+    normalize_stats(&mut m.stats);
     if m.name == "ScanExec" {
         m.rows_in = 0;
         m.comparisons = 0;
@@ -117,7 +115,7 @@ fn segmented_scan_equivalent_to_monolithic() {
         let plan_m = plan_sql(&sql, &mono_cat).unwrap();
         let plan_s = plan_sql(&sql, &seg_cat).unwrap();
 
-        let mut reference: Option<(Vec<Vec<Value>>, ExecStats, DeterministicMetrics)> = None;
+        let mut reference: Option<(Vec<Vec<Value>>, ExecStats, OperatorMetrics)> = None;
         for p in PARALLELISMS {
             let opts = ExecOptions::with_parallelism(p);
             let mut ex_m = Executor::with_options(&mono_cat, opts);
@@ -165,10 +163,10 @@ fn cache_invalidation_matches_cold_run() {
     let sql = ds.q1(t1);
 
     let cold = run_variant(&env, 1, &sql, Variant::JoinBack).unwrap();
-    assert!(cold.cache_misses > 0);
+    assert!(cold.stats.seq_cache_misses > 0);
     let warm = run_variant(&env, 1, &sql, Variant::JoinBack).unwrap();
-    assert!(warm.cache_hits > 0);
-    assert_eq!(warm.cache_misses, 0);
+    assert!(warm.stats.seq_cache_hits > 0);
+    assert_eq!(warm.stats.seq_cache_misses, 0);
     assert_eq!(warm.result_rows, cold.result_rows);
 
     // Append one read for an EPC the query cleanses.
@@ -190,10 +188,13 @@ fn cache_invalidation_matches_cold_run() {
 
     let after = run_variant(&env, 1, &sql, Variant::JoinBack).unwrap();
     assert!(
-        after.cache_invalidations >= 1,
+        after.stats.seq_cache_invalidations >= 1,
         "append must evict the stale entry"
     );
-    assert!(after.cache_hits > 0, "untouched sequences still hit");
+    assert!(
+        after.stats.seq_cache_hits > 0,
+        "untouched sequences still hit"
+    );
 
     // A fresh environment over the same appended data agrees byte for byte.
     let fresh = setup_with_parallelism(3, 10.0, 7, 2);

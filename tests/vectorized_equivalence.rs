@@ -345,8 +345,7 @@ fn chunked_execution_parallelism_invariant() {
         let cat = random_catalog(rng);
         let (plan, _) = random_plan(rng);
         for &chunk in &[7usize, DEFAULT_CHUNK_ROWS] {
-            let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> =
-                None;
+            let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<OperatorMetrics>)> = None;
             for &p in &PARALLELISMS {
                 let opts = ExecOptions::with_parallelism(p).with_chunk_rows(chunk);
                 let mut ex = Executor::with_options(&cat, opts);

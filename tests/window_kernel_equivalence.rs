@@ -215,7 +215,7 @@ fn results_and_ops_counter_parallelism_invariant() {
             exprs: random_exprs(rng, units_rows),
             presorted: false,
         };
-        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<DeterministicMetrics>)> = None;
+        let mut baseline: Option<(Vec<Vec<Value>>, ExecStats, Option<OperatorMetrics>)> = None;
         for &p in &PARALLELISMS {
             let mut ex = Executor::with_options(&cat, ExecOptions::with_parallelism(p));
             let b = ex.execute(&plan).unwrap();
