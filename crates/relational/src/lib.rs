@@ -91,10 +91,7 @@ pub mod prelude {
         PhysicalOperator, QueryBudget,
     };
     pub use crate::plan::{ordering_satisfies, window_sort_keys, LogicalPlan};
-    pub use crate::scatter::{
-        gather, sharding_spec_for, split_scatter, GatherOutcome, GatherStep, ScatterPlan,
-        ShardingSpec,
-    };
+    pub use crate::scatter::{gather, sharding_spec_for, split_scatter, ScatterPlan, ShardingSpec};
     pub use crate::schema::{Field, Schema, SchemaRef};
     pub use crate::sort::SortKey;
     pub use crate::table::{Catalog, CatalogRef, Table};

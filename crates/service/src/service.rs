@@ -37,8 +37,14 @@
 //! * **executed on every shard in parallel** under clones of the query's
 //!   budget (shared deadline + cancellation token; the row budget bounds
 //!   each shard's own work),
-//! * **gathered** at the coordinator: sorted-stream k-way merge for
-//!   ORDER BY, additive re-aggregation for partials, a final LIMIT cut.
+//! * **gathered** at the coordinator by [`dc_relational::scatter::gather`]:
+//!   the decomposition's gather plan (a sort that merges the shards'
+//!   ordered outputs, an aggregate over partials, a cross-shard DISTINCT, a
+//!   final LIMIT) runs through the one executor over the concatenated
+//!   partials, under the same budget — the row budget bounds the gather's
+//!   work as it bounds each shard's. The run's metrics tree is a
+//!   `GatherExec` node over the gather plan's operators and the shards'
+//!   trees, and the reply's work counters are that tree's fold.
 //!
 //! Plans touching no partitioned table run on shard 0 alone (every shard
 //! replicates dimension tables), with no thread spawned and nothing

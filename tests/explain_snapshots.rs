@@ -10,6 +10,7 @@
 
 use dc_bench::harness::{setup_with_parallelism, BenchEnv};
 use dc_core::Strategy;
+use deferred_cleansing::service::{QueryRequest, QueryService, ServiceConfig, ShardConfig};
 use std::path::{Path, PathBuf};
 
 const STRATEGIES: [Strategy; 4] = [
@@ -146,4 +147,37 @@ fn q1_explain_analyze_snapshot() {
         json.push('\n');
     }
     assert_snapshot("explain_analyze_q1.json", &json);
+}
+
+/// The same q1 run through a 2-shard service: its metrics tree is a
+/// `GatherExec` root over the gather plan (the AVG re-aggregation of the
+/// shard partials) and the two shards' combined tree, and the reply's
+/// counters are that tree's fold.
+#[test]
+fn sharded_q1_explain_analyze_snapshot() {
+    let env = env();
+    let sql = env.dataset.q1(env.dataset.rtime_quantile(0.10));
+    let svc = QueryService::start_sharded(
+        env.system,
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+        ShardConfig::new(2, "epc"),
+    )
+    .unwrap();
+    let req = || QueryRequest::new("rules-3", sql.as_str());
+    let text = svc.explain_analyze(&req()).unwrap();
+    assert!(
+        text.contains("\nGatherExec: 2 shards rows_merged="),
+        "{text}"
+    );
+    let resp = svc.execute(req()).unwrap();
+    let metrics = resp.report.metrics.expect("a scatter run has a tree");
+    assert_eq!(resp.report.stats, metrics.total_stats());
+    let mut json = metrics.to_json(false).pretty();
+    if !json.ends_with('\n') {
+        json.push('\n');
+    }
+    assert_snapshot("explain_analyze_sharded_q1.json", &json);
 }
