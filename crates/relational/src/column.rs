@@ -117,11 +117,6 @@ impl Bitmap {
         }
         total
     }
-
-    /// True if every bit is set.
-    pub fn all_set(&self) -> bool {
-        self.count_set() == self.len
-    }
 }
 
 /// The typed payload of a column.
@@ -694,7 +689,6 @@ mod tests {
     fn bitmap_basics() {
         let mut b = Bitmap::new(130, true);
         assert_eq!(b.count_set(), 130);
-        assert!(b.all_set());
         b.set(129, false);
         assert!(!b.get(129));
         assert_eq!(b.count_set(), 129);

@@ -58,15 +58,6 @@ pub struct HashStats {
     pub key_bytes_encoded: u64,
 }
 
-impl HashStats {
-    pub fn merge(&mut self, other: &HashStats) {
-        self.hash_ops += other.hash_ops;
-        self.hash_collisions += other.hash_collisions;
-        self.probe_memcmps += other.probe_memcmps;
-        self.key_bytes_encoded += other.key_bytes_encoded;
-    }
-}
-
 /// How NULL key parts behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NullKeys {

@@ -233,25 +233,6 @@ fn merge_two(
     out
 }
 
-/// Check whether a batch is already sorted under `keys` (used by tests and
-/// by the optimizer's order-property verification in debug builds).
-pub fn is_sorted(batch: &Batch, keys: &[SortKey]) -> Result<bool> {
-    let key_cols: Vec<(Column, bool, bool)> = keys
-        .iter()
-        .map(|k| {
-            k.expr
-                .evaluate(batch)
-                .map(|c| (c, k.ascending, k.nulls_first))
-        })
-        .collect::<Result<_>>()?;
-    for i in 1..batch.num_rows() {
-        if cmp_rows(&key_cols, i - 1, i) == Ordering::Greater {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,16 +423,5 @@ mod tests {
         let (out, effort) = sort_batch_runs(&empty, &keys, None).unwrap();
         assert_eq!(out.num_rows(), 0);
         assert!(effort.elided);
-    }
-
-    #[test]
-    fn is_sorted_checks() {
-        let keys = [
-            SortKey::asc(Expr::col("epc")),
-            SortKey::asc(Expr::col("rtime")),
-        ];
-        assert!(!is_sorted(&batch(), &keys).unwrap());
-        let sorted = sort_batch(&batch(), &keys).unwrap();
-        assert!(is_sorted(&sorted, &keys).unwrap());
     }
 }

@@ -30,14 +30,6 @@ pub fn run_sql(sql: &str, catalog: &Catalog) -> Result<Batch> {
     Executor::new(catalog).execute(&plan)
 }
 
-/// Like [`run_sql`], also returning the executor's work counters.
-pub fn run_sql_with_stats(sql: &str, catalog: &Catalog) -> Result<(Batch, crate::exec::ExecStats)> {
-    let plan = plan_sql(sql, catalog)?;
-    let mut ex = Executor::new(catalog);
-    let batch = ex.execute(&plan)?;
-    Ok((batch, ex.stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,13 +52,15 @@ mod tests {
         t.create_index("rtime").unwrap();
         cat.register(t);
 
-        let (out, stats) = run_sql_with_stats(
+        let plan = plan_sql(
             "select epc, count(*) as n from r where rtime < 4 group by epc",
             &cat,
         )
         .unwrap();
+        let mut ex = Executor::new(&cat);
+        let out = ex.execute(&plan).unwrap();
         assert_eq!(out.num_rows(), 2);
         // Pushdown + index: only 4 rows fetched.
-        assert_eq!(stats.rows_scanned, 4);
+        assert_eq!(ex.stats.rows_scanned, 4);
     }
 }

@@ -140,11 +140,6 @@ impl Value {
             },
         }
     }
-
-    /// SQL equality: NULL = anything is unknown (`None`).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
-    }
 }
 
 impl PartialEq for Value {
@@ -227,7 +222,6 @@ mod tests {
     fn sql_cmp_null_is_unknown() {
         assert_eq!(Value::Null.sql_cmp(&Value::Int(1)), None);
         assert_eq!(Value::Int(1).sql_cmp(&Value::Null), None);
-        assert_eq!(Value::Null.sql_eq(&Value::Null), None);
     }
 
     #[test]
