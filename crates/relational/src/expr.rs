@@ -793,7 +793,7 @@ fn eval_binary_vec(
                         BinaryOp::Plus => x.checked_add(y),
                         BinaryOp::Minus => x.checked_sub(y),
                         BinaryOp::Multiply => x.checked_mul(y),
-                        _ => unreachable!(),
+                        _ => unreachable!("integer arithmetic excludes Divide"),
                     };
                     match v {
                         Some(v) => out.push(v),
@@ -833,7 +833,7 @@ fn eval_binary_vec(
                             }
                             x / y
                         }
-                        _ => unreachable!(),
+                        _ => unreachable!("this arm admits only + - * /"),
                     };
                     out.push(v);
                 }
@@ -867,7 +867,7 @@ fn eval_binary_vec(
                         }
                         x / y
                     }
-                    _ => unreachable!(),
+                    _ => unreachable!("this arm admits only + - * /"),
                 };
                 b.push(&Value::Double(v))?;
             }

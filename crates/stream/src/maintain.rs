@@ -537,7 +537,9 @@ impl StandingState {
             finals,
         } = &mut self.mode
         else {
-            unreachable!();
+            return Err(Error::Internal(
+                "seed_aggregate on a non-aggregate state".into(),
+            ));
         };
         groups.clear();
         finals.clear();
