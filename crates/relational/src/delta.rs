@@ -203,25 +203,45 @@ pub fn multiset_diff(
     (deleted, inserted)
 }
 
-/// Remove each row of `deleted` from `current` (first occurrence under byte
-/// identity). A row absent from `current` is a maintenance-state divergence
-/// and fails loudly rather than silently drifting.
-pub fn remove_rows(current: &mut Vec<Vec<Value>>, deleted: &[Vec<Value>]) -> Result<()> {
-    for row in deleted {
-        match current
-            .iter()
-            .position(|r| cmp_rows(r, row) == Ordering::Equal)
-        {
-            Some(pos) => {
-                current.remove(pos);
-            }
-            None => {
-                return Err(Error::Internal(format!(
-                    "maintenance delta deletes a row not present in the standing result: {row:?}"
-                )))
+/// Remove each row of `deleted` from `current` (first occurrences under
+/// byte identity, with multiplicity). A row absent from `current` is a
+/// maintenance-state divergence and fails loudly rather than silently
+/// drifting — before anything is removed, so `current` is either fully
+/// updated or untouched. One pass over `current` against the sorted
+/// deletes: O((|current| + |deleted|) · log |deleted|).
+pub fn remove_rows<'a>(
+    current: &mut Vec<Vec<Value>>,
+    deleted: impl IntoIterator<Item = &'a Vec<Value>>,
+) -> Result<()> {
+    let mut sorted: Vec<&[Value]> = deleted.into_iter().map(Vec::as_slice).collect();
+    if sorted.is_empty() {
+        return Ok(());
+    }
+    sorted.sort_by(|a, b| cmp_rows(a, b));
+    // Distinct deleted rows in order, each with the copies still to remove.
+    let mut pending: Vec<(&[Value], usize)> = Vec::new();
+    for row in sorted {
+        match pending.last_mut() {
+            Some((r, n)) if cmp_rows(r, row) == Ordering::Equal => *n += 1,
+            _ => pending.push((row, 1)),
+        }
+    }
+    let mut doomed = vec![false; current.len()];
+    for (slot, row) in doomed.iter_mut().zip(current.iter()) {
+        if let Ok(k) = pending.binary_search_by(|(r, _)| cmp_rows(r, row)) {
+            if pending[k].1 > 0 {
+                pending[k].1 -= 1;
+                *slot = true;
             }
         }
     }
+    if let Some((row, _)) = pending.iter().find(|(_, n)| *n > 0) {
+        return Err(Error::Internal(format!(
+            "maintenance delta deletes a row not present in the standing result: {row:?}"
+        )));
+    }
+    let mut doomed = doomed.into_iter();
+    current.retain(|_| !doomed.next().unwrap_or(false));
     Ok(())
 }
 
@@ -301,6 +321,28 @@ mod tests {
         remove_rows(&mut cur, &[iv(&[2])]).unwrap();
         assert_eq!(cur, vec![iv(&[1]), iv(&[2])]);
         assert!(remove_rows(&mut cur, &[iv(&[9])]).is_err());
+    }
+
+    #[test]
+    fn remove_rows_removes_duplicates_once_each() {
+        let mut cur = vec![iv(&[2]), iv(&[1]), iv(&[2]), iv(&[3]), iv(&[2])];
+        remove_rows(&mut cur, &[iv(&[2]), iv(&[3]), iv(&[2])]).unwrap();
+        // Two of the three 2s go (the first two), the one 3 goes, order kept.
+        assert_eq!(cur, vec![iv(&[1]), iv(&[2])]);
+    }
+
+    #[test]
+    fn remove_rows_leaves_input_untouched_on_a_missing_row() {
+        let orig = vec![iv(&[1]), iv(&[2]), iv(&[3])];
+        // Every row but the last is present; one more copy of 2 than held.
+        for deleted in [
+            vec![iv(&[1]), iv(&[2]), iv(&[9])],
+            vec![iv(&[2]), iv(&[3]), iv(&[2])],
+        ] {
+            let mut cur = orig.clone();
+            assert!(remove_rows(&mut cur, &deleted).is_err());
+            assert_eq!(cur, orig);
+        }
     }
 
     #[test]

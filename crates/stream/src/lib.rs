@@ -180,12 +180,15 @@ impl ChangeSet {
 
     /// Fold this delta into a materialized result multiset: remove
     /// `deleted` and the old side of `updated`, add `inserted` and the new
-    /// side. Errors if a removed row is absent — the feed and the
-    /// materialization have diverged.
+    /// side. Errors, leaving `rows` untouched, if a removed row is absent
+    /// — the feed and the materialization have diverged.
     pub fn apply(&self, rows: &mut Vec<Vec<Value>>) -> Result<()> {
-        remove_rows(rows, &self.deleted)?;
-        let old: Vec<Vec<Value>> = self.updated.iter().map(|(o, _)| o.clone()).collect();
-        remove_rows(rows, &old)?;
+        remove_rows(
+            rows,
+            self.deleted
+                .iter()
+                .chain(self.updated.iter().map(|(o, _)| o)),
+        )?;
         rows.extend(self.inserted.iter().cloned());
         rows.extend(self.updated.iter().map(|(_, n)| n.clone()));
         Ok(())
