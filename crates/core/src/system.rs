@@ -328,37 +328,6 @@ impl DeferredCleansingSystem {
     ) -> Result<(Batch, QueryReport)> {
         let start = Instant::now();
         let rewritten = self.rewrite_snapshot(catalog, application, sql, strategy)?;
-        self.run_to_report(catalog, rewritten, strategy, budget, start)
-    }
-
-    /// [`Self::query_snapshot`] starting from an already-built user plan
-    /// instead of SQL. The standing-query maintainer uses this to run
-    /// *scoped* variants of a subscription's plan — the original plan with
-    /// each reads-table scan restricted to the cluster keys an append
-    /// touched — without round-tripping through the parser.
-    pub fn query_plan_snapshot(
-        &self,
-        catalog: &Catalog,
-        application: &str,
-        user_plan: &LogicalPlan,
-        strategy: Strategy,
-        budget: QueryBudget,
-    ) -> Result<(Batch, QueryReport)> {
-        let start = Instant::now();
-        let rewritten = self.rewrite_plan_snapshot(catalog, application, user_plan, strategy)?;
-        self.run_to_report(catalog, rewritten, strategy, budget, start)
-    }
-
-    /// The second half of every query: execute `rewritten` and fold the
-    /// rewrite and the run into one report.
-    fn run_to_report(
-        &self,
-        catalog: &Catalog,
-        rewritten: Rewritten,
-        strategy: Strategy,
-        budget: QueryBudget,
-        start: Instant,
-    ) -> Result<(Batch, QueryReport)> {
         let run = self.execute_rewritten_snapshot(catalog, &rewritten, budget)?;
         Ok(QueryReport::from_run(
             &format!("{strategy:?}"),
@@ -387,7 +356,9 @@ impl DeferredCleansingSystem {
     }
 
     /// [`Self::rewrite_snapshot`] for a caller that already holds the
-    /// planned user query.
+    /// planned user query — the standing-query maintainer, whose *scoped*
+    /// plans (each reads-table scan restricted to the cluster keys an
+    /// append touched) never round-trip through the parser.
     pub fn rewrite_plan_snapshot(
         &self,
         catalog: &Catalog,

@@ -15,13 +15,14 @@
 use super::{epochs_of, QueryService, Shared};
 use crate::snapshot::{EpochVector, Snapshot};
 use crate::ServiceError;
-use dc_core::{QueryBudget, Strategy};
+use dc_core::{QueryBudget, Rewritten, Strategy};
 use dc_relational::batch::Batch;
 use dc_relational::delta;
 use dc_relational::error::{Error, Result};
 use dc_relational::exec::ExecStats;
 use dc_relational::plan::LogicalPlan;
 use dc_relational::sql::{parse_query, plan_query};
+use dc_relational::table::Catalog;
 use dc_relational::value::Value;
 use dc_stream::maintain::MaintenanceRunner;
 use dc_stream::{
@@ -179,8 +180,15 @@ struct SubMaint {
 }
 
 /// [`MaintenanceRunner`] over service snapshots: scoped plans run per shard
-/// through the full cleansing rewrite (`query_plan_snapshot`), the fallback
-/// recompute goes through the service's own scatter-gather path.
+/// through the full cleansing rewrite, the fallback recompute goes through
+/// the service's own scatter-gather path.
+///
+/// A runner lives for one maintenance step, and a step runs one plan on
+/// every touched shard's prev and new snapshot. Like the query path, it
+/// rewrites that plan once — against the new snapshot of the first shard
+/// that runs it, the lowest touched one — and executes the same rewrite
+/// everywhere (shard catalogs share one schema, so a plan rewritten against
+/// any of them is valid on all).
 struct SnapshotRunner<'a> {
     shared: &'a Shared,
     application: &'a str,
@@ -188,6 +196,28 @@ struct SnapshotRunner<'a> {
     strategy: Strategy,
     prev: &'a [Arc<Snapshot>],
     new: &'a [Arc<Snapshot>],
+    rewritten: RewriteMemo,
+}
+
+/// The last plan a runner rewrote and its rewrite: one entry is enough,
+/// because every run of a step executes the same plan.
+#[derive(Default)]
+struct RewriteMemo(Option<(LogicalPlan, Rewritten)>);
+
+impl RewriteMemo {
+    /// The rewrite of `plan`, calling `rewrite` only when the entry holds
+    /// some other plan (or none).
+    fn get_or_rewrite(
+        &mut self,
+        plan: &LogicalPlan,
+        rewrite: impl FnOnce() -> Result<Rewritten>,
+    ) -> Result<&Rewritten> {
+        let entry = match self.0.take() {
+            Some(entry) if entry.0 == *plan => entry,
+            _ => (plan.clone(), rewrite()?),
+        };
+        Ok(&self.0.insert(entry).1)
+    }
 }
 
 fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
@@ -196,19 +226,19 @@ fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
 
 impl SnapshotRunner<'_> {
     fn run_on(
-        &self,
+        &mut self,
         shard: usize,
-        snap: &Snapshot,
+        catalog: &Catalog,
         plan: &LogicalPlan,
     ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-        let (batch, report) = self.shared.shards[shard].system.query_plan_snapshot(
-            &snap.catalog,
-            self.application,
-            plan,
-            self.strategy,
-            QueryBudget::unlimited(),
-        )?;
-        Ok((rows_of(&batch), report.stats))
+        let system = &self.shared.shards[shard].system;
+        let (new, application, strategy) = (self.new, self.application, self.strategy);
+        let rewritten = self.rewritten.get_or_rewrite(plan, || {
+            system.rewrite_plan_snapshot(&new[shard].catalog, application, plan, strategy)
+        })?;
+        let run =
+            system.execute_rewritten_snapshot(catalog, rewritten, QueryBudget::unlimited())?;
+        Ok((rows_of(&run.batch), run.stats))
     }
 }
 
@@ -222,7 +252,8 @@ impl MaintenanceRunner for SnapshotRunner<'_> {
         shard: usize,
         plan: &LogicalPlan,
     ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-        self.run_on(shard, &self.prev[shard], plan)
+        let prev = self.prev;
+        self.run_on(shard, &prev[shard].catalog, plan)
     }
 
     fn run_new(
@@ -230,7 +261,8 @@ impl MaintenanceRunner for SnapshotRunner<'_> {
         shard: usize,
         plan: &LogicalPlan,
     ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
-        self.run_on(shard, &self.new[shard], plan)
+        let new = self.new;
+        self.run_on(shard, &new[shard].catalog, plan)
     }
 
     fn run_full(&mut self) -> Result<(Vec<Vec<Value>>, ExecStats)> {
@@ -312,6 +344,7 @@ fn seed(
         strategy,
         prev: &snaps,
         new: &snaps,
+        rewritten: RewriteMemo::default(),
     };
     let state = StandingState::new(
         user_plan,
@@ -459,6 +492,7 @@ impl QueryService {
                 strategy: sub.strategy,
                 prev: &m.prev,
                 new: &new_snaps,
+                rewritten: RewriteMemo::default(),
             };
             let step = m.state.maintain(
                 &mut runner,
@@ -642,6 +676,36 @@ mod tests {
         let cs = sub.try_next().unwrap().expect("feed resumed");
         assert_eq!(cs.epochs, EpochVector(vec![4]));
         assert_eq!(cs.inserted, vec![vec![Value::str("e9"), Value::Int(2800)]]);
+    }
+
+    #[test]
+    fn rewrite_memo_rewrites_each_plan_once() {
+        use super::RewriteMemo;
+        use dc_core::Rewritten;
+        use dc_relational::plan::LogicalPlan;
+        let rewrite = |plan: &LogicalPlan| Rewritten {
+            plan: plan.clone(),
+            chosen: "identity".into(),
+            candidates: vec![],
+            expanded_condition: None,
+            context_condition: None,
+            notes: vec![],
+            cache_spec: None,
+        };
+        let (a, b) = (LogicalPlan::scan("caser"), LogicalPlan::scan("locs"));
+        let mut memo = RewriteMemo::default();
+        let mut calls = 0;
+        // One step's runs on two shards × {prev, new}, then a second plan.
+        for plan in [&a, &a, &a, &a, &b, &b] {
+            let got = memo
+                .get_or_rewrite(plan, || {
+                    calls += 1;
+                    Ok(rewrite(plan))
+                })
+                .unwrap();
+            assert_eq!(got.plan, *plan);
+        }
+        assert_eq!(calls, 2);
     }
 
     #[test]
