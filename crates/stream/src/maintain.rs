@@ -291,13 +291,13 @@ impl StandingState {
             fallback: false,
             exec: ExecStats::default(),
         };
-        let before = self.current.clone();
         let incremental = if !reads_touched || matches!(self.mode, ModeState::Fallback) {
             None
         } else {
             // On divergence / overflow the partial step is discarded and
-            // recomputed. The fallback diff below is taken against the
-            // subscriber's view (`before`), so the feed stays exact.
+            // recomputed. Every incremental arm writes `self.current` only
+            // after its last fallible step, so here it still holds the
+            // subscriber's view and the fallback diff below stays exact.
             self.maintain_incremental(runner, keys, shards, &mut stats)
                 .ok()
         };
@@ -306,7 +306,11 @@ impl StandingState {
             None => {
                 stats.fallback = true;
                 stats.exec.maintenance_fallbacks += 1;
-                self.reseed(runner, &mut stats)?;
+                let before = std::mem::take(&mut self.current);
+                if let Err(e) = self.reseed(runner, &mut stats) {
+                    self.current = before;
+                    return Err(e);
+                }
                 let (deleted, inserted) = multiset_diff(&before, &self.current, &mut stats.exec);
                 (inserted, deleted, Vec::new())
             }
@@ -864,6 +868,77 @@ mod tests {
                 vec![Value::str("e1"), Value::Int(25)],
             ]
         );
+    }
+
+    /// A [`CatRunner`] whose previous-snapshot runs also return a row the
+    /// standing result never held: the scoped diff deletes it, so the
+    /// incremental step fails after computing its diff.
+    struct PhantomPrevRunner(CatRunner);
+
+    impl MaintenanceRunner for PhantomPrevRunner {
+        fn shard_count(&self) -> usize {
+            1
+        }
+        fn run_prev(
+            &mut self,
+            shard: usize,
+            plan: &LogicalPlan,
+        ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
+            let (mut rows, st) = self.0.run_prev(shard, plan)?;
+            rows.push(vec![Value::str("e1"), Value::Int(99)]);
+            Ok((rows, st))
+        }
+        fn run_new(
+            &mut self,
+            shard: usize,
+            plan: &LogicalPlan,
+        ) -> Result<(Vec<Vec<Value>>, ExecStats)> {
+            self.0.run_new(shard, plan)
+        }
+        fn run_full(&mut self) -> Result<(Vec<Vec<Value>>, ExecStats)> {
+            self.0.run_full()
+        }
+    }
+
+    #[test]
+    fn failed_incremental_step_falls_back_exactly() {
+        // The new side loses (e1, 7) as well: the diff deletes a real row
+        // that sorts before the phantom, so a removal that were not
+        // failure-atomic would already have dropped it from `current`.
+        let prev = catalog(&[("e1", 1), ("e2", 2), ("e1", 7)]);
+        let new = catalog(&[("e1", 1), ("e2", 2), ("e1", 9)]);
+        let plan = plan_sql("SELECT epc, rtime FROM r", &prev).unwrap();
+        let classified = classify(&plan, &prev, "r", "epc");
+        assert!(matches!(classified, Classified::Scoped));
+        let (initial, _) = run(&prev, &plan).unwrap();
+        let mut runner = PhantomPrevRunner(CatRunner {
+            prev,
+            new,
+            full_plan: plan.clone(),
+        });
+        let mut state =
+            StandingState::new(plan, "r", "epc", classified, initial.clone(), &mut runner).unwrap();
+        let cs = state
+            .maintain(
+                &mut runner,
+                EpochVector(vec![1]),
+                &[Value::str("e1")],
+                &[0],
+                true,
+            )
+            .unwrap();
+        assert!(cs.stats.fallback, "the phantom delete must fail the step");
+        assert_eq!(cs.stats.exec.maintenance_fallbacks, 1);
+        // The feed is exact against the subscriber's view, not the
+        // phantom-polluted diff.
+        assert_eq!(cs.inserted, vec![vec![Value::str("e1"), Value::Int(9)]]);
+        assert_eq!(cs.deleted, vec![vec![Value::str("e1"), Value::Int(7)]]);
+        assert!(cs.updated.is_empty());
+        let (cold, _) = run(&runner.0.new, &runner.0.full_plan.clone()).unwrap();
+        let mut folded = initial;
+        cs.apply(&mut folded).unwrap();
+        assert_eq!(sorted(folded), sorted(cold.clone()));
+        assert_eq!(sorted(state.current().to_vec()), sorted(cold));
     }
 
     #[test]
