@@ -389,7 +389,9 @@ fn check_recovered(svc: &QueryService, e: u64, ticks: u64, shards: Option<usize>
         "tick {ticks}: cleansed answer diverged after recovery"
     );
 
-    // Time travel across the whole recovered history.
+    // Time travel across the whole recovered history — from the segments
+    // recovery already decoded: no file is decoded twice.
+    let loaded = svc.durable_stats().unwrap().segments_loaded_lazy;
     for past in 0..=e {
         let resp = svc
             .query_as_of(&QueryRequest::new("norules", SCAN), past)
@@ -400,6 +402,11 @@ fn check_recovered(svc: &QueryService, e: u64, ticks: u64, shards: Option<usize>
             "tick {ticks}: AS OF epoch {past} diverged from the oracle prefix"
         );
     }
+    assert_eq!(
+        svc.durable_stats().unwrap().segments_loaded_lazy,
+        loaded,
+        "tick {ticks}: an AS OF query after recovery decoded a segment file again"
+    );
     // One past the durable epoch must be a typed refusal, not data.
     let beyond = svc.query_as_of(&QueryRequest::new("norules", SCAN), e + 1);
     assert!(
