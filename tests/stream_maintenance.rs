@@ -15,7 +15,10 @@
 //! [`QueryService::resync`]; unsubscribing mid-schedule must stop the feed
 //! with [`StreamError::Closed`] while other subscriptions keep streaming.
 
+use deferred_cleansing::core::Strategy;
+use deferred_cleansing::relational::delta::scope_plan;
 use deferred_cleansing::relational::prelude::*;
+use deferred_cleansing::relational::sql::plan_sql;
 use deferred_cleansing::service::{
     ChangeSet, EpochVector, QueryRequest, QueryService, ServiceConfig, ShardConfig, StreamError,
     SubscribeOptions, SubscriptionHandle,
@@ -119,10 +122,14 @@ enum Topology {
 
 fn start_service(topology: Topology, rng: &mut StdRng) -> Arc<QueryService> {
     let catalog = Arc::new(Catalog::new());
-    catalog.register(Table::new(
+    // Indexed on the cluster key, as a deployed reads table is: scoped
+    // maintenance fetches the touched keys' rows through it.
+    let mut caser = Table::new(
         "caser",
         Batch::from_rows(reads_schema(), &seed_rows(rng, 60)).unwrap(),
-    ));
+    );
+    caser.create_index("epc").unwrap();
+    catalog.register(caser);
     catalog.register(Table::new(
         "dim",
         Batch::from_rows(
@@ -162,6 +169,20 @@ fn take_one(handle: &SubscriptionHandle, ctx: &str) -> ChangeSet {
         "{ctx}: more than one change set for a single publish"
     );
     cs
+}
+
+/// Raw (uncleansed) rows of `caser` whose `epc` is one of `keys`, by a
+/// cold query of the rule-free application.
+fn key_rows(svc: &QueryService, keys: &[Value]) -> u64 {
+    let list: Vec<String> = keys.iter().map(Value::to_string).collect();
+    let sql = format!(
+        "select count(*) as n from caser where epc in ({})",
+        list.join(", ")
+    );
+    match cold(svc, "norules", &sql)[0][0] {
+        Value::Int(n) => n as u64,
+        ref other => panic!("count(*) returned {other}"),
+    }
 }
 
 /// The battery: subscribe the whole pool, run a seeded append schedule
@@ -218,9 +239,15 @@ fn run_battery(topology: Topology, seed: u64, appends: usize) {
         }
 
         let n = rng.gen_range(1usize..6);
-        let batch = Batch::from_rows(reads_schema(), &seed_rows(&mut rng, n)).unwrap();
+        let rows = seed_rows(&mut rng, n);
+        let mut keys: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
+        keys.sort_by(Value::total_cmp);
+        keys.dedup();
+        let prev_key_rows = key_rows(&svc, &keys);
+        let batch = Batch::from_rows(reads_schema(), &rows).unwrap();
         let outcome = svc.append("caser", batch).unwrap();
         reads_appends += 1;
+        let key_rows_both = prev_key_rows + key_rows(&svc, &keys);
 
         for (i, h) in handles.iter().enumerate() {
             let (app, sql, _) = SUBS[i];
@@ -236,6 +263,19 @@ fn run_battery(topology: Topology, seed: u64, appends: usize) {
                 )),
                 "{ctx}: bad observability line: {comment}"
             );
+            if matches!(h.mode(), "scoped" | "aggregate") {
+                // Scoped runs fetch the touched sequences through the epc
+                // index: each scan of `caser` reads at most the touched
+                // keys' rows of the prev and new snapshots. An expanded
+                // rewrite scans `caser` once, a join-back twice (its
+                // semi-join input and its outer arm).
+                let scoped_rows = cs.stats.exec.maintenance_scoped_rows;
+                assert!(
+                    scoped_rows <= 2 * key_rows_both,
+                    "{ctx}: scoped runs read {scoped_rows} rows, the touched keys hold \
+                     {key_rows_both} in the prev and new snapshots together"
+                );
+            }
             cs.apply(&mut folds[i])
                 .unwrap_or_else(|e| panic!("{ctx}: fold diverged: {e}"));
             assert_eq!(
@@ -267,6 +307,51 @@ fn fold_matches_cold_sharded_1() {
 #[test]
 fn fold_matches_cold_sharded_4() {
     run_battery(Topology::Sharded(4), 0xDC08_0004, 14);
+}
+
+/// EXPLAIN of a scoped maintenance plan: the join-back's outer scan — the
+/// disjunction `(s ∧ epc IN K) ∨ (cc ∧ epc IN K)` — carries an `epc` index
+/// candidate, so it fetches the touched sequences instead of the table.
+#[test]
+fn scoped_join_back_outer_scan_has_an_epc_candidate() {
+    let mut rng = StdRng::seed_from_u64(0xDC08_E791);
+    let catalog = Arc::new(Catalog::new());
+    let mut caser = Table::new(
+        "caser",
+        Batch::from_rows(reads_schema(), &seed_rows(&mut rng, 60)).unwrap(),
+    );
+    caser.create_index("epc").unwrap();
+    catalog.register(caser);
+    let sys = DeferredCleansingSystem::with_catalog(Arc::clone(&catalog));
+    sys.define_rule("app", DUP).unwrap();
+    let user = plan_sql(
+        "select epc, rtime, biz_loc from caser where rtime >= 900",
+        &catalog,
+    )
+    .unwrap();
+    let scoped = scope_plan(&user, "caser", "epc", &[Value::str("e1"), Value::str("e2")]);
+    let strategy = Strategy::JoinBack;
+    let rewritten = sys
+        .rewrite_plan_snapshot(&catalog, "app", &scoped, strategy)
+        .unwrap();
+    let text = sys
+        .explain_rewritten(&catalog, strategy, rewritten, None)
+        .unwrap()
+        .physical_text;
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let semi = lines
+        .iter()
+        .position(|l| l.starts_with("SemiJoinExec"))
+        .unwrap_or_else(|| panic!("no semi-join in the join-back plan:\n{text}"));
+    let outer = lines[semi + 1];
+    assert!(
+        outer.starts_with("ScanExec: caser") && outer.contains(" OR "),
+        "the semi-join's first input is the outer disjunction scan:\n{text}"
+    );
+    assert!(
+        outer.contains("index_candidates=[epc"),
+        "the outer scan has no epc candidate:\n{text}"
+    );
 }
 
 /// Queue overflow: the in-order prefix is delivered, the gap surfaces as
