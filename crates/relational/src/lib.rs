@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::hash::{encode_keys, EncodedKeys, HashStats, NullKeys, RawKeyTable};
     pub use crate::join::JoinType;
     pub use crate::optimizer::{optimize, optimize_default, OptimizerConfig};
-    pub use crate::persist::{decode_segment_file, encode_segment_file};
+    pub use crate::persist::{decode_segment_file, encode_segment_file, StrPool};
     pub use crate::physical::{
         display_physical, lower, ExecContext, ExecOptions, MetricsCollector, OperatorMetrics,
         PhysicalOperator, QueryBudget,

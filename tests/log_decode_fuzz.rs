@@ -237,20 +237,20 @@ fn segment_file_rejects_every_bit_flip_and_truncation() {
         .min()
         .expect("corpus wrote at least one segment file");
     let orig = read_file(&seg_path);
-    decode_segment_file(&orig).unwrap();
+    decode_segment_file(&orig, &mut StrPool::default()).unwrap();
     for i in 0..orig.len() {
         for bit in 0..8 {
             let mut bytes = orig.clone();
             bytes[i] ^= 1 << bit;
             assert!(
-                decode_segment_file(&bytes).is_err(),
+                decode_segment_file(&bytes, &mut StrPool::default()).is_err(),
                 "flip {i}.{bit}: corrupt segment file decoded successfully"
             );
         }
     }
     for cut in 0..orig.len() {
         assert!(
-            decode_segment_file(&orig[..cut]).is_err(),
+            decode_segment_file(&orig[..cut], &mut StrPool::default()).is_err(),
             "truncation to {cut} bytes decoded successfully"
         );
     }
@@ -275,7 +275,7 @@ fn random_bytes_never_panic_any_decoder() {
             let _ = decode_record(payload);
         }
         let _ = decode_record(&bytes);
-        let _ = decode_segment_file(&bytes);
+        let _ = decode_segment_file(&bytes, &mut StrPool::default());
     }
 }
 
