@@ -94,75 +94,7 @@ pub fn scope_plan(plan: &LogicalPlan, table: &str, column: &str, keys: &[Value])
         }
         other => other.clone(),
     };
-    map_inputs(rebuilt, &|input| scope_plan(&input, table, column, keys))
-}
-
-/// Rebuild a node with each direct input replaced by `f(input)`.
-fn map_inputs(plan: LogicalPlan, f: &dyn Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { .. } => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Window {
-            input,
-            partition_by,
-            order_by,
-            exprs,
-            presorted,
-        } => LogicalPlan::Window {
-            input: Box::new(f(*input)),
-            partition_by,
-            order_by,
-            exprs,
-            presorted,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            left_keys,
-            right_keys,
-            join_type,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Union { inputs } => LogicalPlan::Union {
-            inputs: inputs.into_iter().map(f).collect(),
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            fetch,
-        },
-        LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-            input: Box::new(f(*input)),
-            alias,
-        },
-    }
+    rebuilt.map_inputs(|input| scope_plan(&input, table, column, keys))
 }
 
 /// Multiset difference both ways: `(old − new, new − old)` — the rows a

@@ -52,73 +52,6 @@ pub fn optimize_default(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     optimize(plan, catalog, &OptimizerConfig::default())
 }
 
-fn map_inputs(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { .. } => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Window {
-            input,
-            partition_by,
-            order_by,
-            exprs,
-            presorted,
-        } => LogicalPlan::Window {
-            input: Box::new(f(*input)),
-            partition_by,
-            order_by,
-            exprs,
-            presorted,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            left_keys,
-            right_keys,
-            join_type,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Union { inputs } => LogicalPlan::Union {
-            inputs: inputs.into_iter().map(f).collect(),
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            fetch,
-        },
-        LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-            input: Box::new(f(*input)),
-            alias,
-        },
-    }
-}
-
 /// Does `expr` only reference columns resolvable in `schema`?
 fn refs_within(expr: &Expr, schema: &Schema) -> bool {
     let mut cols = Vec::new();
@@ -130,7 +63,7 @@ fn refs_within(expr: &Expr, schema: &Schema) -> bool {
 /// Push filter predicates down toward scans.
 fn pushdown(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
     // Recurse first so children are already in pushed form.
-    let plan = map_inputs(plan, &mut |p| pushdown(p, catalog));
+    let plan = plan.map_inputs(|p| pushdown(p, catalog));
     match plan {
         LogicalPlan::Filter { input, predicate } => push_filter(*input, predicate, catalog),
         other => other,
@@ -330,7 +263,7 @@ fn ordering_satisfies_resolved(
 
 /// Remove redundant sorts; mark windows whose required order is available.
 fn share_orders(plan: LogicalPlan, catalog: &Catalog) -> LogicalPlan {
-    let plan = map_inputs(plan, &mut |p| share_orders(p, catalog));
+    let plan = plan.map_inputs(|p| share_orders(p, catalog));
     match plan {
         LogicalPlan::Sort { input, keys } => {
             let schema = input.schema(catalog).ok();

@@ -339,6 +339,74 @@ impl LogicalPlan {
         }
     }
 
+    /// Rebuild this node with each direct input replaced by `f(input)`.
+    pub fn map_inputs(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        match self {
+            LogicalPlan::Scan { .. } => self,
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: Box::new(f(*input)),
+                predicate,
+            },
+            LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
+                input: Box::new(f(*input)),
+                exprs,
+            },
+            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+                input: Box::new(f(*input)),
+                keys,
+            },
+            LogicalPlan::Window {
+                input,
+                partition_by,
+                order_by,
+                exprs,
+                presorted,
+            } => LogicalPlan::Window {
+                input: Box::new(f(*input)),
+                partition_by,
+                order_by,
+                exprs,
+                presorted,
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                join_type,
+            } => LogicalPlan::Join {
+                left: Box::new(f(*left)),
+                right: Box::new(f(*right)),
+                left_keys,
+                right_keys,
+                join_type,
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => LogicalPlan::Aggregate {
+                input: Box::new(f(*input)),
+                group_by,
+                aggs,
+            },
+            LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
+                input: Box::new(f(*input)),
+            },
+            LogicalPlan::Union { inputs } => LogicalPlan::Union {
+                inputs: inputs.into_iter().map(f).collect(),
+            },
+            LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
+                input: Box::new(f(*input)),
+                fetch,
+            },
+            LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
+                input: Box::new(f(*input)),
+                alias,
+            },
+        }
+    }
+
     /// One-line description of this node (no children).
     pub fn node_label(&self) -> String {
         match self {

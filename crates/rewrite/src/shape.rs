@@ -89,74 +89,7 @@ fn replace_hole(plan: LogicalPlan, replacement: &LogicalPlan) -> LogicalPlan {
         }
     }
     // Rebuild with children replaced.
-    map_children(plan, &mut |c| replace_hole(c, replacement))
-}
-
-fn map_children(plan: LogicalPlan, f: &mut impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Scan { .. } => plan,
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            predicate,
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Window {
-            input,
-            partition_by,
-            order_by,
-            exprs,
-            presorted,
-        } => LogicalPlan::Window {
-            input: Box::new(f(*input)),
-            partition_by,
-            order_by,
-            exprs,
-            presorted,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            left_keys,
-            right_keys,
-            join_type,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group_by,
-            aggs,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        LogicalPlan::Union { inputs } => LogicalPlan::Union {
-            inputs: inputs.into_iter().map(f).collect(),
-        },
-        LogicalPlan::Limit { input, fetch } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            fetch,
-        },
-        LogicalPlan::SubqueryAlias { input, alias } => LogicalPlan::SubqueryAlias {
-            input: Box::new(f(*input)),
-            alias,
-        },
-    }
+    plan.map_inputs(|c| replace_hole(c, replacement))
 }
 
 /// Does this subtree contain a scan of `table`?
@@ -266,9 +199,9 @@ fn map_children_fallible(
     plan: LogicalPlan,
     f: &mut impl FnMut(LogicalPlan) -> Result<LogicalPlan>,
 ) -> Result<LogicalPlan> {
-    // Reuse map_children but propagate errors via a captured slot.
+    // Reuse map_inputs but propagate errors via a captured slot.
     let mut err: Option<Error> = None;
-    let rebuilt = map_children(plan, &mut |c| match f(c) {
+    let rebuilt = plan.map_inputs(|c| match f(c) {
         Ok(p) => p,
         Err(e) => {
             err = Some(e);
