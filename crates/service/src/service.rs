@@ -33,28 +33,31 @@
 //!   shard catalogs share one schema, so the plan is valid everywhere),
 //! * **decomposed** by [`dc_relational::scatter::split_scatter`] —
 //!   shard-complete plans fan out unchanged, aggregates over non-key groups
-//!   are lowered to partials,
-//! * **executed on every shard in parallel** under clones of the query's
-//!   budget (shared deadline + cancellation token; the row budget bounds
-//!   each shard's own work),
+//!   are lowered to partials, and an operator with no shard-side form
+//!   (`count(distinct)` over non-key groups, a non-key window or join)
+//!   stays in the gather plan over its inputs' shard plans,
+//! * **executed on every shard in parallel**, each shard running the shard
+//!   plans in order, under clones of the query's budget (shared deadline +
+//!   cancellation token; the row budget bounds each shard plan's own work),
 //! * **gathered** at the coordinator by [`dc_relational::scatter::gather`]:
 //!   the decomposition's gather plan (a sort that merges the shards'
 //!   ordered outputs, an aggregate over partials, a cross-shard DISTINCT, a
-//!   final LIMIT) runs through the one executor over the concatenated
-//!   partials, under the same budget — the row budget bounds the gather's
-//!   work as it bounds each shard's. The run's metrics tree is a
-//!   `GatherExec` node over the gather plan's operators and the shards'
-//!   trees, and the reply's work counters are that tree's fold.
+//!   final LIMIT, or the operators that had no shard-side form) runs
+//!   through the one executor over the concatenated partials of each shard
+//!   plan, registered over shard 0's snapshot so replicated tables resolve,
+//!   under the same budget — the row budget bounds the gather's work as it
+//!   bounds each shard's. The run's metrics tree is a `GatherExec` node over
+//!   the gather plan's operators and the shards' trees (one group per shard
+//!   plan), and the reply's work counters are that tree's fold.
 //!
 //! Plans touching no partitioned table run on shard 0 alone (every shard
 //! replicates dimension tables), with no thread spawned and nothing
 //! gathered. **With one shard nothing is partitioned**, so that is every
 //! plan: [`QueryService::start`] is `start_sharded` with one shard, the
 //! system it is given serves unchanged, and the arm above is the whole
-//! query path. Plans with no sound decomposition fall back to executing at
-//! the coordinator over a merged view of the shards. A shard executor lost
-//! mid-query surfaces as the typed [`ServiceError::ShardUnavailable`],
-//! never a hang or a panic.
+//! query path. Every other plan scatters; no partitioned table is ever
+//! copied to the coordinator. A shard executor lost mid-query surfaces as
+//! the typed [`ServiceError::ShardUnavailable`], never a hang or a panic.
 //!
 //! Workers also **coalesce identical work**: queries with the same epoch
 //! vector, rule-set version, application, SQL, and strategy are guaranteed

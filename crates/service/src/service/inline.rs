@@ -96,12 +96,16 @@ impl QueryService {
                 ));
             }
         }
-        let report = self.shared.coordinator().explain_rewritten(
+        let mut report = self.shared.coordinator().explain_rewritten(
             &detail.catalog,
             detail.strategy,
             detail.rewritten,
             Some(detail.run),
         )?;
+        if !detail.through_cache {
+            // No shard probed a cache, so there is no activity to report.
+            report.cache = None;
+        }
         out.push_str(&report.text());
         Ok(out)
     }
@@ -172,11 +176,19 @@ mod tests {
         let shard = ShardConfig::new(2, "epc").with_cleanse_cache(64);
         let svc =
             QueryService::start_sharded(system(&large()), ServiceConfig::default(), shard).unwrap();
-        // Unshardable: ran at the coordinator, past every shard cache.
+        // No partial form: the shards ship the cleansed rows, the distinct
+        // count runs in the gather plan, and no shard cache was probed.
         let distinct = QueryRequest::new("app", "select count(distinct epc) as n from caser")
             .with_strategy(Strategy::JoinBack);
         let text = svc.explain_analyze(&distinct).unwrap();
-        assert!(text.contains("mode=coordinator"), "got: {text}");
+        assert!(text.contains("mode=scatter"), "got: {text}");
+        let gather_tree = format!(
+            "GatherExec: 2 shards rows_merged=24 (rows_in=24 rows_out=1 comparisons=0)\n  \
+             ProjectExec: __a0 AS n (rows_in=1 rows_out=1 comparisons=1 batches=1)\n    \
+             AggregateExec: group by [] (rows_in=24 rows_out=1 comparisons=24)\n      \
+             ScanExec: {PARTIALS} "
+        );
+        assert!(text.contains(&gather_tree), "got: {text}");
         assert!(!text.contains("-- cleanse cache:"), "got: {text}");
         // Lowered to partials: the metrics tree shows the gather plan over
         // the partials and, beside it, the shard plan that produced them.

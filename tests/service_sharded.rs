@@ -43,9 +43,11 @@ const DUP: &str = "DEFINE duplicate ON caseR CLUSTER BY epc SEQUENCE BY rtime AS
 
 /// Query pool spanning every scatter decomposition: shard-complete scans,
 /// key-grouped aggregates (shard-complete), global aggregates (partial
-/// lowering), ORDER BY (k-way merge), LIMIT pushdown, a global
-/// `count(distinct)` (no decomposition: coordinator fallback), and a
-/// rule-free application.
+/// lowering), ORDER BY (k-way merge), LIMIT pushdown, a rule-free
+/// application, and operators with no shard-side form that run in the
+/// gather plan over shipped rows: a global and a grouped
+/// `count(distinct)`, a non-key window, and a non-key self-join (two shard
+/// plans; rule-free, as a rewrite takes one reference to the reads table).
 const POOL: &[(&str, &str)] = &[
     ("app", "select epc, rtime from caser"),
     ("app", "select epc, rtime from caser where rtime < 900"),
@@ -68,6 +70,20 @@ const POOL: &[(&str, &str)] = &[
     ),
     ("app", "select count(distinct epc) as n from caser"),
     ("norules", "select epc, rtime from caser where rtime < 600"),
+    (
+        "norules",
+        "select a.epc, b.epc as other, a.rtime from caser a, caser b where a.rtime = b.rtime",
+    ),
+    (
+        "app",
+        "select epc, rtime, count(*) over (partition by biz_loc \
+         rows between unbounded preceding and unbounded following) as n from caser",
+    ),
+    (
+        "app",
+        "select biz_loc, count(distinct epc) as e, count(distinct rtime) as r from caser \
+         group by biz_loc",
+    ),
 ];
 
 const STRATEGIES: &[Strategy] = &[Strategy::Auto, Strategy::Expanded, Strategy::JoinBack];
