@@ -89,11 +89,6 @@ impl Bitmap {
         }
     }
 
-    /// Number of set (valid) bits.
-    pub fn count_set(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Number of set bits in `[start, start + count)`, word-at-a-time.
     pub fn count_set_in(&self, start: usize, count: usize) -> usize {
         debug_assert!(start + count <= self.len);
@@ -688,10 +683,10 @@ mod tests {
     #[test]
     fn bitmap_basics() {
         let mut b = Bitmap::new(130, true);
-        assert_eq!(b.count_set(), 130);
+        assert_eq!(b.count_set_in(0, b.len()), 130);
         b.set(129, false);
         assert!(!b.get(129));
-        assert_eq!(b.count_set(), 129);
+        assert_eq!(b.count_set_in(0, b.len()), 129);
         b.push(true);
         assert_eq!(b.len(), 131);
         assert!(b.get(130));
@@ -704,7 +699,10 @@ mod tests {
             b.push(i % 3 == 0);
         }
         assert_eq!(b.len(), 200);
-        assert_eq!(b.count_set(), (0..200).filter(|i| i % 3 == 0).count());
+        assert_eq!(
+            b.count_set_in(0, b.len()),
+            (0..200).filter(|i| i % 3 == 0).count()
+        );
     }
 
     #[test]

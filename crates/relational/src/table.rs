@@ -322,14 +322,6 @@ impl Catalog {
         self.tables.read().contains_key(&name.to_ascii_lowercase())
     }
 
-    pub fn drop_table(&self, name: &str) -> Result<()> {
-        self.tables
-            .write()
-            .remove(&name.to_ascii_lowercase())
-            .map(|_| ())
-            .ok_or_else(|| Error::Catalog(format!("no such table '{name}'")))
-    }
-
     pub fn table_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
         names.sort_unstable();
@@ -407,8 +399,6 @@ mod tests {
         assert!(cat.contains("CASER"));
         assert_eq!(cat.get("caser").unwrap().num_rows(), 2);
         assert_eq!(cat.table_names(), vec!["caser"]);
-        cat.drop_table("caser").unwrap();
-        assert!(cat.get("caser").is_err());
     }
 
     #[test]
