@@ -100,7 +100,7 @@ pub fn split_batch(
 
 /// Rebuild `table`'s data as a new table with the same name, secondary
 /// indexes, and sequence-order declaration.
-pub(crate) fn table_like(template: &Table, data: Batch) -> Result<Table> {
+fn table_like(template: &Table, data: Batch) -> Result<Table> {
     let mut t = Table::new(template.name(), data);
     for col in template.indexed_columns() {
         t.create_index(col)?;
