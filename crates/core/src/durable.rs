@@ -309,11 +309,10 @@ impl ShardLog {
                 table: table.name().to_string(),
                 epoch,
                 file: segment_file_name(table.name(), seg.id),
-                meta: seg.clone(),
+                meta: seg.meta().clone(),
             };
-            let rows = table.data().slice(seg.start, seg.rows);
-            let bytes =
-                encode_segment_file(&rows, seg).map_err(|e| engine_err("segment encode", &e))?;
+            let bytes = encode_segment_file(seg.data(), seg)
+                .map_err(|e| engine_err("segment encode", &e))?;
             self.dir.write_atomic(&entry.file, &bytes)?;
             self.append_record(&LogRecord::SegmentAdded(entry.clone()))?;
             entries.push(entry);
@@ -600,7 +599,7 @@ pub fn materialize_catalog(
         .map_err(|e| engine_err(&format!("table '{}'", spec.name), &e))?;
         let table = catalog.register(table);
         for (e, seg) in entries.iter().zip(table.segments()) {
-            store.adopt(e, table.data().slice(seg.start, seg.rows));
+            store.adopt(e, seg.data().clone());
         }
     }
     Ok(catalog)
@@ -651,7 +650,7 @@ mod tests {
                 table: "caser".into(),
                 epoch: 3,
                 file: segment_file_name("caser", 2),
-                meta: t.segments()[1].clone(),
+                meta: t.segments()[1].meta().clone(),
             }),
             LogRecord::EpochCommit { epoch: 3 },
             LogRecord::Rules {

@@ -10,6 +10,7 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A `Value` wrapper with the engine's total order, usable as a B-tree key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,62 +56,175 @@ impl ScanBound {
     }
 }
 
+type Entries = BTreeMap<IndexKey, Vec<u32>>;
+
+/// Bulk-built, immutable entries: the distinct keys ascending, and the row
+/// ids of key `i` at `rows[offsets[i]..offsets[i + 1]]`, ascending. No
+/// allocation per key, so a unique-key column costs a key and two `u32`s a
+/// row.
+#[derive(Debug, Default, PartialEq)]
+struct Frozen {
+    keys: Vec<IndexKey>,
+    /// `keys.len() + 1` entries; empty when there are no keys.
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Frozen {
+    /// Merge `base` and `tail` in key order; a key in both keeps its base
+    /// rows first (every tail row id is above every base row id).
+    fn merge(base: &Frozen, tail: &Entries) -> Frozen {
+        let mut out = Frozen {
+            keys: Vec::with_capacity(base.keys.len() + tail.len()),
+            offsets: Vec::with_capacity(base.keys.len() + tail.len() + 1),
+            rows: Vec::with_capacity(base.rows.len() + tail.values().map(Vec::len).sum::<usize>()),
+        };
+        fn push(out: &mut Frozen, key: &IndexKey, parts: [&[u32]; 2]) {
+            if out.offsets.is_empty() {
+                out.offsets.push(0);
+            }
+            out.keys.push(key.clone());
+            for part in parts {
+                out.rows.extend_from_slice(part);
+            }
+            out.offsets.push(out.rows.len() as u32);
+        }
+        let mut tail = tail.iter().peekable();
+        for (i, key) in base.keys.iter().enumerate() {
+            while let Some((tk, trows)) = tail.next_if(|(tk, _)| *tk < key) {
+                push(&mut out, tk, [trows, &[]]);
+            }
+            let extra = tail
+                .next_if(|(tk, _)| *tk == key)
+                .map(|(_, r)| r.as_slice());
+            push(&mut out, key, [base.rows_at(i), extra.unwrap_or(&[])]);
+        }
+        for (tk, trows) in tail {
+            push(&mut out, tk, [trows, &[]]);
+        }
+        out
+    }
+
+    fn rows_at(&self, i: usize) -> &[u32] {
+        &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    fn get(&self, key: &IndexKey) -> Option<&[u32]> {
+        self.keys.binary_search(key).ok().map(|i| self.rows_at(i))
+    }
+
+    fn contains(&self, key: &IndexKey) -> bool {
+        self.keys.binary_search(key).is_ok()
+    }
+
+    /// The row-id lists of the keys within the bounds.
+    fn range<'a>(
+        &'a self,
+        lower: &ScanBound,
+        upper: &ScanBound,
+    ) -> impl Iterator<Item = &'a [u32]> {
+        let lo = match lower {
+            ScanBound::Unbounded => 0,
+            ScanBound::Inclusive(v) => self.keys.partition_point(|k| k.0.total_cmp(v).is_lt()),
+            ScanBound::Exclusive(v) => self.keys.partition_point(|k| k.0.total_cmp(v).is_le()),
+        };
+        let hi = match upper {
+            ScanBound::Unbounded => self.keys.len(),
+            ScanBound::Inclusive(v) => self.keys.partition_point(|k| k.0.total_cmp(v).is_le()),
+            ScanBound::Exclusive(v) => self.keys.partition_point(|k| k.0.total_cmp(v).is_lt()),
+        };
+        (lo..hi.max(lo)).map(|i| self.rows_at(i))
+    }
+}
+
 /// An ordered index over a single column. NULLs are not indexed (SQL
 /// predicates never match them).
-#[derive(Debug, Default, PartialEq)]
+///
+/// The entries are a frozen **base**, bulk-built and shared (`Arc`) by every
+/// table version that holds the index, plus a small **tail** of the rows
+/// appended since the base was built. Cloning the index for a new table
+/// version copies only the tail. Once the tail indexes an eighth of the
+/// base's rows it folds into a new bulk-built base, so a lookup visits two
+/// structures and the amortised fold cost per appended row is constant.
+/// Every row id in the tail is above every row id in the base.
+#[derive(Debug, Clone, Default)]
 pub struct OrderedIndex {
-    entries: BTreeMap<IndexKey, Vec<u32>>,
-    indexed_rows: usize,
-    /// Rows examined so far (nulls included) — the append watermark.
-    /// [`OrderedIndex::extend`] resumes from here, so ingest batches extend
-    /// the index incrementally instead of rebuilding it.
+    base: Arc<Frozen>,
+    tail: Entries,
+    tail_indexed: usize,
+    distinct_keys: usize,
+    /// Rows examined so far (nulls included) — the append watermark: the
+    /// next [`OrderedIndex::extend`] numbers its rows from here.
     covered_rows: usize,
 }
 
-/// A clone is rebuilt from the sorted entries rather than copied node by
-/// node. Appends insert at the right edge, and every split leaves the
-/// node behind it half full, so an extended map holds about twice the
-/// nodes its keys need; the bulk build packs them. Each append clones its
-/// table's indexes, so this halves what a unique-key index (`rtime`)
-/// holds, live and in the copy every publish makes.
-impl Clone for OrderedIndex {
-    fn clone(&self) -> Self {
-        OrderedIndex {
-            entries: self
-                .entries
-                .iter()
-                .map(|(k, rows)| (k.clone(), rows.clone()))
-                .collect(),
-            indexed_rows: self.indexed_rows,
-            covered_rows: self.covered_rows,
-        }
+/// Equality is logical: the same keys mapping to the same row ids over the
+/// same covered rows, however they are split between base and tail.
+impl PartialEq for OrderedIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.covered_rows == other.covered_rows
+            && self.distinct_keys == other.distinct_keys
+            && Frozen::merge(&self.base, &self.tail) == Frozen::merge(&other.base, &other.tail)
     }
 }
 
 impl OrderedIndex {
     /// Build an index over a column.
     pub fn build(column: &Column) -> Self {
+        Self::build_parts(&[column])
+    }
+
+    /// Build an index over the concatenation of `parts`, in order, as one
+    /// bulk-built base.
+    pub(crate) fn build_parts(parts: &[&Column]) -> Self {
         let mut idx = OrderedIndex::default();
-        idx.extend(column);
+        for column in parts {
+            idx.insert_rows(column);
+        }
+        idx.fold();
         idx
     }
 
-    /// Index the rows appended since the last `build`/`extend` — those at
-    /// positions `covered_rows..column.len()`. Appending in row order pushes
-    /// ascending row ids per key, so an extended index is identical to one
-    /// rebuilt from scratch.
-    pub fn extend(&mut self, column: &Column) {
-        for i in self.covered_rows..column.len() {
-            if column.is_null(i) {
+    /// Index `rows`, the column's values for the rows appended after those
+    /// already covered (row ids `covered_rows..`). Appending in row order
+    /// pushes ascending row ids per key, so an extended index equals one
+    /// built from scratch over the whole column.
+    pub fn extend(&mut self, rows: &Column) {
+        self.insert_rows(rows);
+        if self.tail_indexed * 8 >= self.base.rows.len() {
+            self.fold();
+        }
+    }
+
+    fn insert_rows(&mut self, rows: &Column) {
+        use std::collections::btree_map::Entry;
+        for i in 0..rows.len() {
+            if rows.is_null(i) {
                 continue;
             }
-            self.entries
-                .entry(IndexKey(column.value(i)))
-                .or_default()
-                .push(i as u32);
-            self.indexed_rows += 1;
+            let row = (self.covered_rows + i) as u32;
+            match self.tail.entry(IndexKey(rows.value(i))) {
+                Entry::Occupied(e) => e.into_mut().push(row),
+                Entry::Vacant(e) => {
+                    if !self.base.contains(e.key()) {
+                        self.distinct_keys += 1;
+                    }
+                    e.insert(vec![row]);
+                }
+            }
+            self.tail_indexed += 1;
         }
-        self.covered_rows = column.len();
+        self.covered_rows += rows.len();
+    }
+
+    /// Merge the tail into a new bulk-built base.
+    fn fold(&mut self) {
+        if self.tail.is_empty() {
+            return;
+        }
+        self.base = Arc::new(Frozen::merge(&self.base, &self.tail));
+        self.tail = Entries::new();
+        self.tail_indexed = 0;
     }
 
     /// Rows examined so far (the append watermark).
@@ -120,28 +234,43 @@ impl OrderedIndex {
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.entries.len()
+        self.distinct_keys
     }
 
     /// Number of indexed (non-null) rows.
     pub fn indexed_rows(&self) -> usize {
-        self.indexed_rows
+        self.base.rows.len() + self.tail_indexed
     }
 
-    /// Row ids for an exact key.
-    pub fn lookup(&self, v: &Value) -> &[u32] {
-        self.entries
-            .get(&IndexKey(v.clone()))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// Row ids for an exact key, ascending.
+    pub fn lookup(&self, v: &Value) -> impl Iterator<Item = u32> + '_ {
+        let key = IndexKey(v.clone());
+        let base = self.base.get(&key).unwrap_or(&[]);
+        let tail = self.tail.get(&key).map_or(&[][..], Vec::as_slice);
+        base.iter().chain(tail).copied()
+    }
+
+    /// The row-id lists of every key in a range: the base's, then the
+    /// tail's. Bounds that admit no key (`lower` above `upper`) give none.
+    fn range_lists<'a>(
+        &'a self,
+        lower: &ScanBound,
+        upper: &ScanBound,
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let range = (lower.to_lower(), upper.to_upper());
+        let tail = (!range_is_empty(&range))
+            .then(|| self.tail.range(range))
+            .into_iter()
+            .flatten()
+            .map(|(_, rows)| rows.as_slice());
+        self.base.range(lower, upper).chain(tail)
     }
 
     /// Row ids in a range, ascending by row id within the result.
     pub fn range_scan(&self, lower: &ScanBound, upper: &ScanBound) -> Vec<usize> {
         let mut out: Vec<usize> = self
-            .entries
-            .range((lower.to_lower(), upper.to_upper()))
-            .flat_map(|(_, rows)| rows.iter().map(|&r| r as usize))
+            .range_lists(lower, upper)
+            .flat_map(|rows| rows.iter().map(|&r| r as usize))
             .collect();
         // Row-id order keeps downstream operators cache-friendly and makes
         // results deterministic regardless of key distribution.
@@ -159,7 +288,7 @@ impl OrderedIndex {
         cap: usize,
     ) -> Option<usize> {
         let mut n = 0usize;
-        for (_, rows) in self.entries.range((lower.to_lower(), upper.to_upper())) {
+        for rows in self.range_lists(lower, upper) {
             n += rows.len();
             if n > cap {
                 return None;
@@ -169,17 +298,25 @@ impl OrderedIndex {
     }
 
     /// Estimate the fraction of indexed rows falling in a range, by walking
-    /// the B-tree (exact, since we are in memory).
+    /// the entries (exact, since we are in memory).
     pub fn range_selectivity(&self, lower: &ScanBound, upper: &ScanBound) -> f64 {
-        if self.indexed_rows == 0 {
+        let indexed = self.indexed_rows();
+        if indexed == 0 {
             return 0.0;
         }
-        let hits: usize = self
-            .entries
-            .range((lower.to_lower(), upper.to_upper()))
-            .map(|(_, rows)| rows.len())
-            .sum();
-        hits as f64 / self.indexed_rows as f64
+        let hits: usize = self.range_lists(lower, upper).map(<[u32]>::len).sum();
+        hits as f64 / indexed as f64
+    }
+}
+
+/// Whether a B-tree range admits no key — the cases `BTreeMap::range`
+/// rejects (start above end, or equal with both ends excluded).
+fn range_is_empty((lower, upper): &(Bound<IndexKey>, Bound<IndexKey>)) -> bool {
+    match (lower, upper) {
+        (Bound::Included(l), Bound::Included(u)) => l > u,
+        (Bound::Included(l) | Bound::Excluded(l), Bound::Excluded(u))
+        | (Bound::Excluded(l), Bound::Included(u)) => l >= u,
+        _ => false,
     }
 }
 
@@ -213,21 +350,51 @@ mod tests {
     #[test]
     fn exact_lookup() {
         let idx = OrderedIndex::build(&col());
-        assert_eq!(idx.lookup(&Value::Int(5)), &[0, 3]);
-        assert!(idx.lookup(&Value::Int(7)).is_empty());
+        assert_eq!(rows_of(&idx, 5), [0, 3]);
+        assert!(rows_of(&idx, 7).is_empty());
+    }
+
+    fn rows_of(idx: &OrderedIndex, v: i64) -> Vec<u32> {
+        idx.lookup(&Value::Int(v)).collect()
     }
 
     #[test]
-    fn a_clone_equals_and_extends_like_the_original() {
+    fn a_clone_shares_its_base_and_extends_like_the_original() {
         let keys: Vec<Value> = (0..1000).map(Value::Int).collect();
         let column = Column::from_values(DataType::Int, &keys).unwrap();
         let mut idx = OrderedIndex::build(&column.slice(0, 600));
         let mut copy = idx.clone();
+        assert!(Arc::ptr_eq(&idx.base, &copy.base));
         assert_eq!(copy, idx);
-        idx.extend(&column);
-        copy.extend(&column);
+        idx.extend(&column.slice(600, 400));
+        copy.extend(&column.slice(600, 400));
         assert_eq!(copy, idx);
-        assert_eq!(copy.lookup(&Value::Int(999)), &[999]);
+        assert_eq!(copy, OrderedIndex::build(&column));
+        assert_eq!(rows_of(&copy, 999), [999]);
+    }
+
+    #[test]
+    fn the_tail_folds_at_an_eighth_of_the_base() {
+        let keys: Vec<Value> = (0..100).map(|i| Value::Int(i % 10)).collect();
+        let column = Column::from_values(DataType::Int, &keys).unwrap();
+        let mut idx = OrderedIndex::build(&column.slice(0, 80));
+        let base = Arc::clone(&idx.base);
+        // Nine rows stay in the tail (9 * 8 < 80); lookups see both halves.
+        idx.extend(&column.slice(80, 9));
+        assert!(Arc::ptr_eq(&idx.base, &base));
+        assert_eq!(idx.tail_indexed, 9);
+        assert_eq!(rows_of(&idx, 3), [3, 13, 23, 33, 43, 53, 63, 73, 83]);
+        assert_eq!(
+            idx.range_scan(&ScanBound::Inclusive(Value::Int(9)), &ScanBound::Unbounded)
+                .len(),
+            8
+        );
+        // The tenth row reaches an eighth of the base: a new base, no tail.
+        idx.extend(&column.slice(89, 1));
+        assert!(!Arc::ptr_eq(&idx.base, &base));
+        assert_eq!((idx.base.rows.len(), idx.tail_indexed), (90, 0));
+        assert_eq!(idx, OrderedIndex::build(&column.slice(0, 90)));
+        assert_eq!(idx.distinct_keys(), 10);
     }
 
     #[test]
@@ -243,6 +410,31 @@ mod tests {
             idx.range_count_within(&ScanBound::Unbounded, &ScanBound::Unbounded, usize::MAX),
             Some(4)
         );
+    }
+
+    #[test]
+    fn empty_ranges_admit_nothing() {
+        let keys: Vec<Value> = (0..20).map(Value::Int).collect();
+        let column = Column::from_values(DataType::Int, &keys).unwrap();
+        // A base and a tail, so both halves see the inverted bounds.
+        let mut idx = OrderedIndex::build(&column.slice(0, 16));
+        idx.extend(&column.slice(16, 1));
+        let (lo, hi) = (
+            ScanBound::Exclusive(Value::Int(9)),
+            ScanBound::Exclusive(Value::Int(3)),
+        );
+        assert!(idx.range_scan(&lo, &hi).is_empty());
+        let (lo, hi) = (
+            ScanBound::Exclusive(Value::Int(16)),
+            ScanBound::Exclusive(Value::Int(16)),
+        );
+        assert!(idx.range_scan(&lo, &hi).is_empty());
+        assert_eq!(idx.range_count_within(&lo, &hi, 0), Some(0));
+        let (lo, hi) = (
+            ScanBound::Inclusive(Value::Int(16)),
+            ScanBound::Inclusive(Value::Int(16)),
+        );
+        assert_eq!(idx.range_scan(&lo, &hi), vec![16]);
     }
 
     #[test]
@@ -276,15 +468,14 @@ mod tests {
     fn extend_matches_full_rebuild() {
         let all = col();
         // Build over a prefix, then extend with the appended rows.
-        let prefix = all.take(&[0, 1]);
-        let mut incremental = OrderedIndex::build(&prefix);
+        let mut incremental = OrderedIndex::build(&all.slice(0, 2));
         assert_eq!(incremental.covered_rows(), 2);
-        incremental.extend(&all);
+        incremental.extend(&all.slice(2, 3));
         assert_eq!(incremental, OrderedIndex::build(&all));
         assert_eq!(incremental.covered_rows(), 5);
-        // Extending again is a no-op.
+        // Extending by no rows is a no-op.
         let before = incremental.clone();
-        incremental.extend(&all);
+        incremental.extend(&all.slice(5, 0));
         assert_eq!(incremental, before);
     }
 
@@ -296,7 +487,7 @@ mod tests {
         )
         .unwrap();
         let idx = OrderedIndex::build(&c);
-        assert_eq!(idx.lookup(&Value::str("b")), &[0, 2]);
+        assert_eq!(idx.lookup(&Value::str("b")).collect::<Vec<_>>(), [0, 2]);
         assert_eq!(
             idx.range_scan(
                 &ScanBound::Inclusive(Value::str("a")),

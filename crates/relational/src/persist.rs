@@ -478,10 +478,10 @@ mod tests {
         let t = sample_table();
         assert_eq!(t.segments().len(), 3);
         for seg in t.segments() {
-            let rows = t.data().slice(seg.start, seg.rows);
-            let bytes = encode_segment_file(&rows, seg).unwrap();
+            let rows = seg.data();
+            let bytes = encode_segment_file(rows, seg).unwrap();
             let (back, meta) = decode_segment_file(&bytes, &mut StrPool::default()).unwrap();
-            assert_eq!(&meta, seg);
+            assert_eq!(&meta, seg.meta());
             assert_eq!(back.num_rows(), seg.rows);
             assert_eq!(back.schema(), rows.schema());
             for ci in 0..back.schema().len() {
@@ -496,8 +496,7 @@ mod tests {
     fn every_flip_and_truncation_is_rejected_or_equal() {
         let t = sample_table();
         let seg = &t.segments()[0];
-        let rows = t.data().slice(seg.start, seg.rows);
-        let bytes = encode_segment_file(&rows, seg).unwrap();
+        let bytes = encode_segment_file(seg.data(), seg).unwrap();
         // Truncations: all fail (checksum or short-file).
         for cut in 0..bytes.len() {
             assert!(

@@ -11,7 +11,7 @@ use crate::error::Result;
 use crate::expr::{filter_chunk, Expr};
 use crate::index::ScanBound;
 use crate::schema::{Schema, SchemaRef};
-use crate::segment::{candidate_zone_predicate, Segment, ZonePredicate};
+use crate::segment::{candidate_zone_predicate, SealedSegment, ZonePredicate};
 use crate::table::Table;
 use crate::value::Value;
 use std::sync::Arc;
@@ -122,16 +122,15 @@ impl PhysicalScan {
             match best_index_access(t, &self.candidates) {
                 Some(rows) => {
                     m.stats.index_scans += 1;
-                    t.data().take(&rows)
+                    t.take(&rows)
                 }
                 None if survivors.len() < total_segs => {
-                    // Fetch only the surviving segments' contiguous row
-                    // ranges; the residual filter keeps results identical
-                    // to a full scan.
+                    // Fetch only the surviving segments' rows; the residual
+                    // filter keeps results identical to a full scan.
                     let rows: Vec<usize> =
                         survivors.iter().flat_map(|s| s.start..s.end()).collect();
                     m.stats.full_scans += 1;
-                    t.data().take(&rows)
+                    t.take(&rows)
                 }
                 None => {
                     m.stats.full_scans += 1;
@@ -187,7 +186,7 @@ impl ChunkStream for ScanStream<'_> {
 /// Segments whose zone maps admit every candidate constraint (AND
 /// semantics), in row order. With no usable constraints every segment
 /// survives.
-fn prune_segments<'t>(table: &'t Table, candidates: &[IndexCandidate]) -> Vec<&'t Segment> {
+fn prune_segments<'t>(table: &'t Table, candidates: &[IndexCandidate]) -> Vec<&'t SealedSegment> {
     let preds: Vec<ZonePredicate> = candidates
         .iter()
         .filter_map(|c| {
@@ -204,6 +203,7 @@ fn prune_segments<'t>(table: &'t Table, candidates: &[IndexCandidate]) -> Vec<&'
         .segments()
         .iter()
         .filter(|s| s.may_match_all(&preds))
+        .map(|s| &**s)
         .collect()
 }
 
@@ -234,7 +234,7 @@ fn best_index_access(table: &Table, candidates: &[IndexCandidate]) -> Option<Vec
         let rows = if let Some(vals) = &cand.in_values {
             let mut rows: Vec<usize> = vals
                 .iter()
-                .flat_map(|v| idx.lookup(v).iter().map(|&r| r as usize))
+                .flat_map(|v| idx.lookup(v).map(|r| r as usize))
                 .collect();
             rows.sort_unstable();
             rows.dedup();

@@ -970,6 +970,18 @@ mod tests {
     }
 
     #[test]
+    fn order_by_a_qualified_group_key_matches_the_unsharded_run() {
+        for n in [1, 2] {
+            scatter_oracle(
+                "select d.name, count(distinct c.epc) as epcs from caser c, dim d \
+                 where c.rtime = d.k group by d.name order by d.name",
+                n,
+                true,
+            );
+        }
+    }
+
+    #[test]
     fn non_key_self_join_ships_both_sides() {
         let sql = "select a.epc, b.epc as other, a.rtime from caser a, caser b \
                    where a.rtime = b.rtime";

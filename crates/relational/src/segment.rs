@@ -170,9 +170,61 @@ impl Segment {
     }
 }
 
-/// Seal the rows `[start, data.num_rows())` of a batch into segments of at
-/// most `target_rows` rows (`None` = one segment), assigning ids from
-/// `next_id`. Returns an empty vector when there is nothing to seal.
+/// A sealed segment together with the rows it describes: the unit a table
+/// is a list of. Immutable once sealed and shared (`Arc`) by every table
+/// version that contains it, so an append seals only its own rows and never
+/// copies an earlier segment. The rows are flat; they may be a window of a
+/// larger payload (a table loaded from one batch keeps its segments as
+/// windows of that batch). Dereferences to its [`Segment`] metadata.
+#[derive(Debug, Clone)]
+pub struct SealedSegment {
+    meta: Segment,
+    data: Batch,
+}
+
+impl SealedSegment {
+    /// Pair metadata with the rows it was derived from (`meta.rows` flat
+    /// rows, e.g. decoded from the segment's file).
+    pub(crate) fn new(meta: Segment, data: Batch) -> Self {
+        SealedSegment { meta, data }
+    }
+
+    /// The segment's metadata (row range, zone maps, verified order).
+    pub fn meta(&self) -> &Segment {
+        &self.meta
+    }
+
+    /// The segment's own rows, `meta().rows` of them.
+    pub fn data(&self) -> &Batch {
+        &self.data
+    }
+
+    /// Re-verify the segment against a (new) declared order.
+    pub(crate) fn verify_order(&mut self, order_hint: &[usize]) {
+        let verified = verified_order_prefix(&self.data, 0, self.data.num_rows(), order_hint);
+        self.meta.sorted_by = order_hint[..verified].to_vec();
+    }
+}
+
+/// Same metadata and the same rows, value for value.
+impl PartialEq for SealedSegment {
+    fn eq(&self, other: &Self) -> bool {
+        self.meta == other.meta && self.data.columns() == other.data.columns()
+    }
+}
+
+impl std::ops::Deref for SealedSegment {
+    type Target = Segment;
+
+    fn deref(&self) -> &Segment {
+        &self.meta
+    }
+}
+
+/// Seal `rows` — the table's rows `[first_row, first_row + rows.num_rows())`
+/// — into segments of at most `target_rows` rows (`None` = one segment),
+/// assigning ids from `next_id`. Each segment's rows are a zero-copy window
+/// of `rows`. Returns an empty vector when there is nothing to seal.
 ///
 /// `order_hint` names column positions the caller *expects* each segment to
 /// be lexicographically non-descending on (e.g. the table's declared
@@ -184,30 +236,34 @@ impl Segment {
 /// trust it (treating the segment as a pre-sorted run) without any
 /// possibility of changing results.
 pub fn seal_segments(
-    data: &Batch,
-    start: usize,
+    rows: &Batch,
+    first_row: usize,
     next_id: u64,
     target_rows: Option<usize>,
     order_hint: &[usize],
-) -> Vec<Segment> {
-    let total = data.num_rows();
-    if start >= total {
-        return Vec::new();
-    }
-    let chunk = target_rows.unwrap_or(total - start).max(1);
+) -> Vec<SealedSegment> {
+    let total = rows.num_rows();
+    let chunk = target_rows.unwrap_or(total).max(1);
     let mut out = Vec::new();
     let mut id = next_id;
-    let mut lo = start;
+    let mut lo = 0;
     while lo < total {
         let hi = (lo + chunk).min(total);
-        out.push(seal_one(data, id, lo, hi, order_hint));
+        out.push(seal_one(rows, id, first_row, lo, hi, order_hint));
         id += 1;
         lo = hi;
     }
     out
 }
 
-fn seal_one(data: &Batch, id: u64, lo: usize, hi: usize, order_hint: &[usize]) -> Segment {
+fn seal_one(
+    data: &Batch,
+    id: u64,
+    first_row: usize,
+    lo: usize,
+    hi: usize,
+    order_hint: &[usize],
+) -> SealedSegment {
     let zones = (0..data.schema().fields().len())
         .map(|ci| {
             let col = data.column(ci);
@@ -223,12 +279,15 @@ fn seal_one(data: &Batch, id: u64, lo: usize, hi: usize, order_hint: &[usize]) -
         })
         .collect();
     let verified = verified_order_prefix(data, lo, hi, order_hint);
-    Segment {
-        id,
-        start: lo,
-        rows: hi - lo,
-        zones,
-        sorted_by: order_hint[..verified].to_vec(),
+    SealedSegment {
+        meta: Segment {
+            id,
+            start: first_row + lo,
+            rows: hi - lo,
+            zones,
+            sorted_by: order_hint[..verified].to_vec(),
+        },
+        data: data.slice(lo, hi - lo),
     }
 }
 
@@ -250,7 +309,7 @@ fn cmp_on(data: &Batch, ci: usize, a: usize, b: usize) -> Ordering {
 /// hint column compares `Greater` at depth `d` violates every prefix longer
 /// than `d` (prefixes of length ≤ d see the pair as equal), so the answer is
 /// the minimum such depth over all adjacent pairs.
-pub(crate) fn verified_order_prefix(data: &Batch, lo: usize, hi: usize, hint: &[usize]) -> usize {
+fn verified_order_prefix(data: &Batch, lo: usize, hi: usize, hint: &[usize]) -> usize {
     let mut verified = hint.len();
     for i in lo + 1..hi {
         for (depth, &ci) in hint.iter().enumerate().take(verified) {
@@ -459,11 +518,13 @@ mod tests {
         let z = segs[1].zone(1).unwrap();
         assert_eq!(z.min, Some(Value::Int(40)));
         assert_eq!(z.null_count, 1);
-        // Sealing from an offset with fresh ids.
-        let more = seal_segments(&b, 3, 7, None, &[]);
+        assert_eq!(segs[1].data().num_rows(), 2);
+        assert_eq!(segs[1].data().row(0), b.row(2));
+        // Sealing appended rows at a table offset with fresh ids.
+        let more = seal_segments(&b.slice(3, 1), 3, 7, None, &[]);
         assert_eq!(more.len(), 1);
         assert_eq!((more[0].id, more[0].start, more[0].rows), (7, 3, 1));
-        assert!(seal_segments(&b, 4, 9, None, &[]).is_empty());
+        assert!(seal_segments(&b.slice(4, 0), 4, 9, None, &[]).is_empty());
     }
 
     #[test]

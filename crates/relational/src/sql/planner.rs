@@ -540,11 +540,22 @@ fn plan_select(
 
     let has_grouping = !aggs.is_empty() || !select.group_by.is_empty();
     let mut final_items: Vec<(Expr, String)> = Vec::new();
+    // Group expressions and the aggregate output columns naming them.
+    let mut group_by: Vec<(Expr, String)> = Vec::new();
+    let to_group_columns = |e: Expr, group_by: &[(Expr, String)]| {
+        e.transform(&|e| {
+            for (gexpr, gname) in group_by {
+                if &e == gexpr {
+                    return Expr::col(gname.clone());
+                }
+            }
+            e
+        })
+    };
     if has_grouping {
         // Group keys: named after matching select aliases when possible,
         // de-duplicated so that e.g. GROUP BY l1.loc_desc, l2.loc_desc
         // produces two distinct output columns.
-        let mut group_by: Vec<(Expr, String)> = Vec::new();
         let mut used_names: Vec<String> = Vec::new();
         for (gi, g) in select.group_by.iter().enumerate() {
             let gexpr = to_scalar_expr(g)?;
@@ -568,15 +579,7 @@ fn plan_select(
         current = current.aggregate(group_by.clone(), aggs);
         // Rewrite select items: group expressions become their output columns.
         for (i, (ast, alias)) in items_past_aggs.iter().enumerate() {
-            let scalar = to_scalar_expr(ast)?;
-            let rewritten = scalar.transform(&|e| {
-                for (gexpr, gname) in &group_by {
-                    if &e == gexpr {
-                        return Expr::col(gname.clone());
-                    }
-                }
-                e
-            });
+            let rewritten = to_group_columns(to_scalar_expr(ast)?, &group_by);
             let name = alias.clone().unwrap_or_else(|| default_name(&rewritten, i));
             final_items.push((rewritten, name));
         }
@@ -612,6 +615,18 @@ fn plan_select(
         // first and project afterwards (not valid under DISTINCT, where the
         // sort key must survive into the output).
         let out_schema = current.schema(catalog)?;
+        // Over an aggregate, a key that names a group expression the way
+        // GROUP BY spelled it (`order by d.name` after `group by d.name`)
+        // means the output column the aggregate named it by.
+        let keys: Vec<SortKey> = keys
+            .into_iter()
+            .map(|mut k| {
+                if !resolves_in(&k.expr, &out_schema) {
+                    k.expr = to_group_columns(k.expr, &group_by);
+                }
+                k
+            })
+            .collect();
         let resolves_in_output = keys.iter().all(|k| resolves_in(&k.expr, &out_schema));
         if resolves_in_output {
             current = current.sort(keys);
@@ -775,6 +790,35 @@ mod tests {
              select cur, avg(rtime - prev_time) as dwell from v1 where prev_time is not null group by cur",
         );
         assert!(out.num_rows() > 0);
+    }
+
+    #[test]
+    fn order_by_a_qualified_group_key() {
+        let cat = catalog();
+        let reads = cat.get("r").unwrap();
+        cat.register(Table::new("caser", reads.data().clone()));
+        let dim = schema_ref(Schema::new(vec![
+            Field::new("k", DataType::Int),
+            Field::new("name", DataType::Str),
+        ]));
+        let dims: Vec<Vec<Value>> = (0..20)
+            .map(|i| vec![Value::Int(i), Value::str(format!("n{}", i % 3))])
+            .collect();
+        cat.register(Table::new("dim", Batch::from_rows(dim, &dims).unwrap()));
+        let run = |sql: &str| {
+            let plan = plan_query(&parse_query(sql).unwrap(), &cat).unwrap();
+            Executor::new(&cat).execute(&plan).unwrap()
+        };
+        let qualified = run("select d.name, count(distinct c.epc) as epcs \
+             from caser c, dim d where c.rtime = d.k group by d.name order by d.name");
+        let bare = run("select d.name, count(distinct c.epc) as epcs \
+             from caser c, dim d where c.rtime = d.k group by d.name order by name");
+        assert_eq!(qualified.num_rows(), 3);
+        assert_eq!(qualified.row(0)[0], Value::str("n0"));
+        assert_eq!(
+            (0..3).map(|i| qualified.row(i)).collect::<Vec<_>>(),
+            (0..3).map(|i| bare.row(i)).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! apply the classic System-R selectivity formulas.
 
 use crate::batch::Batch;
+use crate::column::Column;
 use crate::value::Value;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub min: Option<Value>,
     pub max: Option<Value>,
@@ -20,35 +23,45 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    pub fn compute(column: &crate::column::Column) -> Self {
-        use std::collections::HashSet;
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        let mut distinct: HashSet<Value> = HashSet::new();
-        let mut null_count = 0;
+    pub fn compute(column: &Column) -> Self {
+        let mut stats = ColumnStats::empty();
+        stats.fold(column, Some(&mut DistinctValues::default()));
+        stats
+    }
+
+    fn empty() -> Self {
+        ColumnStats {
+            min: None,
+            max: None,
+            ndv: 0,
+            null_count: 0,
+        }
+    }
+
+    /// Fold the rows of `column` that follow those already summarized;
+    /// `distinct` holds the values seen so far (`None`: the caller knows the
+    /// distinct count and sets `ndv` itself). Rows are visited in order and
+    /// ties keep the first value, so folding a table's rows in batches gives
+    /// exactly what one pass over them would.
+    fn fold(&mut self, column: &Column, mut distinct: Option<&mut DistinctValues>) {
         for i in 0..column.len() {
             if column.is_null(i) {
-                null_count += 1;
+                self.null_count += 1;
                 continue;
             }
             let v = column.value(i);
-            match &min {
-                None => min = Some(v.clone()),
-                Some(m) if v.total_cmp(m).is_lt() => min = Some(v.clone()),
-                _ => {}
+            if self.min.as_ref().is_none_or(|m| v.total_cmp(m).is_lt()) {
+                self.min = Some(v.clone());
             }
-            match &max {
-                None => max = Some(v.clone()),
-                Some(m) if v.total_cmp(m).is_gt() => max = Some(v.clone()),
-                _ => {}
+            if self.max.as_ref().is_none_or(|m| v.total_cmp(m).is_gt()) {
+                self.max = Some(v.clone());
             }
-            distinct.insert(v);
+            if let Some(d) = distinct.as_deref_mut() {
+                d.insert(v);
+            }
         }
-        ColumnStats {
-            min,
-            max,
-            ndv: distinct.len(),
-            null_count,
+        if let Some(d) = distinct {
+            self.ndv = d.len();
         }
     }
 
@@ -86,7 +99,7 @@ impl ColumnStats {
 }
 
 /// Statistics for a whole table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableStats {
     pub row_count: usize,
     /// Per-column stats, positionally aligned with the schema.
@@ -103,6 +116,98 @@ impl TableStats {
 
     pub fn column(&self, i: usize) -> Option<&ColumnStats> {
         self.columns.get(i)
+    }
+}
+
+/// The distinct non-null values of one column: a frozen base shared (`Arc`)
+/// by every table version, plus the values first seen since it was built.
+/// The tail folds into a new base once it holds an eighth of the base, the
+/// rule [`crate::index::OrderedIndex`] follows.
+#[derive(Debug, Clone, Default)]
+struct DistinctValues {
+    base: Arc<HashSet<Value>>,
+    tail: HashSet<Value>,
+}
+
+impl DistinctValues {
+    fn len(&self) -> usize {
+        self.base.len() + self.tail.len()
+    }
+
+    fn insert(&mut self, v: Value) {
+        if !self.base.contains(&v) {
+            self.tail.insert(v);
+        }
+    }
+
+    fn fold_if_due(&mut self) {
+        if !self.tail.is_empty() && self.tail.len() * 8 >= self.base.len() {
+            let mut base = HashSet::with_capacity(self.len());
+            base.extend(self.base.iter().cloned());
+            base.extend(self.tail.drain());
+            self.base = Arc::new(base);
+        }
+    }
+}
+
+/// [`TableStats`] kept exact across appends: [`FoldedStats::fold`] costs
+/// what the appended rows cost, and the result always equals
+/// [`TableStats::compute`] over all the rows so far. A column whose distinct
+/// count the caller knows from elsewhere (an index over the same rows)
+/// keeps no values; the others keep theirs, and cloning copies only the
+/// tails of values first seen since their last fold.
+#[derive(Debug, Clone)]
+pub(crate) struct FoldedStats {
+    stats: TableStats,
+    /// `None` for a column whose distinct count is passed in.
+    distinct: Vec<Option<DistinctValues>>,
+}
+
+impl FoldedStats {
+    /// Statistics over `parts`, concatenated in order. `known_ndv[c]` is
+    /// column `c`'s distinct count over all of `parts` when the caller
+    /// tracks it; such columns keep no distinct values, now or later.
+    pub(crate) fn compute<'a>(
+        parts: impl IntoIterator<Item = &'a Batch>,
+        known_ndv: &[Option<usize>],
+    ) -> Self {
+        let mut folded = FoldedStats {
+            stats: TableStats {
+                row_count: 0,
+                columns: vec![ColumnStats::empty(); known_ndv.len()],
+            },
+            distinct: known_ndv
+                .iter()
+                .map(|n| n.is_none().then(DistinctValues::default))
+                .collect(),
+        };
+        for part in parts {
+            folded.fold(part, known_ndv);
+        }
+        folded
+    }
+
+    /// Fold appended rows in; `known_ndv` as for [`FoldedStats::compute`],
+    /// counted over every row including these.
+    pub(crate) fn fold(&mut self, rows: &Batch, known_ndv: &[Option<usize>]) {
+        self.stats.row_count += rows.num_rows();
+        for (ci, (stats, distinct)) in self
+            .stats
+            .columns
+            .iter_mut()
+            .zip(&mut self.distinct)
+            .enumerate()
+        {
+            stats.fold(rows.column(ci), distinct.as_mut());
+            match distinct {
+                Some(d) => d.fold_if_due(),
+                None => stats.ndv = known_ndv[ci].unwrap_or(stats.ndv),
+            }
+        }
+    }
+
+    pub(crate) fn stats(&self) -> &TableStats {
+        &self.stats
     }
 }
 

@@ -114,29 +114,19 @@ fn load_tables(
     }
     rtimes.sort_unstable();
     let case_reads = case_rows.len();
-    // caseR is loaded as a *segmented* table via append ingest: indexes
-    // are created up front on the empty table and every appended chunk
-    // seals one segment (zone maps included) and extends the indexes
-    // incrementally — the arrival pattern of a live RFID feed.
+    // caseR is loaded as a *segmented* table: one payload sealed into
+    // `segment_rows`-row segments (zone maps included), each a window of it,
+    // so the table reads as one batch without a copy — the segment
+    // boundaries a live RFID feed of `segment_rows`-row appends would seal.
     let full = Batch::from_rows(reads_schema(), &case_rows)?;
-    let mut caser =
-        Table::with_segment_rows("caser", Batch::empty(reads_schema()), config.segment_rows);
+    let mut caser = Table::with_segment_rows("caser", full, config.segment_rows);
     // Case rows are generated case-by-case with reads in time order, so the
-    // feed is (epc, rtime)-sorted; declaring that before ingest lets every
-    // sealed segment verify and record the order, which window sorts over
-    // caser later exploit as metadata-only run detection.
+    // feed is (epc, rtime)-sorted; declaring that lets every sealed segment
+    // verify and record the order, which window sorts over caser later
+    // exploit as metadata-only run detection.
     caser.set_sequence_order(&["epc", "rtime"])?;
     for col in ["epc", "rtime", "biz_loc", "biz_step"] {
         caser.create_index(col)?;
-    }
-    let mut start = 0;
-    while start < full.num_rows() {
-        let end = start
-            .saturating_add(config.segment_rows)
-            .min(full.num_rows());
-        let idx: Vec<usize> = (start..end).collect();
-        caser.append(full.take(&idx))?;
-        start = end;
     }
     catalog.register(caser);
 
@@ -596,7 +586,7 @@ mod tests {
         let covering = caser.covering_segments("epc", &Value::str(ds.case_epc_urn(0)));
         assert!(!covering.is_empty());
         assert!(covering.len() < segs.len());
-        // Incrementally-extended indexes cover every appended row.
+        // The indexes cover every row.
         for col in ["epc", "rtime", "biz_loc", "biz_step"] {
             assert_eq!(caser.index(col).unwrap().covered_rows(), ds.case_reads);
         }

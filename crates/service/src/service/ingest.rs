@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 impl QueryService {
     /// Append `batch` to `table` and publish the next epoch(s). All the
-    /// append work (key routing, row concatenation, segment sealing, index
-    /// extension, cleanse cache invalidation) happens on private overlays
+    /// append work (key routing, segment sealing, index and statistics
+    /// folding, cleanse cache invalidation) happens on private overlays
     /// outside the publication cells — readers never wait on it.
     ///
     /// Rows of a partitioned table are routed on the cluster key first:

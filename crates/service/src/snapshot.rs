@@ -1,10 +1,11 @@
 //! Epoch-stamped catalog snapshots and their publication cell.
 //!
-//! The storage layer already made every table copy-on-write
-//! ([`Catalog::append`] clones, mutates, and swaps the `Arc<Table>`), so a
-//! *catalog* snapshot only has to freeze the name → table map: an
-//! [`Catalog::overlay`] shares every `Arc<Table>` and costs one shallow map
-//! clone. The service stamps each published overlay with a monotonically
+//! The storage layer already makes every table version immutable
+//! ([`Catalog::append`] builds the next version — sharing the current one's
+//! sealed segments and index bases, sealing only the appended rows — and
+//! swaps the `Arc<Table>`), so a *catalog* snapshot only has to freeze the
+//! name → table map: an [`Catalog::overlay`] shares every `Arc<Table>` and
+//! costs one shallow map clone. The service stamps each published overlay with a monotonically
 //! increasing **epoch** and swaps an `Arc<Snapshot>` pointer; queries load
 //! the pointer once at dispatch and run entirely against that immutable
 //! world.
@@ -16,9 +17,9 @@
 //!   it, and only then publishes;
 //! * readers take the read side of the cell's lock only for the duration
 //!   of one `Arc` clone, and the single writer holds the write side only
-//!   for the pointer swap — the append work itself (row concatenation,
-//!   segment sealing, index extension) happens strictly outside the
-//!   critical section, so readers never wait on ingest work;
+//!   for the pointer swap — the append work itself (segment sealing,
+//!   index and statistics folding) happens strictly outside the critical
+//!   section, so readers never wait on ingest work;
 //! * epochs are dense: epoch *n+1* differs from epoch *n* by exactly one
 //!   append.
 

@@ -475,7 +475,7 @@ fn durable_format_hex() -> String {
                 table: "reads".into(),
                 epoch: 3,
                 file: segment_file_name("reads", seg.id),
-                meta: seg.clone(),
+                meta: seg.meta().clone(),
             }),
         ),
         ("EpochCommit", LogRecord::EpochCommit { epoch: 3 }),

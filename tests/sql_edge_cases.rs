@@ -45,6 +45,20 @@ fn between_and_not_between() {
 }
 
 #[test]
+fn contradictory_ranges_on_an_indexed_column_select_nothing() {
+    let cat = catalog();
+    for sql in [
+        "select epc from r where rtime > 30 and rtime < 20",
+        "select epc from r where rtime > 20 and rtime < 20",
+        "select epc from r where rtime >= 20 and rtime < 20",
+    ] {
+        assert_eq!(run_sql(sql, &cat).unwrap().num_rows(), 0, "{sql}");
+    }
+    let point = run_sql("select epc from r where rtime >= 20 and rtime <= 20", &cat).unwrap();
+    assert_eq!(point.num_rows(), 1);
+}
+
+#[test]
 fn empty_result_aggregates() {
     let cat = catalog();
     let out = run_sql(
