@@ -339,6 +339,70 @@ impl LogicalPlan {
         }
     }
 
+    /// Call `f` on every expression of this plan, inputs first.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        use crate::agg::AggFunc;
+        let (exprs, inputs): (Vec<&mut Expr>, Vec<&mut LogicalPlan>) = match self {
+            LogicalPlan::Scan { filter, .. } => (filter.iter_mut().collect(), vec![]),
+            LogicalPlan::Filter { input, predicate } => (vec![predicate], vec![input]),
+            LogicalPlan::Project { input, exprs } => {
+                (exprs.iter_mut().map(|(e, _)| e).collect(), vec![input])
+            }
+            LogicalPlan::Sort { input, keys } => {
+                (keys.iter_mut().map(|k| &mut k.expr).collect(), vec![input])
+            }
+            LogicalPlan::Window {
+                input,
+                partition_by,
+                order_by,
+                exprs,
+                ..
+            } => {
+                let mut all: Vec<&mut Expr> = partition_by.iter_mut().collect();
+                all.extend(order_by.iter_mut().map(|k| &mut k.expr));
+                all.extend(exprs.iter_mut().filter_map(|w| w.arg.as_mut()));
+                (all, vec![input])
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                ..
+            } => (
+                left_keys.iter_mut().chain(right_keys.iter_mut()).collect(),
+                vec![left, right],
+            ),
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let mut all: Vec<&mut Expr> = group_by.iter_mut().map(|(e, _)| e).collect();
+                all.extend(aggs.iter_mut().filter_map(|a| match &mut a.func {
+                    AggFunc::CountStar => None,
+                    AggFunc::Count(e)
+                    | AggFunc::CountDistinct(e)
+                    | AggFunc::Sum(e)
+                    | AggFunc::Avg(e)
+                    | AggFunc::Min(e)
+                    | AggFunc::Max(e) => Some(e),
+                }));
+                (all, vec![input])
+            }
+            LogicalPlan::Distinct { input }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::SubqueryAlias { input, .. } => (vec![], vec![input]),
+            LogicalPlan::Union { inputs } => (vec![], inputs.iter_mut().collect()),
+        };
+        for input in inputs {
+            input.for_each_expr_mut(f);
+        }
+        for e in exprs {
+            f(e);
+        }
+    }
+
     /// Rebuild this node with each direct input replaced by `f(input)`.
     pub fn map_inputs(self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
         match self {

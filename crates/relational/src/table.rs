@@ -35,6 +35,14 @@ use std::sync::{Arc, OnceLock};
 
 static FLATTENS: AtomicU64 = AtomicU64::new(0);
 
+/// Source of [`Table::version`]s: process-wide, so no two table values
+/// that differ ever share one.
+static VERSIONS: AtomicU64 = AtomicU64::new(1);
+
+fn next_version() -> u64 {
+    VERSIONS.fetch_add(1, Ordering::Relaxed)
+}
+
 /// How many times, process-wide, [`Table::data`] has copied a table's
 /// segments into one batch.
 pub fn flatten_count() -> u64 {
@@ -68,6 +76,10 @@ pub struct Table {
     /// [`Segment::sorted_by`](crate::segment::Segment::sorted_by); the
     /// declaration itself never asserts anything about the data.
     seq_order: Vec<usize>,
+    /// Identifies this table value: drawn fresh when the table is built,
+    /// registered, appended to, indexed or re-declared, and kept by a
+    /// clone (which is the same value).
+    version: u64,
 }
 
 impl Table {
@@ -111,6 +123,7 @@ impl Table {
             flat: OnceLock::from(data),
             segment_rows,
             seq_order,
+            version: next_version(),
         }
     }
 
@@ -194,6 +207,7 @@ impl Table {
         for s in &mut self.segments {
             Arc::make_mut(s).verify_order(&self.seq_order);
         }
+        self.version = next_version();
         Ok(())
     }
 
@@ -316,6 +330,12 @@ impl Table {
             .collect()
     }
 
+    /// This table value's version: equal versions mean equal rows,
+    /// indexes and statistics.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// The sealed segments, in row order.
     pub fn segments(&self) -> &[Arc<SealedSegment>] {
         &self.segments
@@ -351,6 +371,7 @@ impl Table {
         };
         self.num_rows += batch.num_rows();
         self.segments.extend(sealed.into_iter().map(Arc::new));
+        self.version = next_version();
         Ok(())
     }
 
@@ -363,6 +384,7 @@ impl Table {
             let parts: Vec<&Column> = self.segments.iter().map(|s| s.data().column(ci)).collect();
             self.indexes
                 .insert(column, OrderedIndex::build_parts(&parts));
+            self.version = next_version();
         }
         Ok(())
     }
@@ -407,7 +429,8 @@ impl Catalog {
     }
 
     /// Register a table, replacing any existing table of the same name.
-    pub fn register(&self, table: Table) -> Arc<Table> {
+    pub fn register(&self, mut table: Table) -> Arc<Table> {
+        table.version = next_version();
         let t = Arc::new(table);
         self.tables
             .write()
@@ -435,6 +458,19 @@ impl Catalog {
 
     pub fn contains(&self, name: &str) -> bool {
         self.tables.read().contains_key(&name.to_ascii_lowercase())
+    }
+
+    /// Every table's name and [`Table::version`], sorted by name: equal
+    /// lists mean every table holds the same value.
+    pub fn table_versions(&self) -> Vec<(String, u64)> {
+        let mut versions: Vec<(String, u64)> = self
+            .tables
+            .read()
+            .iter()
+            .map(|(name, t)| (name.clone(), t.version))
+            .collect();
+        versions.sort_unstable();
+        versions
     }
 
     pub fn table_names(&self) -> Vec<String> {

@@ -883,28 +883,25 @@ impl<T: Native> Accumulator for MinMax<'_, T> {
     }
 }
 
-/// Evaluate window aggregates over a batch **already sorted** by
-/// (partition keys, order keys). Returns one output column per `WindowExpr`,
-/// plus the number of aggregate evaluations performed (a work counter).
-///
-/// This is the serial path; the physical window operator uses [`WindowEval`]
-/// directly so it can distribute partitions across threads.
-pub fn evaluate_window(
-    batch: &Batch,
-    partition_by: &[Expr],
-    order_by_key: Option<&Expr>,
-    exprs: &[WindowExpr],
-) -> Result<(Vec<Column>, u64)> {
-    let ev = WindowEval::prepare(batch, partition_by, order_by_key, exprs)?;
-    ev.eval_partitions(ev.partitions(), &QueryBudget::unlimited())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::schema_ref;
     use crate::schema::{Field, Schema};
     use crate::value::Value;
+
+    /// Evaluate window aggregates serially over a batch **already sorted**
+    /// by (partition keys, order keys): one output column per `WindowExpr`,
+    /// plus the number of aggregate evaluations (a work counter).
+    fn evaluate_window(
+        batch: &Batch,
+        partition_by: &[Expr],
+        order_by_key: Option<&Expr>,
+        exprs: &[WindowExpr],
+    ) -> Result<(Vec<Column>, u64)> {
+        let ev = WindowEval::prepare(batch, partition_by, order_by_key, exprs)?;
+        ev.eval_partitions(ev.partitions(), &QueryBudget::unlimited())
+    }
 
     /// epc-sorted reads: (epc, rtime, loc)
     fn reads() -> Batch {

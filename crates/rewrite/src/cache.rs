@@ -69,6 +69,30 @@ pub struct JoinBackCacheSpec {
     pub rules: Vec<Arc<RuleTemplate>>,
 }
 
+impl JoinBackCacheSpec {
+    /// The cache-key prefix over the rule chain, the pushed-down `ec` and
+    /// the qualification. The ec shapes the cleansing *input*, so
+    /// sequences cleansed under different conditions never share entries.
+    pub fn fingerprint_of(
+        rules: &[Arc<RuleTemplate>],
+        ec: Option<&Expr>,
+        alias: &str,
+        reads_table: &str,
+    ) -> u64 {
+        let mut h = dc_storage::Fnv1a::new();
+        for r in rules {
+            h.write(format!("{:?}", r.def).as_bytes());
+            h.write(b"|");
+        }
+        if let Some(ec) = ec {
+            h.write(format!("{ec}").as_bytes());
+        }
+        h.write(alias.as_bytes());
+        h.write(reads_table.as_bytes());
+        h.finish()
+    }
+}
+
 /// Cumulative counters for one cache instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {

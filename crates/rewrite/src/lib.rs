@@ -13,6 +13,8 @@
 //! * [`engine`] generates the candidate rewrites — naive, expanded (with
 //!   0..m joins pushed below cleansing), and join-back (with 0..n
 //!   semi-joins) — compiles each, and picks the cheapest cost estimate.
+//! * [`memo`] pays for that once per query shape: a rewrite is reused for
+//!   every plan that differs only in its cluster-key literals.
 //!
 //! The correctness contract, verified extensively by the integration tests:
 //! for any query and rule chain, every candidate produces exactly the same
@@ -21,11 +23,13 @@
 pub mod analysis;
 pub mod cache;
 pub mod engine;
+pub mod memo;
 pub mod shape;
 pub mod trace;
 
 pub use analysis::{bind_to_target, context_condition, correlation_condition, join_key_propagates};
 pub use cache::{CacheStats, CleanseCache, JoinBackCacheSpec};
 pub use engine::{Candidate, Executed, RewriteEngine, Rewritten, Strategy};
+pub use memo::{MemoHit, ShapeMemo};
 pub use shape::{analyze, DimJoin, QueryShape};
 pub use trace::DecisionTrace;

@@ -9,6 +9,7 @@
 //! blindly.
 
 use crate::engine::{Candidate, Rewritten, Strategy};
+use crate::memo::MemoHit;
 use dc_json::Json;
 use std::fmt::Write as _;
 
@@ -27,6 +28,8 @@ pub struct DecisionTrace {
     pub context_condition: Option<String>,
     /// Soundness fallbacks and other diagnostics.
     pub notes: Vec<String>,
+    /// Set when the rewrite was reused from the shape memo.
+    pub memo_hit: Option<MemoHit>,
 }
 
 impl DecisionTrace {
@@ -34,6 +37,14 @@ impl DecisionTrace {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "rewrite strategy: {}", self.strategy);
+        if let Some(hit) = &self.memo_hit {
+            let _ = writeln!(
+                out,
+                "rewrite: memo hit (same rules, strategy, plan shape and {} table versions; \
+                 {} cluster-key literal(s) bound)",
+                hit.tables, hit.bound
+            );
+        }
         let _ = writeln!(out, "chosen: {}", self.chosen);
         for c in &self.candidates {
             let _ = writeln!(
@@ -65,7 +76,7 @@ impl DecisionTrace {
                     .set("est_rows", Json::Num(c.est_rows))
             })
             .collect();
-        Json::obj()
+        let json = Json::obj()
             .set("strategy", self.strategy.as_str())
             .set("chosen", self.chosen.as_str())
             .set("candidates", Json::Arr(candidates))
@@ -84,7 +95,16 @@ impl DecisionTrace {
             .set(
                 "notes",
                 Json::Arr(self.notes.iter().map(|n| Json::from(n.as_str())).collect()),
-            )
+            );
+        match &self.memo_hit {
+            Some(hit) => json.set(
+                "memo_hit",
+                Json::obj()
+                    .set("tables", Json::from(hit.tables))
+                    .set("bound", Json::from(hit.bound)),
+            ),
+            None => json,
+        }
     }
 }
 
@@ -99,6 +119,7 @@ impl Rewritten {
             expanded_condition: self.expanded_condition.as_ref().map(|e| e.to_string()),
             context_condition: self.context_condition.as_ref().map(|e| e.to_string()),
             notes: self.notes.clone(),
+            memo_hit: self.memo_hit,
         }
     }
 }
@@ -126,6 +147,7 @@ mod tests {
             expanded_condition: Some("rtime < 100 OR rtime < 400".into()),
             context_condition: Some("rtime < 400".into()),
             notes: vec!["example note".into()],
+            memo_hit: None,
         }
     }
 

@@ -109,6 +109,19 @@ impl Classified {
             Classified::Fallback { .. } => "fallback",
         }
     }
+
+    /// The unscoped plan this mode's maintenance runs, restricted to the
+    /// appended keys on each step: the user plan (scoped), the sort's
+    /// input (ordered), or the partial aggregate (aggregate). `None` in
+    /// fallback mode, which only ever re-runs the user's query.
+    pub fn maintenance_plan(&self, user_plan: &LogicalPlan) -> Option<LogicalPlan> {
+        match self {
+            Classified::Scoped => Some(user_plan.clone()),
+            Classified::Ordered { inner, .. } => Some(inner.clone()),
+            Classified::Aggregate(spec) => Some(partial_plan(spec)),
+            Classified::Fallback { .. } => None,
+        }
+    }
 }
 
 /// True when `e` is a bare reference to the cluster-key column (any
@@ -326,20 +339,11 @@ fn build_agg_spec(
     })
 }
 
-/// Schema sanity used by callers that need the partial plan: the scoped
-/// partial aggregate over `spec` for key set `keys`.
-pub fn partial_plan(
-    spec: &AggSpec,
-    table: &str,
-    ckey: &str,
-    keys: Option<&[dc_relational::value::Value]>,
-) -> LogicalPlan {
-    let input = match keys {
-        Some(k) => dc_relational::delta::scope_plan(&spec.input, table, ckey, k),
-        None => spec.input.clone(),
-    };
+/// The partial aggregate over `spec`: group keys plus one integer partial
+/// per accumulator slot.
+pub fn partial_plan(spec: &AggSpec) -> LogicalPlan {
     LogicalPlan::Aggregate {
-        input: Box::new(input),
+        input: Box::new(spec.input.clone()),
         group_by: spec.group_by.clone(),
         aggs: spec.partials.clone(),
     }

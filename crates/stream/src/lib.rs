@@ -15,7 +15,7 @@
 //! and sequences never interact across keys. An append therefore changes
 //! the cleansed relation only for the keys it touches, so maintenance
 //! re-cleanses just those sequences (a *scoped* re-execution of the plan,
-//! see [`dc_relational::delta::scope_plan`]) and diffs old against new.
+//! see [`dc_relational::delta::scope_scans`]) and diffs old against new.
 //! How the diff becomes a delta depends on the plan shape
 //! ([`classify::classify`]):
 //!
