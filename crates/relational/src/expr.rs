@@ -326,6 +326,43 @@ impl Expr {
         }
     }
 
+    /// Visit every literal value in this expression, IN-list elements
+    /// included, left to right, in place. A materialized IN set is visited
+    /// as `None`: its values are not literals of the expression text.
+    pub fn for_each_literal_mut(&mut self, f: &mut impl FnMut(Option<&mut Value>)) {
+        match self {
+            Expr::Column(_) => {}
+            Expr::Literal(v) => f(Some(v)),
+            Expr::Binary { left, right, .. } => {
+                left.for_each_literal_mut(f);
+                right.for_each_literal_mut(f);
+            }
+            Expr::Not(e) | Expr::CountIf(e) | Expr::IsNull { expr: e, .. } => {
+                e.for_each_literal_mut(f)
+            }
+            Expr::InList { expr, list, .. } => {
+                expr.for_each_literal_mut(f);
+                list.iter_mut().for_each(|v| f(Some(v)));
+            }
+            Expr::InSet { expr, .. } => {
+                expr.for_each_literal_mut(f);
+                f(None);
+            }
+            Expr::Case {
+                branches,
+                else_expr,
+            } => {
+                for (c, r) in branches {
+                    c.for_each_literal_mut(f);
+                    r.for_each_literal_mut(f);
+                }
+                if let Some(e) = else_expr {
+                    e.for_each_literal_mut(f);
+                }
+            }
+        }
+    }
+
     /// Apply `f` bottom-up to every node, rebuilding the tree.
     pub fn transform(&self, f: &impl Fn(Expr) -> Expr) -> Expr {
         let rebuilt = match self {
