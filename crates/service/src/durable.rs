@@ -148,8 +148,16 @@ pub(crate) fn log_err(e: LogError) -> Error {
 
 /// Split a top-level `AS OF epoch E` clause off `sql`, returning the
 /// stripped statement and the epoch. `None` when the statement has no such
-/// clause (or does not parse — the engine will report that itself).
+/// clause (or does not parse — the engine will report that itself). Text
+/// without the word `epoch` cannot hold the clause and is not parsed.
 pub(crate) fn split_as_of(sql: &str) -> Option<(String, u64)> {
+    let has_epoch = sql
+        .as_bytes()
+        .windows(5)
+        .any(|w| w.eq_ignore_ascii_case(b"epoch"));
+    if !has_epoch {
+        return None;
+    }
     let mut query = dc_relational::sql::parse_query(sql).ok()?;
     let epoch = query.as_of.take()?;
     Some((query.to_string(), epoch))

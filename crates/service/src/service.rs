@@ -627,7 +627,8 @@ impl Drop for QueryService {
 /// outcome.
 fn worker_loop(shared: &Shared, worker: usize) {
     while let Some(job) = shared.queue.pop() {
-        let queue_wait = job.submitted.elapsed();
+        let start = Instant::now();
+        let queue_wait = start.duration_since(job.submitted);
         let req = &job.req;
         let (sql, snaps) = match shared.resolve(&req.sql, None) {
             Ok(resolved) => resolved,
@@ -640,7 +641,6 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let budget = shared
             .budget(req, job.submitted)
             .with_cancel(Arc::clone(&job.cancel));
-        let start = Instant::now();
         let key = FlightKey {
             epochs: epochs.clone(),
             rules_version: shared.rules_version.load(Ordering::Relaxed),

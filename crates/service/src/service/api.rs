@@ -128,7 +128,8 @@ pub struct ServiceStats {
     pub epochs: EpochVector,
     /// Time spent queued before a worker picked the job up.
     pub queue_wait: Duration,
-    /// Time from dispatch to reply (rewrite + execution).
+    /// Time from dispatch (the worker's dequeue) to reply: resolving the
+    /// snapshots, rewrite and execution.
     pub exec_time: Duration,
     /// Index of the worker that ran the query.
     pub worker: usize,
