@@ -15,6 +15,7 @@ use dc_relational::scatter::{gather, split_scatter, ScatterPlan};
 use dc_relational::sql::{parse_query, plan_query};
 use dc_relational::table::CatalogRef;
 use dc_rewrite::{Executed, Rewritten};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -195,8 +196,10 @@ impl Shared {
     /// them in order and returns one run per plan. With `reuses_plan` the
     /// one shard plan is byte-identical to the coordinator's rewritten
     /// plan, so each shard runs it through its own system (and shard-local
-    /// cleanse cache); otherwise the decomposed plans execute directly. A
-    /// panicking shard thread becomes [`ServiceError::ShardUnavailable`].
+    /// cleanse cache); otherwise the decomposed plans execute directly. The
+    /// calling worker runs the last shard itself, so a query starts one
+    /// thread fewer than it has shards (none with one shard). A panicking
+    /// shard becomes [`ServiceError::ShardUnavailable`].
     fn execute_on_shards(
         &self,
         rewritten: &Rewritten,
@@ -206,41 +209,40 @@ impl Shared {
         budget: &QueryBudget,
     ) -> Result<Vec<Vec<Executed>>, ServiceError> {
         let fail = self.fail_shard.load(Ordering::Relaxed);
+        let run_shard = |i: usize, b: QueryBudget| -> Result<Vec<Executed>, Error> {
+            assert!(i != fail, "injected shard failure");
+            let system = &self.shards[i].system;
+            if reuses_plan {
+                let run = system.execute_rewritten_snapshot(&snaps[i].catalog, rewritten, b)?;
+                return Ok(vec![run]);
+            }
+            let options = system.exec_options();
+            let run = |plan: &LogicalPlan| {
+                let mut ex = Executor::with_budget(&snaps[i].catalog, options, b.clone());
+                let batch = ex.execute(plan)?;
+                Ok(Executed {
+                    batch,
+                    stats: ex.stats,
+                    window_eval_nanos: ex.window_eval_nanos,
+                    metrics: ex.metrics,
+                })
+            };
+            shard_plans.iter().map(run).collect()
+        };
+        let last = self.shards.len() - 1;
         let joined: Vec<std::thread::Result<Result<Vec<Executed>, Error>>> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, shard)| {
+                let run_shard = &run_shard;
+                let handles: Vec<_> = (0..last)
+                    .map(|i| {
                         let b = budget.clone();
-                        scope.spawn(move || {
-                            assert!(i != fail, "injected shard failure");
-                            if reuses_plan {
-                                let run = shard.system.execute_rewritten_snapshot(
-                                    &snaps[i].catalog,
-                                    rewritten,
-                                    b,
-                                )?;
-                                return Ok(vec![run]);
-                            }
-                            let options = shard.system.exec_options();
-                            let run = |plan: &LogicalPlan| {
-                                let mut ex =
-                                    Executor::with_budget(&snaps[i].catalog, options, b.clone());
-                                let batch = ex.execute(plan)?;
-                                Ok(Executed {
-                                    batch,
-                                    stats: ex.stats,
-                                    window_eval_nanos: ex.window_eval_nanos,
-                                    metrics: ex.metrics,
-                                })
-                            };
-                            shard_plans.iter().map(run).collect()
-                        })
+                        scope.spawn(move || run_shard(i, b))
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join()).collect()
+                let own = panic::catch_unwind(AssertUnwindSafe(|| run_shard(last, budget.clone())));
+                let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                joined.push(own);
+                joined
             });
         let mut out = Vec::with_capacity(joined.len());
         for (i, r) in joined.into_iter().enumerate() {
@@ -334,19 +336,23 @@ mod tests {
     #[test]
     fn shard_failure_is_typed() {
         let sharded = service(&large(), 3);
-        sharded.inject_shard_failure(1);
-        let err = sharded
-            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
-            .unwrap_err();
-        assert!(
-            matches!(err, ServiceError::ShardUnavailable { shard: 1 }),
-            "got: {err}"
-        );
-        assert_eq!(sharded.counters().failed, 1);
-        // Recovery: clearing the fault restores service.
-        sharded.clear_shard_failure();
-        sharded
-            .execute(QueryRequest::new("app", "select epc, rtime from caser"))
-            .unwrap();
+        // Shard 1 runs on a thread of its own, shard 2 (the last) on the
+        // dispatching worker: a panic in either is the same typed error.
+        for (failures, shard) in [(1, 1), (2, 2)] {
+            sharded.inject_shard_failure(shard);
+            let err = sharded
+                .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+                .unwrap_err();
+            assert!(
+                matches!(err, ServiceError::ShardUnavailable { shard: s } if s == shard),
+                "got: {err}"
+            );
+            assert_eq!(sharded.counters().failed, failures);
+            // Recovery: clearing the fault restores service.
+            sharded.clear_shard_failure();
+            sharded
+                .execute(QueryRequest::new("app", "select epc, rtime from caser"))
+                .unwrap();
+        }
     }
 }
