@@ -8,7 +8,7 @@ use deferred_cleansing::relational::agg::{AggExpr, AggFunc};
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::rewrite::Strategy;
 use deferred_cleansing::service::{
-    DurableOptions, QueryRequest, QueryService, ServiceConfig, ShardConfig,
+    DurableOptions, QueryRequest, QueryService, ServiceConfig, ShardConfig, SubscribeOptions,
 };
 use deferred_cleansing::DeferredCleansingSystem;
 use std::sync::Arc;
@@ -191,6 +191,47 @@ fn derived_input_survives_one_shard_and_is_refused_beyond() {
         }
     }
     assert!(!dir.join("MANIFEST.log").exists(), "refusal wrote a log");
+}
+
+/// A standing query over rules that read a derived input maintains by
+/// recompute-and-diff: a pallet read changes the rows of its cases, whose
+/// keys are not the appended one. Its feed follows appends to every table
+/// the derived plan reads, not only to caseR.
+#[test]
+fn subscription_over_derived_input_follows_its_sources() {
+    let sql = "select epc, count(*) as n from caser group by epc order by epc";
+    let svc = QueryService::start(system(), ServiceConfig::default());
+    let h = svc
+        .subscribe("app", sql, SubscribeOptions::default())
+        .unwrap();
+    assert_eq!(h.mode(), "fallback");
+    assert!(
+        h.fallback_reason().is_some_and(|r| r.contains("'r_union'")),
+        "{:?}",
+        h.fallback_reason()
+    );
+    let rows = |b: &Batch| (0..b.num_rows()).map(|i| b.row(i)).collect::<Vec<_>>();
+    let mut fold = rows(h.initial());
+    let read = |epc: &str, t: i64, loc: &str| vec![Value::str(epc), Value::Int(t), Value::str(loc)];
+    // p1 at L4 with no case read nearby: an expected read for c1 and c2.
+    for (table, row) in [
+        ("palletr", read("p1", 13_000, "L4")),
+        ("caser", read("c2", 13_020, "L4")),
+    ] {
+        svc.append(table, Batch::from_rows(reads_schema(), &[row]).unwrap())
+            .unwrap();
+        let cs = h
+            .try_next()
+            .unwrap()
+            .unwrap_or_else(|| panic!("no change set for an append to {table}"));
+        cs.apply(&mut fold).unwrap();
+        let mut cold = rows(&svc.execute(QueryRequest::new("app", sql)).unwrap().batch);
+        let mut folded = fold.clone();
+        cold.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        folded.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        assert_eq!(folded, cold, "after an append to {table}");
+    }
+    assert_eq!(fold.len(), 2);
 }
 
 #[test]
