@@ -15,6 +15,11 @@
 //! then one log fsync. An epoch is durable iff its `EpochCommit` is
 //! readable; everything after the last commit is a crash artifact that
 //! recovery discards (and compaction truncates).
+//!
+//! A segment file decodes back into the [`SealedSegment`] it was written
+//! from, and the [`SegmentStore`] keeps one `Arc` of it per file: every
+//! table [`materialize_catalog`] builds, at any epoch, pushes those same
+//! `Arc`s, so recovered and historical tables share their rows.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +30,7 @@ use dc_relational::persist::{
     encode_segment_meta, StrPool,
 };
 use dc_relational::prelude::*;
-use dc_relational::segment::{Segment, ZonePredicate};
+use dc_relational::segment::{SealedSegment, Segment, ZonePredicate};
 use dc_storage::{ByteReader, ByteWriter};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -447,21 +452,20 @@ pub fn compact_shard_log(dir: &LogDir, rec: &ShardRecovery) -> LogResult<()> {
     dir.write_atomic(COMMIT_LOG, &buf)
 }
 
-/// Lazily decoded segment files with a decode-once cache and pruning
-/// counters. Loads validate the file checksum *and* that the file's
-/// embedded metadata matches the log's — the log and the file must
-/// agree before any row is trusted.
+/// A shard's segment files as sealed segments: each file is decoded at
+/// most once and its [`SealedSegment`] cached, with pruning counters.
+/// Loads validate the file checksum *and* that the file's embedded
+/// metadata matches the log's — the log and the file must agree before
+/// any row is trusted.
 ///
-/// A recovered service should hold about what the live one held, so the
-/// store keeps no second copy of what it materializes: strings decode
-/// through one pool for the store's life (equal strings share one
-/// allocation across files, as in the live table), and
-/// [`materialize_catalog`] replaces each cache entry it used with a
-/// zero-copy window of the table it built.
+/// Strings decode through one pool for the store's life (equal strings
+/// share one allocation across files, as in the live table). A live
+/// service [`register`](SegmentStore::register)s the segments it logs, so
+/// its `AS OF` queries decode no file at all.
 #[derive(Debug)]
 pub struct SegmentStore {
     dir: LogDir,
-    cache: Mutex<HashMap<String, Arc<Batch>>>,
+    cache: Mutex<HashMap<String, Arc<SealedSegment>>>,
     strings: Mutex<StrPool>,
     loaded: AtomicU64,
     pruned: AtomicU64,
@@ -478,35 +482,39 @@ impl SegmentStore {
         }
     }
 
-    /// Rows of one committed segment, decoding the file at most once.
-    pub fn load(&self, entry: &SegmentEntry) -> LogResult<Arc<Batch>> {
-        if let Some(batch) = self.cache.lock().get(&entry.file) {
-            return Ok(Arc::clone(batch));
+    /// One committed segment, decoding its file at most once.
+    pub fn load(&self, entry: &SegmentEntry) -> LogResult<Arc<SealedSegment>> {
+        if let Some(segment) = self.cache.lock().get(&entry.file) {
+            return Ok(Arc::clone(segment));
         }
         let bytes = self.dir.read(&entry.file)?;
         let decoded = decode_segment_file(&bytes, &mut self.strings.lock());
-        let (batch, meta) = decoded.map_err(|e| LogError::Corrupt {
+        let segment = decoded.map_err(|e| LogError::Corrupt {
             file: entry.file.clone(),
             detail: e.message().to_string(),
         })?;
-        if meta != entry.meta {
+        if segment.meta() != &entry.meta {
             return Err(LogError::Corrupt {
                 file: entry.file.clone(),
                 detail: "file metadata disagrees with commit log".to_string(),
             });
         }
-        let batch = Arc::new(batch);
+        let segment = Arc::new(segment);
         self.loaded.fetch_add(1, Ordering::Relaxed);
         self.cache
             .lock()
-            .insert(entry.file.clone(), Arc::clone(&batch));
-        Ok(batch)
+            .insert(entry.file.clone(), Arc::clone(&segment));
+        Ok(segment)
     }
 
-    /// Serve `entry`'s rows from `rows` from now on — a window of a table
-    /// materialized from it, so the cache shares that table's columns.
-    fn adopt(&self, entry: &SegmentEntry, rows: Batch) {
-        self.cache.lock().insert(entry.file.clone(), Arc::new(rows));
+    /// Serve the files of `table`'s segments from position `from` on —
+    /// just logged by [`ShardLog::log_table_append`] — from the segments
+    /// themselves instead of decoding them.
+    pub fn register(&self, table: &Table, from: usize) {
+        let mut cache = self.cache.lock();
+        for seg in &table.segments()[from..] {
+            cache.insert(segment_file_name(table.name(), seg.id), Arc::clone(seg));
+        }
     }
 
     /// Segment files decoded from disk so far (cache misses).
@@ -527,26 +535,26 @@ impl SegmentStore {
         &self,
         entries: &[SegmentEntry],
         predicates: &[ZonePredicate],
-    ) -> LogResult<Vec<(Arc<Batch>, Segment)>> {
+    ) -> LogResult<Vec<Arc<SealedSegment>>> {
         let mut out = Vec::new();
         for entry in entries {
             if !entry.meta.may_match_all(predicates) {
                 self.pruned.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            out.push((self.load(entry)?, entry.meta.clone()));
+            out.push(self.load(entry)?);
         }
         Ok(out)
     }
 }
 
-/// Materialize the catalog as of shard epoch `epoch`: for each table,
-/// load the committed segments with `epoch ≤ E` in id order, validate
-/// the schema against the table definition, and reassemble a live
-/// [`Table`] with the logged segment metadata. Each loaded segment's cache
-/// entry then becomes a window of that table, so a later load (an `AS OF`
-/// materialization) decodes no file twice and the store holds no copy of
-/// the rows beside the table.
+/// Materialize the catalog as of shard epoch `epoch`: each table starts
+/// empty from its definition, pushes its committed segments with
+/// `epoch ≤ E` in log order straight from `store` ([`Table::push`] checks
+/// each against the definition: contiguous rows, one zone map per column,
+/// the table's schema), then builds its logged indexes. The tables share
+/// the store's segments, so materializing another epoch copies no row and
+/// decodes no file twice.
 pub fn materialize_catalog(
     rec: &ShardRecovery,
     epoch: u64,
@@ -560,47 +568,33 @@ pub fn materialize_catalog(
     }
     let catalog = Catalog::new();
     for spec in &rec.tables {
+        let context = format!("table '{}'", spec.name);
         let schema = schema_ref(Schema::new(spec.fields.clone()));
-        let entries: Vec<&SegmentEntry> = rec
+        let mut table = Table::empty(
+            &spec.name,
+            schema,
+            spec.segment_rows,
+            spec.seq_order.clone(),
+        )
+        .map_err(|e| engine_err(&context, &e))?;
+        for e in rec
             .segments
             .iter()
             .filter(|s| s.table == spec.name && s.epoch <= epoch)
-            .collect();
-        let mut parts = Vec::with_capacity(entries.len());
-        let mut metas = Vec::with_capacity(entries.len());
-        for e in &entries {
-            let batch = store.load(e)?;
-            if batch.schema() != &schema {
-                return Err(LogError::Corrupt {
+        {
+            table
+                .push(store.load(e)?)
+                .map_err(|err| LogError::Corrupt {
                     file: e.file.clone(),
-                    detail: format!(
-                        "segment schema [{}] != table schema [{}]",
-                        batch.schema(),
-                        schema
-                    ),
-                });
-            }
-            parts.push((*batch).clone());
-            metas.push(e.meta.clone());
+                    detail: err.message().to_string(),
+                })?;
         }
-        let data = if parts.is_empty() {
-            Batch::empty(schema)
-        } else {
-            Batch::concat(&parts).map_err(|e| engine_err("segment concat", &e))?
-        };
-        let table = Table::from_recovered(
-            &spec.name,
-            data,
-            metas,
-            spec.segment_rows,
-            spec.seq_order.clone(),
-            &spec.indexes,
-        )
-        .map_err(|e| engine_err(&format!("table '{}'", spec.name), &e))?;
-        let table = catalog.register(table);
-        for (e, seg) in entries.iter().zip(table.segments()) {
-            store.adopt(e, seg.data().clone());
+        for column in &spec.indexes {
+            table
+                .create_index(column)
+                .map_err(|e| engine_err(&context, &e))?;
         }
+        catalog.register(table);
     }
     Ok(catalog)
 }
@@ -754,13 +748,24 @@ mod tests {
             Arc::ptr_eq(&a, &b),
             "equal strings from two files decoded twice"
         );
-        // An earlier epoch is served from the windows the first
-        // materialization left in the cache: no file is decoded again.
+        // An earlier epoch is served from the segments the first
+        // materialization left in the store: no file is decoded again.
         let at0 = materialize_catalog(&rec, 0, &store).unwrap();
         assert_eq!(at0.get("caser").unwrap().num_rows(), 10);
         assert_eq!(store.segments_loaded(), files);
         let rows = |c: &Catalog| rows_of(c.get("caser").unwrap().data());
         assert_eq!(rows(&at0), rows(&latest)[..10].to_vec());
+        // One copy of each segment: both epochs hold the store's own.
+        let early = at0.get("caser").unwrap();
+        assert_eq!(early.segments().len(), 3);
+        for (i, entry) in rec.segments.iter().enumerate() {
+            let stored = store.load(entry).unwrap();
+            assert!(Arc::ptr_eq(&table.segments()[i], &stored), "segment {i}");
+            if let Some(seg) = early.segments().get(i) {
+                assert!(Arc::ptr_eq(seg, &stored), "epoch-0 segment {i}");
+            }
+        }
+        assert_eq!(store.segments_loaded(), files);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -782,6 +787,7 @@ mod tests {
         );
         let opened = store.open_pruned(&rec.segments, &[pred]).unwrap();
         assert_eq!(opened.len(), 1);
+        assert_eq!(opened[0].meta(), &rec.segments[2].meta);
         assert_eq!(store.segments_pruned(), 2);
         assert_eq!(store.segments_loaded(), 1);
         std::fs::remove_dir_all(&root).unwrap();

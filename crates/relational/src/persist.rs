@@ -23,7 +23,7 @@ use crate::batch::{schema_ref, Batch};
 use crate::column::ColumnBuilder;
 use crate::error::{Error, Result};
 use crate::schema::{Field, Schema};
-use crate::segment::{Segment, ZoneMap};
+use crate::segment::{SealedSegment, Segment, ZoneMap};
 use crate::value::{DataType, Value};
 use dc_storage::{fnv1a64, ByteReader, ByteWriter, WireError};
 use std::collections::HashSet;
@@ -277,10 +277,11 @@ impl StrPool {
     }
 }
 
-/// Decode a segment file back into its rows and metadata, validating the
-/// magic, the whole-file checksum, and every structural invariant. Never
-/// panics on corrupt input. String cells are interned through `pool`.
-pub fn decode_segment_file(bytes: &[u8], pool: &mut StrPool) -> Result<(Batch, Segment)> {
+/// Decode a segment file back into the sealed segment it was written from
+/// (rows and metadata), validating the magic, the whole-file checksum, and
+/// every structural invariant. Never panics on corrupt input. String cells
+/// are interned through `pool`.
+pub fn decode_segment_file(bytes: &[u8], pool: &mut StrPool) -> Result<SealedSegment> {
     if bytes.len() < SEGMENT_MAGIC.len() + 8 {
         return Err(corrupt(format!("{} bytes is too short", bytes.len())));
     }
@@ -296,7 +297,7 @@ pub fn decode_segment_file(bytes: &[u8], pool: &mut StrPool) -> Result<(Batch, S
     decode_payload(payload, pool).map_err(corrupt)
 }
 
-fn decode_payload(payload: &[u8], pool: &mut StrPool) -> WireResult<(Batch, Segment)> {
+fn decode_payload(payload: &[u8], pool: &mut StrPool) -> WireResult<SealedSegment> {
     let mut r = ByteReader::new(payload);
     let schema = schema_ref(Schema::new(decode_fields(&mut r)?));
     let n = r.get_u64()? as usize;
@@ -371,7 +372,7 @@ fn decode_payload(payload: &[u8], pool: &mut StrPool) -> WireResult<(Batch, Segm
             r.remaining()
         )));
     }
-    Ok((batch, seg))
+    Ok(SealedSegment::new(seg, batch))
 }
 
 #[cfg(test)]
@@ -480,8 +481,9 @@ mod tests {
         for seg in t.segments() {
             let rows = seg.data();
             let bytes = encode_segment_file(rows, seg).unwrap();
-            let (back, meta) = decode_segment_file(&bytes, &mut StrPool::default()).unwrap();
-            assert_eq!(&meta, seg.meta());
+            let decoded = decode_segment_file(&bytes, &mut StrPool::default()).unwrap();
+            assert_eq!(decoded.meta(), seg.meta());
+            let back = decoded.data();
             assert_eq!(back.num_rows(), seg.rows);
             assert_eq!(back.schema(), rows.schema());
             for ci in 0..back.schema().len() {

@@ -6,6 +6,11 @@
 //! to tables and is shared between the planner, the rewrite engine, and the
 //! executor.
 //!
+//! Rows enter a table one way: [`Table::push`] adds a sealed segment after
+//! the last row. [`Table::append`] seals a batch and pushes it; a table
+//! built from one batch is an empty table that appended it; recovery pushes
+//! the segments it decoded from their files.
+//!
 //! Tables are immutable once registered — readers always see a consistent
 //! snapshot — but grow through [`Catalog::append`], which builds the next
 //! version of the table and swaps the catalog entry. The next version
@@ -14,9 +19,9 @@
 //! statistics and index tails: an append costs what it appends. Readers
 //! holding an old `Arc<Table>` keep their snapshot.
 //!
-//! [`Table::data`] is the table as one batch. A table loaded from one batch
-//! keeps its segments as windows of it, so that is free; after an append it
-//! is a counted flatten ([`flatten_count`]), done at most once per table
+//! [`Table::data`] is the table as one batch. For an empty table, and for
+//! one whose rows came in one batch, that is free; otherwise it is a
+//! counted flatten ([`flatten_count`]), done at most once per table
 //! version. Scans that narrow by index or zone map gather from the segments
 //! through [`Table::take`] instead.
 
@@ -25,7 +30,7 @@ use crate::column::{Column, ColumnBuilder};
 use crate::error::{Error, Result};
 use crate::index::OrderedIndex;
 use crate::schema::SchemaRef;
-use crate::segment::{seal_segments, SealedSegment, Segment};
+use crate::segment::{seal_segments, SealedSegment};
 use crate::stats::{FoldedStats, TableStats};
 use crate::value::Value;
 use parking_lot::RwLock;
@@ -64,8 +69,8 @@ pub struct Table {
     /// Computed on the first [`Table::stats`] call and folded per append
     /// after that; a table nobody costs never pays for statistics.
     stats: OnceLock<FoldedStats>,
-    /// The rows as one batch: set when the table is built from one batch,
-    /// otherwise flattened on the first [`Table::data`] call.
+    /// The rows as one batch: set when the first append brings every row,
+    /// otherwise built on the first [`Table::data`] call.
     flat: OnceLock<Batch>,
     /// Target rows per segment for bulk loads and appends (`None` = one
     /// segment per creation/append).
@@ -83,110 +88,58 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create a table from one batch. Non-empty data is sealed as a single
-    /// segment; statistics wait for the first [`Table::stats`] call.
+    /// Create a table from one batch: an empty table that appends it, so
+    /// non-empty data is sealed as a single segment; statistics wait for
+    /// the first [`Table::stats`] call.
     pub fn new(name: impl Into<String>, data: Batch) -> Self {
-        Self::with_segment_rows_opt(name, data, None)
+        Self::loaded(name, data, None)
     }
 
     /// Create a table whose data is sealed into segments of at most
     /// `segment_rows` rows, each a window of `data`; later
     /// [`Table::append`]s use the same target.
     pub fn with_segment_rows(name: impl Into<String>, data: Batch, segment_rows: usize) -> Self {
-        Self::with_segment_rows_opt(name, data, Some(segment_rows.max(1)))
+        Self::loaded(name, data, Some(segment_rows.max(1)))
     }
 
-    fn with_segment_rows_opt(
-        name: impl Into<String>,
-        data: Batch,
-        segment_rows: Option<usize>,
-    ) -> Self {
-        let data = data.flatten();
-        let segments = seal_segments(&data, 0, 0, segment_rows, &[]);
-        Self::from_parts(name, data, segments, segment_rows, Vec::new())
+    fn loaded(name: impl Into<String>, data: Batch, segment_rows: Option<usize>) -> Self {
+        let mut t = Self::empty(name, data.schema().clone(), segment_rows, Vec::new())
+            .expect("no sequence order to check");
+        if data.num_rows() == 0 {
+            t.flat = OnceLock::from(data.flatten());
+        }
+        t.append(data)
+            .expect("a batch appends under its own schema");
+        t
     }
 
-    fn from_parts(
+    /// An empty table: a table definition's schema, segment target and
+    /// sequence order (column positions), with no rows yet. Rows enter
+    /// through [`Table::push`] or [`Table::append`].
+    pub fn empty(
         name: impl Into<String>,
-        data: Batch,
-        segments: Vec<SealedSegment>,
+        schema: SchemaRef,
         segment_rows: Option<usize>,
         seq_order: Vec<usize>,
-    ) -> Self {
-        Table {
+    ) -> Result<Self> {
+        if let Some(&c) = seq_order.iter().find(|&&c| c >= schema.len()) {
+            return Err(Error::Catalog(format!(
+                "sequence order names column {c} of {}",
+                schema.len()
+            )));
+        }
+        Ok(Table {
             name: name.into().to_ascii_lowercase(),
-            schema: data.schema().clone(),
-            segments: segments.into_iter().map(Arc::new).collect(),
-            num_rows: data.num_rows(),
+            schema,
+            segments: Vec::new(),
+            num_rows: 0,
             indexes: HashMap::new(),
             stats: OnceLock::new(),
-            flat: OnceLock::from(data),
+            flat: OnceLock::new(),
             segment_rows,
             seq_order,
             version: next_version(),
-        }
-    }
-
-    /// Reassemble a table from recovered durable state: `data` is the
-    /// concatenation of decoded segment files in id order and `segments` is
-    /// the metadata recorded in the commit log. Each segment becomes a
-    /// window of `data`. The metadata is trusted — segments are immutable
-    /// and it was derived from the sealed rows — but its row accounting is
-    /// validated against the data so a corrupt log cannot misdescribe row
-    /// ranges. Indexes are rebuilt (equal to the incremental builds the live
-    /// table did); statistics wait for the first [`Table::stats`] call.
-    pub fn from_recovered(
-        name: impl Into<String>,
-        data: Batch,
-        segments: Vec<Segment>,
-        segment_rows: Option<usize>,
-        seq_order: Vec<usize>,
-        indexes: &[String],
-    ) -> Result<Self> {
-        let data = data.flatten();
-        let ncols = data.schema().len();
-        let mut expected_start = 0usize;
-        for s in &segments {
-            if s.start != expected_start {
-                return Err(Error::Catalog(format!(
-                    "recovered segment {} starts at row {}, expected {}",
-                    s.id, s.start, expected_start
-                )));
-            }
-            if s.zones.len() != ncols {
-                return Err(Error::Catalog(format!(
-                    "recovered segment {} has {} zone maps for {} columns",
-                    s.id,
-                    s.zones.len(),
-                    ncols
-                )));
-            }
-            expected_start = s.end();
-        }
-        if expected_start != data.num_rows() {
-            return Err(Error::Catalog(format!(
-                "recovered segments cover {} rows, data has {}",
-                expected_start,
-                data.num_rows()
-            )));
-        }
-        if seq_order.iter().any(|&c| c >= ncols) {
-            return Err(Error::Catalog(format!(
-                "recovered sequence order references column beyond {ncols}"
-            )));
-        }
-        let sealed = segments
-            .into_iter()
-            .map(|meta| {
-                let rows = data.slice(meta.start, meta.rows);
-                SealedSegment::new(meta, rows)
-            })
-            .collect();
-        let mut t = Self::from_parts(name, data, sealed, segment_rows, seq_order);
-        for column in indexes {
-            t.create_index(column)?;
-        }
-        Ok(t)
+        })
     }
 
     /// The configured target rows per sealed segment (`None` = one segment
@@ -239,16 +192,19 @@ impl Table {
         &self.schema
     }
 
-    /// Every row as one batch. Free for a table built from one batch; after
-    /// an append the segments are copied into one batch once per table
-    /// version (counted by [`flatten_count`]). Prefer [`Table::take`] or
-    /// [`Table::segments`] where a subset or a per-segment pass will do.
+    /// Every row as one batch. Free for an empty table and for one built
+    /// from one batch; otherwise the segments are copied into one batch once
+    /// per table version (counted by [`flatten_count`]). Prefer
+    /// [`Table::take`] or [`Table::segments`] where a subset or a
+    /// per-segment pass will do.
     pub fn data(&self) -> &Batch {
         self.flat.get_or_init(|| {
+            if self.segments.is_empty() {
+                return Batch::empty(self.schema.clone());
+            }
             FLATTENS.fetch_add(1, Ordering::Relaxed);
             let parts: Vec<Batch> = self.segments.iter().map(|s| s.data().clone()).collect();
-            // Segments share the table schema, so only an empty list fails.
-            Batch::concat(&parts).unwrap_or_else(|_| Batch::empty(self.schema.clone()))
+            Batch::concat(&parts).expect("segments share the table schema")
         })
     }
 
@@ -341,36 +297,82 @@ impl Table {
         &self.segments
     }
 
-    /// Append a batch: seal its rows as new segment(s), extend every index
-    /// and fold the rows into the statistics if they have been computed.
-    /// Earlier segments are shared, not copied.
+    /// Append a batch: seal its rows as new segment(s) and
+    /// [`push`](Table::push) them. Earlier segments are shared, not copied.
     pub fn append(&mut self, batch: Batch) -> Result<()> {
         if batch.num_rows() == 0 {
             return Ok(());
         }
         let rows = batch.flatten().with_schema(self.schema.clone())?;
+        let first = self.num_rows == 0;
         let next_id = self.segments.last().map_or(0, |s| s.id + 1);
-        let sealed = seal_segments(
+        for segment in seal_segments(
             &rows,
             self.num_rows,
             next_id,
             self.segment_rows,
             &self.seq_order,
-        );
+        ) {
+            self.push(Arc::new(segment))?;
+        }
+        if first {
+            // The segments are windows of `rows`: the table as one batch.
+            self.flat = OnceLock::from(rows);
+        }
+        Ok(())
+    }
+
+    /// Add a sealed segment after the last row: the one way rows enter a
+    /// table. The segment must start where the table ends, carry one zone
+    /// map per column and `rows` rows under the table's schema; its verified
+    /// order is trusted (it was derived from the rows when they were
+    /// sealed). Extends every index, folds the rows into the statistics if
+    /// they have been computed, and draws a new version.
+    pub fn push(&mut self, segment: Arc<SealedSegment>) -> Result<()> {
+        let rows = segment.data();
+        let refuse = |fault: String| {
+            Err(Error::Catalog(format!(
+                "segment {} of '{}' {fault}",
+                segment.id, self.name
+            )))
+        };
+        if segment.start != self.num_rows {
+            return refuse(format!(
+                "starts at row {}, table ends at row {}",
+                segment.start, self.num_rows
+            ));
+        }
+        if segment.zones.len() != self.schema.len() {
+            return refuse(format!(
+                "has {} zone maps for {} columns",
+                segment.zones.len(),
+                self.schema.len()
+            ));
+        }
+        if rows.num_rows() != segment.rows {
+            return refuse(format!(
+                "holds {} rows, its metadata says {}",
+                rows.num_rows(),
+                segment.rows
+            ));
+        }
+        if !Arc::ptr_eq(rows.schema(), &self.schema) && rows.schema() != &self.schema {
+            return refuse(format!(
+                "has schema [{}], table has [{}]",
+                rows.schema(),
+                self.schema
+            ));
+        }
         for (column, idx) in &mut self.indexes {
-            let ci = self.schema.index_of_name(column)?;
-            idx.extend(rows.column(ci));
+            idx.extend(rows.column(self.schema.index_of_name(column)?));
         }
         let known_ndv = self.indexed_ndv();
         if let Some(stats) = self.stats.get_mut() {
-            stats.fold(&rows, &known_ndv);
+            stats.fold(rows, &known_ndv);
         }
-        self.flat = match self.num_rows {
-            0 => OnceLock::from(rows),
-            _ => OnceLock::new(),
-        };
-        self.num_rows += batch.num_rows();
-        self.segments.extend(sealed.into_iter().map(Arc::new));
+        self.flat = OnceLock::new();
+        self.num_rows += segment.rows;
+        self.segments.push(segment);
         self.version = next_version();
         Ok(())
     }
@@ -515,6 +517,7 @@ mod tests {
     use super::*;
     use crate::batch::schema_ref;
     use crate::schema::{Field, Schema};
+    use crate::segment::Segment;
     use crate::value::{DataType, Value};
 
     fn sample_batch() -> Batch {
@@ -592,6 +595,69 @@ mod tests {
         let before = idx.clone();
         t.create_index("rtime").unwrap();
         assert_eq!(*t.index("rtime").unwrap(), before);
+    }
+
+    #[test]
+    fn push_refuses_segments_that_do_not_fit() {
+        // Row 1 of the sample as a one-row segment, and the one-row table
+        // it would follow.
+        let whole = Table::with_segment_rows("t", sample_batch(), 1);
+        let good = &whole.segments()[1];
+        let head = || Table::new("t", sample_batch().take(&[0]));
+        let meta = good.meta().clone();
+        let doubles = schema_ref(Schema::new(vec![
+            Field::new("epc", DataType::Str),
+            Field::new("rtime", DataType::Double),
+        ]));
+        let doubles = Batch::from_rows(doubles, &[vec![Value::str("e2"), Value::Double(20.0)]]);
+        let cases = [
+            (
+                "gap",
+                Segment {
+                    start: 2,
+                    ..meta.clone()
+                },
+                good.data().clone(),
+                "starts at row 2, table ends at row 1",
+            ),
+            (
+                "zones",
+                Segment {
+                    zones: meta.zones[..1].to_vec(),
+                    ..meta.clone()
+                },
+                good.data().clone(),
+                "has 1 zone maps for 2 columns",
+            ),
+            (
+                "rows",
+                Segment {
+                    rows: 2,
+                    ..meta.clone()
+                },
+                good.data().clone(),
+                "holds 1 rows, its metadata says 2",
+            ),
+            (
+                "schema",
+                meta,
+                doubles.unwrap(),
+                "has schema [epc VARCHAR, rtime DOUBLE]",
+            ),
+        ];
+        for (case, meta, rows, message) in cases {
+            let mut t = head();
+            let before = (t.version(), t.num_rows());
+            let err = t
+                .push(Arc::new(SealedSegment::new(meta, rows)))
+                .expect_err(case);
+            assert!(matches!(err, Error::Catalog(_)), "{case}: {err:?}");
+            assert!(err.message().contains(message), "{case}: {err}");
+            assert_eq!((t.version(), t.num_rows()), before, "{case}");
+        }
+        let mut t = head();
+        t.push(Arc::clone(good)).unwrap();
+        assert_eq!(t.data().row(1), whole.data().row(1));
     }
 
     #[test]

@@ -114,13 +114,15 @@ pub(crate) struct StagedAppend<'a> {
     pub epoch: u64,
 }
 
-/// Per-shard durable handles: the log writer, the lazy segment store, and
-/// the committed history this shard's log encodes.
+/// Per-shard durable handles: the log writer, the segment store (every
+/// segment this process logged or decoded), and the committed history this
+/// shard's log encodes.
 struct DurableShard {
     log: Mutex<ShardLog>,
     store: SegmentStore,
     recovery: Mutex<ShardRecovery>,
-    /// Materialized historical catalogs, keyed by shard epoch.
+    /// Materialized historical catalogs, keyed by shard epoch; they share
+    /// the store's segments.
     catalogs: Mutex<HashMap<u64, CatalogRef>>,
 }
 
@@ -133,7 +135,6 @@ struct History {
 /// All durable state of one service: root manifest, shard logs, and the
 /// epoch history that backs `AS OF` queries.
 pub(crate) struct DurableState {
-    root: LogDir,
     manifest: Mutex<LogWriter>,
     shards: Vec<DurableShard>,
     history: Mutex<History>,
@@ -196,9 +197,13 @@ impl DurableState {
             // Re-reading the log we just wrote guarantees the in-memory
             // history is exactly what a restart would see.
             let recovery = recover_shard(&dir)?;
+            let store = SegmentStore::new(dir);
+            for table in catalog.table_names().iter().flat_map(|t| catalog.get(t)) {
+                store.register(&table, 0);
+            }
             shards.push(DurableShard {
                 log: Mutex::new(log),
-                store: SegmentStore::new(dir),
+                store,
                 recovery: Mutex::new(recovery),
                 catalogs: Mutex::new(HashMap::new()),
             });
@@ -210,7 +215,6 @@ impl DurableState {
         }))?;
         manifest.sync()?;
         Ok(DurableState {
-            root,
             manifest: Mutex::new(manifest),
             shards,
             history: Mutex::new(History {
@@ -255,10 +259,9 @@ impl DurableState {
         let mut h = self.history.lock().unwrap_or_else(|e| e.into_inner());
         h.commits.push(vector_after.clone());
         for (s, entries) in staged.iter().zip(logged) {
-            let mut rec = self.shards[s.shard]
-                .recovery
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let shard = &self.shards[s.shard];
+            shard.store.register(s.table, s.prev_segments);
+            let mut rec = shard.recovery.lock().unwrap_or_else(|e| e.into_inner());
             rec.segments.extend(entries);
             rec.durable_epoch = s.epoch;
         }
@@ -334,12 +337,6 @@ impl DurableState {
             segments_loaded_lazy: self.shards.iter().map(|s| s.store.segments_loaded()).sum(),
             segments_pruned_unopened: self.shards.iter().map(|s| s.store.segments_pruned()).sum(),
         }
-    }
-
-    /// Root directory (tests inspect the layout through this).
-    #[allow(dead_code)]
-    pub(crate) fn root(&self) -> &LogDir {
-        &self.root
     }
 }
 
@@ -477,7 +474,6 @@ pub(crate) fn recover_state(opts: &DurableOptions) -> Result<Recovered, LogError
     let epochs_recovered = commits.len() as u64;
     Ok(Recovered {
         state: DurableState {
-            root,
             manifest: Mutex::new(manifest),
             shards,
             history: Mutex::new(History { commits }),

@@ -68,7 +68,7 @@ impl HashPartitioner {
 /// Split `batch` into `shards` batches by routing each row on its key
 /// column. Row order is preserved within every output batch (routing is a
 /// stable partition of the input), so per-shard append order matches the
-/// order the rows arrived in.
+/// order the rows arrived in. Each output gathers its rows column by column.
 pub fn split_batch(
     batch: &Batch,
     key_idx: usize,
@@ -82,20 +82,13 @@ pub fn split_batch(
         )));
     }
     let key_col = batch.column(key_idx);
-    let mut rows: Vec<Vec<Vec<Value>>> = vec![Vec::new(); shards.max(1)];
+    let selection = batch.selection();
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); shards.max(1)];
     for i in 0..batch.num_rows() {
-        let shard = partitioner.shard_of(&key_col.value(i), shards);
-        rows[shard].push(batch.row(i));
+        let physical = selection.map_or(i, |sel| sel[i] as usize);
+        rows[partitioner.shard_of(&key_col.value(physical), shards)].push(i);
     }
-    rows.into_iter()
-        .map(|r| {
-            if r.is_empty() {
-                Ok(Batch::empty(batch.schema().clone()))
-            } else {
-                Batch::from_rows(batch.schema().clone(), &r)
-            }
-        })
-        .collect()
+    Ok(rows.iter().map(|r| batch.take(r)).collect())
 }
 
 /// Rebuild `table`'s data as a new table with the same name, secondary
@@ -180,18 +173,29 @@ mod tests {
 
     #[test]
     fn split_batch_preserves_order_and_loses_nothing() {
-        let batch = reads(50);
-        let parts = split_batch(&batch, 0, &HashPartitioner, 3).unwrap();
-        assert_eq!(parts.len(), 3);
-        let total: usize = parts.iter().map(Batch::num_rows).sum();
-        assert_eq!(total, 50);
-        for part in &parts {
-            // rtime is monotone in the input, so order-preservation means
-            // it stays monotone in every split.
-            let col = part.column(1);
-            for i in 1..part.num_rows() {
-                assert!(col.value(i - 1).total_cmp(&col.value(i)).is_lt());
+        // A flat batch, and one whose selection vector keeps two rows in
+        // three: routing must read the key of the selected row.
+        let selected = reads(60).with_selection((0..60).filter(|i| i % 3 != 1).collect());
+        for batch in [reads(50), selected] {
+            let parts = split_batch(&batch, 0, &HashPartitioner, 3).unwrap();
+            assert_eq!(parts.len(), 3);
+            let mut got: Vec<Vec<Value>> = Vec::new();
+            for (shard, part) in parts.iter().enumerate() {
+                for i in 0..part.num_rows() {
+                    let row = part.row(i);
+                    assert_eq!(HashPartitioner.shard_of(&row[0], 3), shard);
+                    got.push(row);
+                }
+                // rtime is monotone in the input, so order-preservation
+                // means it stays monotone in every split.
+                let col = part.column(1);
+                for i in 1..part.num_rows() {
+                    assert!(col.value(i - 1).total_cmp(&col.value(i)).is_lt());
+                }
             }
+            let want: Vec<Vec<Value>> = (0..batch.num_rows()).map(|i| batch.row(i)).collect();
+            got.sort_by_key(|row| row[1].as_int());
+            assert_eq!(got, want);
         }
     }
 

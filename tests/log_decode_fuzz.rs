@@ -237,7 +237,8 @@ fn segment_file_rejects_every_bit_flip_and_truncation() {
         .min()
         .expect("corpus wrote at least one segment file");
     let orig = read_file(&seg_path);
-    decode_segment_file(&orig, &mut StrPool::default()).unwrap();
+    let segment = decode_segment_file(&orig, &mut StrPool::default()).unwrap();
+    assert_eq!(segment.data().num_rows(), segment.rows);
     for i in 0..orig.len() {
         for bit in 0..8 {
             let mut bytes = orig.clone();

@@ -23,8 +23,8 @@
 //! * routing totality — every appended row lands on exactly one shard and
 //!   the union of the shards is the unsharded catalog.
 //!
-//! The shard and worker counts are CI-matrix knobs: `DC_TEST_SHARDS`
-//! (comma list, default `1,2,4`) and `DC_TEST_WORKERS` (default `4`).
+//! The replay and the live A/B run every cell of shards {1, 2, 4} ×
+//! workers {1, 4}.
 
 use deferred_cleansing::relational::prelude::*;
 use deferred_cleansing::relational::scatter::PARTIALS;
@@ -88,24 +88,8 @@ const POOL: &[(&str, &str)] = &[
 
 const STRATEGIES: &[Strategy] = &[Strategy::Auto, Strategy::Expanded, Strategy::JoinBack];
 
-fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|v| {
-            v.split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
+/// The (shards, workers) cells the replay and the live A/B run.
+const CELLS: [(usize, usize); 6] = [(1, 1), (1, 4), (2, 1), (2, 4), (4, 1), (4, 4)];
 
 fn reads_schema() -> SchemaRef {
     schema_ref(Schema::new(vec![
@@ -350,8 +334,7 @@ fn run_session(shards: usize, workers: usize, seed: u64, total_rounds: usize, ap
 
 #[test]
 fn sharded_replay_matches_serial_oracle() {
-    let workers = env_usize("DC_TEST_WORKERS", 4);
-    for shards in env_usize_list("DC_TEST_SHARDS", &[1, 2, 4]) {
+    for (shards, workers) in CELLS {
         run_session(shards, workers, 0xDC07_0000 + shards as u64, 60, 10);
     }
 }
@@ -371,8 +354,7 @@ fn one_shard_replay_matches_serial_oracle_at_2_4_8_workers() {
 /// same notes, and the same EXPLAIN ANALYZE with no shard lines.
 #[test]
 fn sharded_and_unsharded_services_agree_live() {
-    let workers = env_usize("DC_TEST_WORKERS", 4);
-    for shards in env_usize_list("DC_TEST_SHARDS", &[1, 2, 4]) {
+    for (shards, workers) in CELLS {
         let seed = 0xDC07_AB00 + shards as u64;
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = seed_rows(&mut rng, 80);
@@ -403,7 +385,7 @@ fn sharded_and_unsharded_services_agree_live() {
         for (pool_idx, (app, sql)) in POOL.iter().enumerate() {
             let a = sharded.execute(QueryRequest::new(*app, *sql)).unwrap();
             let b = unsharded.execute(QueryRequest::new(*app, *sql)).unwrap();
-            let ctx = format!("shards={shards} pool={pool_idx}");
+            let ctx = format!("shards={shards} workers={workers} pool={pool_idx}");
             assert_eq!(a.batch.schema(), b.batch.schema(), "{ctx}");
             let explain = |svc: &QueryService| {
                 let text = svc.explain_analyze(&QueryRequest::new(*app, *sql)).unwrap();
@@ -538,7 +520,7 @@ fn cache_epoch_ping_pong_stays_correct() {
 /// the shard snapshots recorded at `E`'s epoch vector. The same holds
 /// after the service restarts via [`QueryService::recover`], whose
 /// historical catalogs are rebuilt from segment files instead of live
-/// memory.
+/// memory. Before the restart no `AS OF` decodes a segment file.
 #[test]
 fn as_of_queries_match_serial_replay_at_every_epoch() {
     for shards in [1usize, 4] {
@@ -623,6 +605,8 @@ fn as_of_queries_match_serial_replay_at_every_epoch() {
                 .is_err());
         };
         check(&svc, "live");
+        // The live service serves every epoch from the segments it logged.
+        assert_eq!(svc.durable_stats().unwrap().segments_loaded_lazy, 0);
         drop(svc);
 
         let recovered = QueryService::recover(DurableOptions::new(&dir), config()).unwrap();
@@ -645,13 +629,10 @@ fn rows_moved(m: &OperatorMetrics) -> u64 {
 /// The row budget reaches the gather: a limit that every shard's own run
 /// stays under but the coordinator's merge exceeds aborts the query with
 /// no rows, and without the limit the same query matches the unsharded
-/// answer. Runs at every multi-shard matrix cell.
+/// answer. Runs at two and four shards.
 #[test]
 fn row_budget_bounds_the_gather() {
-    for shards in env_usize_list("DC_TEST_SHARDS", &[1, 2, 4]) {
-        if shards < 2 {
-            continue;
-        }
+    for shards in [2, 4] {
         let rows: Vec<Vec<Value>> = (0..120)
             .map(|i| {
                 vec![
