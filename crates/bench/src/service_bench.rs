@@ -169,7 +169,7 @@ fn run_point(
 #[derive(Debug, Clone)]
 pub struct ShardedScatterRow {
     pub shards: usize,
-    /// Query label (`q1`, `q2`).
+    /// Query label (`q1`, `q2`, `point`).
     pub variant: &'static str,
     pub result_rows: u64,
     /// Partial rows the coordinator merged from shard executors
@@ -211,9 +211,10 @@ impl ShardedScatterRow {
     }
 }
 
-/// The deterministic sharded figure: run the Figure-7 query pair through a
-/// scatter-gather service at each shard count (one worker, no concurrent
-/// ingest, caches off) and record the coordinator's work counters.
+/// The deterministic sharded figure: run the Figure-7 query pair and a
+/// single-EPC trace through a scatter-gather service at each shard count
+/// (one worker, no concurrent ingest, caches off) and record the
+/// coordinator's work counters.
 pub fn sharded_scatter(scale: usize, seed: u64, shards_list: &[usize]) -> Vec<ShardedScatterRow> {
     let mut rows = Vec::new();
     for &shards in shards_list {
@@ -222,9 +223,19 @@ pub fn sharded_scatter(scale: usize, seed: u64, shards_list: &[usize]) -> Vec<Sh
         // returns no rows at `--scale 2`, and the gated counters would
         // never see its gather merge any.
         let t_low = env.dataset.rtime_quantile(0.10);
+        // `point` is a single-EPC pedigree trace: pinned to one cluster key,
+        // it runs on that key's owner alone and merges no partial rows.
         let pool = [
             ("q1", env.dataset.q1(t_low)),
             ("q2", env.dataset.q2(t_low, 2)),
+            (
+                "point",
+                format!(
+                    "select epc, rtime, biz_loc, biz_step from caser \
+                     where epc = '{}' order by rtime",
+                    env.dataset.case_epc_urn(0)
+                ),
+            ),
         ];
         let svc = QueryService::start_sharded(
             env.system,
@@ -351,7 +362,7 @@ mod tests {
     fn sharded_scatter_counters_are_deterministic_and_result_stable() {
         let a = sharded_scatter(2, 7, &[1, 2]);
         let b = sharded_scatter(2, 7, &[1, 2]);
-        assert_eq!(a.len(), 4);
+        assert_eq!(a.len(), 6);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.result_rows, y.result_rows);
             assert_eq!(x.shard_rows_merged, y.shard_rows_merged);
@@ -359,12 +370,17 @@ mod tests {
             assert_eq!(x.sort_comparisons, y.sort_comparisons);
         }
         // Shard count never changes the answer.
-        for (x, y) in a.iter().take(2).zip(a.iter().skip(2)) {
+        for (x, y) in a.iter().take(3).zip(a.iter().skip(3)) {
             assert_eq!(x.variant, y.variant);
             assert_eq!(x.result_rows, y.result_rows);
         }
         // The scattered run merged partial rows; the gate watches this.
-        assert!(a.iter().skip(2).any(|r| r.shard_rows_merged > 0));
+        assert!(a.iter().skip(3).any(|r| r.shard_rows_merged > 0));
+        // The pinned trace found rows and merged none at any shard count.
+        for r in a.iter().filter(|r| r.variant == "point") {
+            assert!(r.result_rows > 0);
+            assert_eq!(r.shard_rows_merged, 0);
+        }
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub mod trace;
 pub use analysis::{bind_to_target, context_condition, correlation_condition, join_key_propagates};
 pub use cache::{CacheStats, CleanseCache, JoinBackCacheSpec};
 pub use engine::{Candidate, Executed, RewriteEngine, Rewritten, Strategy};
-pub use memo::{MemoHit, ShapeMemo};
+pub use memo::{rules_modify_ckey, MemoHit, ShapeMemo};
 pub use shape::{analyze, DimJoin, QueryShape};
 pub use trace::DecisionTrace;

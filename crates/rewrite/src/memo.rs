@@ -245,18 +245,25 @@ fn mentions_ckey_and_literal(mut e: Expr, ckey: &str) -> bool {
     ckey_col && literal
 }
 
+/// Whether a rule's MODIFY assigns the column `ckey`: cleansing may then
+/// give a row a cluster key it did not have, so a query's key literals can
+/// neither be treated as a slot nor bound the rows it reads.
+pub fn rules_modify_ckey(rules: &[Arc<RuleTemplate>], ckey: &str) -> bool {
+    rules.iter().any(|r| {
+        matches!(&r.def.action, Action::Modify { assignments, .. }
+            if assignments.iter().any(|(c, _)| c.eq_ignore_ascii_case(ckey)))
+    })
+}
+
 /// Whether any rule lets the cluster key's values matter to the rewrite:
 /// a condition or MODIFY naming the column, or a sentinel-like literal.
 fn rules_read_ckey(rules: &[Arc<RuleTemplate>], ckey: &str) -> bool {
+    if rules_modify_ckey(rules, ckey) {
+        return true;
+    }
     rules.iter().any(|r| {
         let mut exprs = vec![&r.def.condition];
         if let Action::Modify { assignments, .. } = &r.def.action {
-            if assignments
-                .iter()
-                .any(|(c, _)| c.eq_ignore_ascii_case(ckey))
-            {
-                return true;
-            }
             exprs.extend(assignments.iter().map(|(_, e)| e));
         }
         exprs.into_iter().any(|e| {

@@ -58,6 +58,13 @@ const SUBS: &[(&str, &str, Option<&str>)] = &[
         Some("aggregate"),
     ),
     ("app", "select distinct epc from caser", Some("fallback")),
+    // Pinned to one cluster key: the seed and the cold runs it is checked
+    // against are routed to the key's owner on a sharded service.
+    (
+        "app",
+        "select epc, rtime, biz_loc from caser where epc = 'e3'",
+        Some("scoped"),
+    ),
     (
         "app",
         "select epc, count(*) as n from caser group by epc order by epc",
